@@ -57,7 +57,7 @@ func BenchmarkDPar2(b *testing.B) {
 	b.ResetTimer()
 	var fit float64
 	for i := 0; i < b.N; i++ {
-		res, err := parafac2.DPar2(ten, cfg)
+		res, err := parafac2.DPar2Ctx(context.Background(), ten, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,12 +73,15 @@ func BenchmarkDPar2IterationAllocs(b *testing.B) {
 	ten := benchTensor(1)
 	cfg := benchConfig(10)
 	cfg.Tol = 0
-	comp := parafac2.Compress(ten, cfg)
+	comp, err := parafac2.CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		res, err := parafac2.DPar2FromCompressed(comp, cfg)
+		res, err := parafac2.DPar2FromCompressedCtx(context.Background(), comp, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,12 +103,15 @@ func BenchmarkDPar2TallSlice(b *testing.B) {
 	cfg := benchConfig(10)
 	cfg.Tol = 0
 	cfg.ShardRows = 2048 // tallest slice = 8 shards through the merge path
-	comp := parafac2.Compress(ten, cfg)
+	comp, err := parafac2.CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	var iters int
 	for i := 0; i < b.N; i++ {
-		res, err := parafac2.DPar2FromCompressed(comp, cfg)
+		res, err := parafac2.DPar2FromCompressedCtx(context.Background(), comp, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -115,8 +121,8 @@ func BenchmarkDPar2TallSlice(b *testing.B) {
 }
 
 // BenchmarkAbsorb guards the streaming absorb path: with Q in lazy factored
-// form, one Absorb pays only the new slices' sketches, the R-sized stage-2
-// update, the O(K·R²) in-place basis rotation, and RefreshIters
+// form, one AbsorbCtx pays only the new slices' sketches, the R-sized
+// stage-2 update, the O(K·R²) in-place basis rotation, and RefreshIters
 // compressed-space iterations — so per-batch time and allocations must stay
 // (nearly) flat as the absorbed history K grows. The K=8 and K=64 variants
 // absorb the identical batch; each iteration forks the bootstrapped stream
@@ -135,7 +141,7 @@ func BenchmarkAbsorb(b *testing.B) {
 			batch := datagen.LowRank(g, []int{2400, 2800, 2200, 2600}[:batchSlices], 40, 8, 0.02).Slices
 			cfg := benchConfig(8)
 			cfg.Tol = 0
-			st, err := parafac2.NewStreamingDPar2(base, cfg)
+			st, err := parafac2.NewStreamingDPar2Ctx(context.Background(), base, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -145,7 +151,7 @@ func BenchmarkAbsorb(b *testing.B) {
 				b.StopTimer()
 				fork := st.Clone()
 				b.StartTimer()
-				if err := fork.Absorb(batch); err != nil {
+				if err := fork.AbsorbCtx(context.Background(), batch); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -283,7 +289,9 @@ func BenchmarkFig9Preprocess(b *testing.B) {
 	b.Run("DPar2/two-stage-rsvd", func(b *testing.B) {
 		cfg := benchConfig(10)
 		for i := 0; i < b.N; i++ {
-			_ = parafac2.Compress(ten, cfg)
+			if _, err := parafac2.CompressCtx(context.Background(), ten, cfg); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("RD-ALS/deterministic-svd", func(b *testing.B) {
@@ -332,7 +340,10 @@ func BenchmarkFig10CompressionRatio(b *testing.B) {
 	cfg := benchConfig(10)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		comp := parafac2.Compress(ten, cfg)
+		comp, err := parafac2.CompressCtx(context.Background(), ten, cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
 		ratio = float64(ten.SizeBytes()) / float64(comp.SizeBytes())
 	}
 	b.ReportMetric(ratio, "input/compressed")
@@ -385,7 +396,7 @@ func BenchmarkFig11Threads(b *testing.B) {
 			cfg := benchConfig(10)
 			cfg.Threads = th
 			for i := 0; i < b.N; i++ {
-				if _, err := parafac2.DPar2(ten, cfg); err != nil {
+				if _, err := parafac2.DPar2Ctx(context.Background(), ten, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -449,8 +460,11 @@ func BenchmarkAblationStage2(b *testing.B) {
 	cfg := benchConfig(10)
 	b.Run("two-stage", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			comp := parafac2.Compress(ten, cfg)
-			if _, err := parafac2.DPar2FromCompressed(comp, cfg); err != nil {
+			comp, err := parafac2.CompressCtx(context.Background(), ten, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := parafac2.DPar2FromCompressedCtx(context.Background(), comp, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -468,7 +482,7 @@ func BenchmarkAblationStage2(b *testing.B) {
 		approx := tensor.MustIrregular(slices)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := parafac2.ALS(approx, cfg); err != nil {
+			if _, err := parafac2.ALSCtx(context.Background(), approx, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -520,8 +534,11 @@ func BenchmarkAblationLemmaReorder(b *testing.B) {
 func BenchmarkAblationConvergence(b *testing.B) {
 	ten := benchTensor(13)
 	cfg := benchConfig(10)
-	comp := parafac2.Compress(ten, cfg)
-	res, err := parafac2.DPar2FromCompressed(comp, cfg)
+	comp, err := parafac2.CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := parafac2.DPar2FromCompressedCtx(context.Background(), comp, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -591,7 +608,7 @@ func BenchmarkAblationPowerIter(b *testing.B) {
 			cfg.PowerIters = q
 			var fit float64
 			for i := 0; i < b.N; i++ {
-				res, err := parafac2.DPar2(ten, cfg)
+				res, err := parafac2.DPar2Ctx(context.Background(), ten, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

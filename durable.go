@@ -52,10 +52,10 @@ func (e *Engine) SaveStream(path string, s *StreamingDPar2) error {
 }
 
 // ResumeStream restores a stream from a SaveStream checkpoint and rebinds it
-// to the Engine's pool: the next Absorb is bit-identical to the same Absorb
-// on the stream that was checkpointed. Deterministic knobs (rank, seed,
-// iteration budget, sketch parameters) come from the checkpoint; opts may
-// adjust only runtime bindings the same way NewStream accepts them (an
+// to the Engine's pool: the next AbsorbCtx is bit-identical to the same
+// AbsorbCtx on the stream that was checkpointed. Deterministic knobs (rank,
+// seed, iteration budget, sketch parameters) come from the checkpoint; opts
+// may adjust only runtime bindings the same way NewStream accepts them (an
 // option that names a non-DPar2 method is an error, like NewStream).
 func (e *Engine) ResumeStream(ctx context.Context, path string, opts ...Option) (*StreamingDPar2, error) {
 	_, _, _, cfg, err := e.prepare(ctx, opts, true, "ResumeStream")

@@ -227,7 +227,7 @@ func TestEngineSaveResumeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Absorb(full.Slices[3:4]); err != nil {
+	if err := st.AbsorbCtx(ctx, full.Slices[3:4]); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.SaveStream("streams/run.dpc2", st); err != nil {
@@ -241,10 +241,10 @@ func TestEngineSaveResumeStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Absorb(full.Slices[4:]); err != nil {
+	if err := st.AbsorbCtx(ctx, full.Slices[4:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Absorb(full.Slices[4:]); err != nil {
+	if err := back.AbsorbCtx(ctx, full.Slices[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if st.K() != back.K() {

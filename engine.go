@@ -447,7 +447,7 @@ func (e *Engine) prepareOpen(ctx context.Context, opts []Option, dpar2Only bool,
 // Decompose runs one decomposition synchronously on the shared pool: the
 // Engine's base Config plus opts select the algorithm (default MethodDPar2)
 // and its parameters. It is the single entry point every algorithm runs
-// through; the old per-method free functions are deprecated wrappers.
+// through, dispatched by name via the method registry.
 func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*Result, error) {
 	if e.isClosed() {
 		return nil, ErrEngineClosed
@@ -500,8 +500,10 @@ func (e *Engine) Compress(ctx context.Context, t *Irregular, opts ...Option) (*C
 // DecomposeCompressed runs DPar2's iteration phase on a previously
 // compressed tensor (only DPar2 iterates on the compressed form; any other
 // WithMethod is an error). Result.Fitness is the compressed-space estimate
-// (Result.FitnessKind == FitnessCompressed); see DPar2FromCompressed, and
-// use Engine.Fitness for the true value when the tensor is at hand.
+// 1 − e/‖X̃‖² (Result.FitnessKind == FitnessCompressed): exact against the
+// compressed approximation X̃ the iteration sees, off from the fitness
+// against the original tensor only by the one-time compression error. Use
+// Engine.Fitness for the true value when the tensor is at hand.
 func (e *Engine) DecomposeCompressed(ctx context.Context, c *Compressed, opts ...Option) (*Result, error) {
 	if c == nil {
 		return nil, errors.New("repro: DecomposeCompressed with nil Compressed")
@@ -515,7 +517,7 @@ func (e *Engine) DecomposeCompressed(ctx context.Context, c *Compressed, opts ..
 
 // NewStream starts a streaming DPar2 decomposition on the shared pool (only
 // DPar2 streams; any other WithMethod is an error): the initial batch is
-// compressed and decomposed now; later Absorb calls warm-start from the
+// compressed and decomposed now; later AbsorbCtx calls warm-start from the
 // previous factors. The stream keeps using the Engine's pool — close the
 // Engine only after the stream is done (absorbs on a closed engine still
 // work, just serially).

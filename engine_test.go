@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/parafac2"
 )
 
 func engineTestTensor(seed uint64) *Irregular {
@@ -25,8 +27,9 @@ func engineTestConfig() Config {
 }
 
 // TestEngineDecomposeMatchesFreeFunctions: all four algorithms run through
-// Engine.Decompose via the registry, bit-identical to the deprecated free
-// functions (which also satisfies the < 1e-9 fitness-drift requirement).
+// Engine.Decompose via the registry, bit-identical to calling each
+// algorithm's function directly (which also satisfies the < 1e-9
+// fitness-drift requirement).
 func TestEngineDecomposeMatchesFreeFunctions(t *testing.T) {
 	ten := engineTestTensor(1)
 	cfg := engineTestConfig()
@@ -35,11 +38,14 @@ func TestEngineDecomposeMatchesFreeFunctions(t *testing.T) {
 	defer eng.Close()
 	ctx := context.Background()
 
-	free := map[MethodID]func(*Irregular, Config) (*Result, error){
-		MethodDPar2: DPar2, MethodRDALS: RDALS, MethodALS: ALS, MethodSPARTan: SPARTan,
+	free := map[MethodID]func(context.Context, *Irregular, Config) (*Result, error){
+		MethodDPar2:   parafac2.DPar2Ctx,
+		MethodRDALS:   parafac2.RDALSCtx,
+		MethodALS:     parafac2.ALSCtx,
+		MethodSPARTan: parafac2.SPARTanCtx,
 	}
 	for id, fn := range free {
-		want, err := fn(ten, cfg)
+		want, err := fn(ctx, ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,13 +93,13 @@ func TestEngineSubmitConcurrentBitIdentical(t *testing.T) {
 		var err error
 		switch cases[i].method {
 		case MethodDPar2:
-			baselines[i], err = DPar2(cases[i].ten, serialCfg)
+			baselines[i], err = parafac2.DPar2Ctx(ctx, cases[i].ten, serialCfg)
 		case MethodALS:
-			baselines[i], err = ALS(cases[i].ten, serialCfg)
+			baselines[i], err = parafac2.ALSCtx(ctx, cases[i].ten, serialCfg)
 		case MethodRDALS:
-			baselines[i], err = RDALS(cases[i].ten, serialCfg)
+			baselines[i], err = parafac2.RDALSCtx(ctx, cases[i].ten, serialCfg)
 		case MethodSPARTan:
-			baselines[i], err = SPARTan(cases[i].ten, serialCfg)
+			baselines[i], err = parafac2.SPARTanCtx(ctx, cases[i].ten, serialCfg)
 		}
 		if err != nil {
 			t.Fatalf("baseline %d: %v", i, err)
@@ -242,35 +248,6 @@ func TestEngineOptionValidation(t *testing.T) {
 	if _, err := eng.Decompose(ctx, ten, WithMethod("parafac2-als"), WithRank(4)); err != nil {
 		t.Fatalf("alias method: %v", err)
 	}
-}
-
-// TestEngineWithConfigCarriesKnobs: WithConfig ports an existing Config
-// (minus its Pool/Threads, which the Engine owns).
-func TestEngineWithConfigCarriesKnobs(t *testing.T) {
-	ten := engineTestTensor(10)
-	cfg := engineTestConfig()
-	cfg.Seed = 77
-	cfg.Threads = 99 // must be ignored by the engine
-
-	want, err := DPar2(ten, engineConfigSerial(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := NewEngine(WithEngineThreads(2))
-	defer eng.Close()
-	got, err := eng.Decompose(context.Background(), ten, WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fitness != want.Fitness {
-		t.Fatalf("WithConfig fitness %v != direct %v", got.Fitness, want.Fitness)
-	}
-}
-
-func engineConfigSerial(cfg Config) Config {
-	cfg.Threads = 1
-	cfg.Pool = nil
-	return cfg
 }
 
 // TestEngineNewStream: streaming runs on the engine pool end to end.
@@ -632,7 +609,7 @@ func TestEnginePriorityDeterminism(t *testing.T) {
 		serial.Seed = uint64(i)
 		serial.Threads = 1
 		var err error
-		baselines[i], err = DPar2(tensors[i], serial)
+		baselines[i], err = parafac2.DPar2Ctx(ctx, tensors[i], serial)
 		if err != nil {
 			t.Fatal(err)
 		}

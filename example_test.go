@@ -60,8 +60,10 @@ func ExampleEngine_Submit() {
 	// job-2 fit>0.9: true
 }
 
-// ExampleDPar2 decomposes a small irregular tensor and reports the fitness.
-func ExampleDPar2() {
+// ExampleWithBaseConfig decomposes a small irregular tensor with DPar2 from
+// a Config built up front, and reports the fitness. The Config's Threads
+// field sizes the Engine's pool.
+func ExampleWithBaseConfig() {
 	g := repro.NewRNG(1)
 	// Exact rank-3 PARAFAC2 structure: fitness must reach ~1.
 	ten := repro.LowRankTensor(g, []int{40, 60, 50}, 20, 3, 0)
@@ -72,7 +74,9 @@ func ExampleDPar2() {
 	cfg.Tol = 1e-12
 	cfg.Threads = 1
 
-	res, err := repro.DPar2(ten, cfg)
+	eng := repro.NewEngine(repro.WithBaseConfig(cfg))
+	defer eng.Close()
+	res, err := eng.Decompose(context.Background(), ten)
 	if err != nil {
 		panic(err)
 	}
@@ -83,23 +87,27 @@ func ExampleDPar2() {
 	// V shape: 20x3
 }
 
-// ExampleCompress shows amortizing the two-stage compression across runs.
-func ExampleCompress() {
+// ExampleEngine_Compress shows amortizing the two-stage compression across
+// runs.
+func ExampleEngine_Compress() {
 	g := repro.NewRNG(2)
 	ten := repro.LowRankTensor(g, []int{50, 70}, 25, 4, 0.01)
 
-	cfg := repro.DefaultConfig()
-	cfg.Rank = 4
-	cfg.Threads = 1
+	eng := repro.NewEngine(repro.WithEngineThreads(1))
+	defer eng.Close()
+	ctx := context.Background()
 
-	comp := repro.Compress(ten, cfg)
-	fmt.Printf("compressed smaller than input: %v\n", comp.SizeBytes() < ten.SizeBytes())
-
-	res, err := repro.DPar2FromCompressed(comp, cfg)
+	comp, err := eng.Compress(ctx, ten, repro.WithRank(4))
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("fitness > 0.95: %v\n", repro.Fitness(ten, res) > 0.95)
+	fmt.Printf("compressed smaller than input: %v\n", comp.SizeBytes() < ten.SizeBytes())
+
+	res, err := eng.DecomposeCompressed(ctx, comp, repro.WithRank(4))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Printf("fitness > 0.95: %v\n", eng.Fitness(ten, res) > 0.95)
 	// Output:
 	// compressed smaller than input: true
 	// fitness > 0.95: true
@@ -112,10 +120,9 @@ func ExampleDetectAnomalies() {
 	// Replace slice 4 with pure noise.
 	g.NormSlice(ten.Slices[4].Data)
 
-	cfg := repro.DefaultConfig()
-	cfg.Rank = 2
-	cfg.Threads = 1
-	res, err := repro.DPar2(ten, cfg)
+	eng := repro.NewEngine(repro.WithEngineThreads(1))
+	defer eng.Close()
+	res, err := eng.Decompose(context.Background(), ten, repro.WithRank(2))
 	if err != nil {
 		panic(err)
 	}

@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"testing"
@@ -37,7 +38,7 @@ func encodeSampleResult(t *testing.T) []byte {
 	cfg := parafac2.DefaultConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 5
-	res, err := parafac2.DPar2(sampleTensor(), cfg)
+	res, err := parafac2.DPar2Ctx(context.Background(), sampleTensor(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +197,7 @@ func FuzzReadResult(f *testing.F) {
 	cfg := parafac2.DefaultConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 5
-	res, err := parafac2.DPar2(sampleTensor(), cfg)
+	res, err := parafac2.DPar2Ctx(context.Background(), sampleTensor(), cfg)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"path/filepath"
 	"strings"
@@ -101,7 +102,7 @@ func TestResultRoundTrip(t *testing.T) {
 	cfg.Rank = 3
 	cfg.MaxIters = 10
 	cfg.Threads = 2
-	res, err := parafac2.DPar2(ten, cfg)
+	res, err := parafac2.DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestResultRoundTripKeepsFactoredForm(t *testing.T) {
 	cfg.Rank = 3
 	cfg.MaxIters = 10
 	cfg.Threads = 2
-	res, err := parafac2.DPar2(ten, cfg)
+	res, err := parafac2.DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestResultRoundTripDense(t *testing.T) {
 	cfg.Rank = 3
 	cfg.MaxIters = 5
 	cfg.Threads = 1
-	res, err := parafac2.ALS(ten, cfg)
+	res, err := parafac2.ALSCtx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +214,7 @@ func TestReadResultV1BackCompat(t *testing.T) {
 	cfg.Rank = 3
 	cfg.MaxIters = 5
 	cfg.Threads = 1
-	res, err := parafac2.DPar2(ten, cfg)
+	res, err := parafac2.DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestResultFileRoundTrip(t *testing.T) {
 	cfg.Rank = 3
 	cfg.MaxIters = 5
 	cfg.Threads = 1
-	res, err := parafac2.DPar2(ten, cfg)
+	res, err := parafac2.DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

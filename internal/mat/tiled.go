@@ -95,6 +95,7 @@ func useTiledGram(rows int) bool {
 // pass with the k loop unrolled by two. Per output element the adds happen
 // one per k in increasing k order — bitwise identical to mulRange. The odd
 // trailing row falls back to the reference kernel.
+//
 //repro:noalloc
 func mulTiledRange(out, m, b *Dense, lo, hi int) {
 	n := b.Cols
@@ -145,6 +146,7 @@ func mulTiledRange(out, m, b *Dense, lo, hi int) {
 // structure of tmulRange with two output rows (columns of m) fused per pass.
 // Same ordered adds per element as tmulRange; the sub-quad remainder reuses
 // the reference kernel.
+//
 //repro:noalloc
 func tmulTiledRange(out, m, b *Dense, lo, hi int) {
 	n := b.Cols
@@ -204,6 +206,7 @@ func tmulTiledRange(out, m, b *Dense, lo, hi int) {
 // Each output element remains a single dot accumulated in increasing k
 // order — bitwise identical to mulTRange. The odd trailing row falls back
 // to the reference kernel.
+//
 //repro:noalloc
 func mulTTiledRange(out, m, b *Dense, lo, hi int) {
 	c := m.Cols
@@ -255,6 +258,7 @@ func mulTTiledRange(out, m, b *Dense, lo, hi int) {
 // [lo, hi), two rows fused per pass. Per element: one ordered add per input
 // row in increasing row order, exactly as the reference triangle loop, so
 // GramInto keeps its documented bitwise agreement with serial TMul(m, m).
+//
 //repro:noalloc
 func gramTiledUpper(out, m *Dense, lo, hi int) {
 	n := m.Cols

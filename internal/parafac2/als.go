@@ -12,7 +12,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// ALS runs classical PARAFAC2-ALS (Algorithm 2 of the paper; Kiers, ten
+// ALSCtx runs classical PARAFAC2-ALS (Algorithm 2 of the paper; Kiers, ten
 // Berge & Bro 1999). Every iteration touches every element of the input
 // tensor: the Q_k update computes an SVD of X_k V S_k Hᵀ, and the projected
 // tensor Y with slices Q_kᵀ X_k feeds one CP-ALS sweep for H, V, W.
@@ -20,13 +20,10 @@ import (
 // This is the reference baseline: slow on large dense tensors precisely
 // because of those per-iteration passes over {X_k}, which is the cost DPar2
 // removes.
-func ALS(t *tensor.Irregular, cfg Config) (*Result, error) {
-	return ALSCtx(context.Background(), t, cfg)
-}
-
-// ALSCtx is ALS with cancellation: the context is checked before every ALS
-// iteration and between the parallel phases inside one (Q update, projection,
-// CP sweep, convergence pass); the unwrapped ctx.Err() is returned promptly.
+//
+// The context is checked before every ALS iteration and between the
+// parallel phases inside one (Q update, projection, CP sweep, convergence
+// pass); the unwrapped ctx.Err() is returned promptly.
 func ALSCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, error) {
 	if err := cfg.validate(t); err != nil {
 		return nil, err

@@ -12,7 +12,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// RDALS implements the RD-ALS baseline (Cheng & Haardt, "Efficient
+// RDALSCtx implements the RD-ALS baseline (Cheng & Haardt, "Efficient
 // computation of the PARAFAC2 decomposition", ACSCC 2019) as the paper
 // describes it: a one-time deterministic dimensionality reduction followed
 // by PARAFAC2-ALS on the reduced slices.
@@ -27,13 +27,10 @@ import (
 // Per the paper (Section IV-B), RD-ALS checks convergence with the *full*
 // reconstruction error against the original tensor each iteration, which
 // keeps its per-iteration cost proportional to the input size.
-func RDALS(t *tensor.Irregular, cfg Config) (*Result, error) {
-	return RDALSCtx(context.Background(), t, cfg)
-}
-
-// RDALSCtx is RDALS with cancellation: the context is checked before the
-// deterministic preprocessing, before every ALS iteration, and between the
-// parallel phases inside one; the unwrapped ctx.Err() is returned promptly.
+//
+// The context is checked before the deterministic preprocessing, before
+// every ALS iteration, and between the parallel phases inside one; the
+// unwrapped ctx.Err() is returned promptly.
 func RDALSCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, error) {
 	if err := cfg.validate(t); err != nil {
 		return nil, err
@@ -125,20 +122,16 @@ func RDALSCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, er
 	return res, nil
 }
 
-// SPARTan implements a SPARTan-style baseline (Perros et al., KDD 2017)
+// SPARTanCtx implements a SPARTan-style baseline (Perros et al., KDD 2017)
 // adapted to dense tensors. SPARTan's contribution is a parallel,
 // slice-blocked computation of the MTTKRPs inside PARAFAC2-ALS that never
 // materializes the projected tensor Y or the Khatri-Rao products; its
 // asymptotic per-iteration cost on dense data is the same as PARAFAC2-ALS
 // (it exploits *sparsity* for its headline wins, which dense data lacks —
 // the very observation motivating DPar2).
-func SPARTan(t *tensor.Irregular, cfg Config) (*Result, error) {
-	return SPARTanCtx(context.Background(), t, cfg)
-}
-
-// SPARTanCtx is SPARTan with cancellation: the context is checked before
-// every ALS iteration and between the parallel phases inside one; the
-// unwrapped ctx.Err() is returned promptly.
+//
+// The context is checked before every ALS iteration and between the
+// parallel phases inside one; the unwrapped ctx.Err() is returned promptly.
 func SPARTanCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, error) {
 	if err := cfg.validate(t); err != nil {
 		return nil, err

@@ -58,9 +58,9 @@ func ckptErrf(format string, args ...any) error {
 
 // Checkpoint serializes the complete stream state — configuration, RNG,
 // compressed representation, factors, and absorb count — such that a stream
-// restored with RestoreStream continues bit-identically: restore-then-Absorb
-// produces the same bytes as an uninterrupted stream absorbing the same
-// batches. The payload ends with a sha256 trailer; pair with
+// restored with RestoreStream continues bit-identically:
+// restore-then-AbsorbCtx produces the same bytes as an uninterrupted stream
+// absorbing the same batches. The payload ends with a sha256 trailer; pair with
 // state.WriteFileAtomic for a crash-safe on-disk checkpoint.
 func (s *StreamingDPar2) Checkpoint(w io.Writer) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
@@ -152,8 +152,8 @@ func (s *StreamingDPar2) Checkpoint(w io.Writer) error {
 // deterministic knob (rank, iteration budget, tolerances, seeds, sketch
 // parameters) comes from the checkpoint; only the runtime bindings —
 // Threads, Pool, Progress, TrackConvergence — are taken from cfg. The
-// restored stream's next Absorb is bit-identical to the same Absorb on the
-// stream that wrote the checkpoint. The checksum trailer is mandatory here
+// restored stream's next AbsorbCtx is bit-identical to the same AbsorbCtx on
+// the stream that wrote the checkpoint. The checksum trailer is mandatory here
 // (unlike dataio's legacy files): any decode failure reports ErrCheckpoint.
 func RestoreStream(r io.Reader, cfg Config) (*StreamingDPar2, error) {
 	br := bufio.NewReaderSize(r, 1<<20)

@@ -2,6 +2,7 @@ package parafac2
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"testing"
@@ -57,18 +58,18 @@ func streamsEqualBits(t *testing.T, a, b *StreamingDPar2) {
 }
 
 // TestCheckpointRestoreAbsorbBitIdentical is the tentpole contract:
-// checkpoint → restore → Absorb produces exactly the bytes an uninterrupted
+// checkpoint → restore → AbsorbCtx produces exactly the bytes an uninterrupted
 // stream produces — compressed state, factors, RNG, everything.
 func TestCheckpointRestoreAbsorbBitIdentical(t *testing.T) {
 	g := rng.New(91)
 	full := synthPARAFAC2(g, []int{40, 50, 45, 55, 38, 42, 47, 51}, 16, 3, 0.02)
 	cfg := smallConfig(3)
 
-	ref, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:3]), cfg)
+	ref, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:3]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Absorb(full.Slices[3:5]); err != nil {
+	if err := ref.AbsorbCtx(context.Background(), full.Slices[3:5]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -81,19 +82,19 @@ func TestCheckpointRestoreAbsorbBitIdentical(t *testing.T) {
 	}
 	streamsEqualBits(t, ref, back)
 
-	if err := ref.Absorb(full.Slices[5:7]); err != nil {
+	if err := ref.AbsorbCtx(context.Background(), full.Slices[5:7]); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Absorb(full.Slices[5:7]); err != nil {
+	if err := back.AbsorbCtx(context.Background(), full.Slices[5:7]); err != nil {
 		t.Fatal(err)
 	}
 	streamsEqualBits(t, ref, back)
 
 	// And again, to show the restored stream keeps pace indefinitely.
-	if err := ref.Absorb(full.Slices[7:]); err != nil {
+	if err := ref.AbsorbCtx(context.Background(), full.Slices[7:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Absorb(full.Slices[7:]); err != nil {
+	if err := back.AbsorbCtx(context.Background(), full.Slices[7:]); err != nil {
 		t.Fatal(err)
 	}
 	streamsEqualBits(t, ref, back)
@@ -113,16 +114,16 @@ func TestCheckpointRestoreKeepsRetryContract(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.Threads = 1 // deterministic ctx.Err() call sequence
 
-	ref, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:2]), cfg)
+	ref, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:2]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snap := checkpointBytes(t, ref)
 	batch1, batch2 := full.Slices[2:4], full.Slices[4:6]
-	if err := ref.Absorb(batch1); err != nil {
+	if err := ref.AbsorbCtx(context.Background(), batch1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Absorb(batch2); err != nil {
+	if err := ref.AbsorbCtx(context.Background(), batch2); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,10 +138,10 @@ func TestCheckpointRestoreKeepsRetryContract(t *testing.T) {
 	if back.K() != 2 {
 		t.Fatal("cancelled absorb mutated the restored stream")
 	}
-	if err := back.Absorb(batch1); err != nil {
+	if err := back.AbsorbCtx(context.Background(), batch1); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Absorb(batch2); err != nil {
+	if err := back.AbsorbCtx(context.Background(), batch2); err != nil {
 		t.Fatal(err)
 	}
 	streamsEqualBits(t, ref, back)
@@ -153,7 +154,7 @@ func TestRestoreStreamConfigSplit(t *testing.T) {
 	g := rng.New(93)
 	full := synthPARAFAC2(g, []int{40, 50, 45}, 16, 3, 0.02)
 	cfg := smallConfig(3)
-	s, err := NewStreamingDPar2(full, cfg)
+	s, err := NewStreamingDPar2Ctx(context.Background(), full, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestRestoreStreamConfigSplit(t *testing.T) {
 func TestRestoreStreamRejectsCorrupt(t *testing.T) {
 	g := rng.New(94)
 	full := synthPARAFAC2(g, []int{40, 50, 45}, 14, 3, 0.02)
-	s, err := NewStreamingDPar2(full, smallConfig(3))
+	s, err := NewStreamingDPar2Ctx(context.Background(), full, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestCheckpointAtomicFileRoundtrip(t *testing.T) {
 	g := rng.New(95)
 	full := synthPARAFAC2(g, []int{40, 50, 45, 55}, 14, 3, 0.02)
 	cfg := smallConfig(3)
-	s, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:3]), cfg)
+	s, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:3]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,10 +239,10 @@ func TestCheckpointAtomicFileRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Absorb(full.Slices[3:]); err != nil {
+	if err := s.AbsorbCtx(context.Background(), full.Slices[3:]); err != nil {
 		t.Fatal(err)
 	}
-	if err := back.Absorb(full.Slices[3:]); err != nil {
+	if err := back.AbsorbCtx(context.Background(), full.Slices[3:]); err != nil {
 		t.Fatal(err)
 	}
 	streamsEqualBits(t, s, back)

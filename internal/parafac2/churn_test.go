@@ -1,6 +1,7 @@
 package parafac2
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/lapack"
@@ -22,13 +23,16 @@ func TestNoSteadyStatePoolChurn(t *testing.T) {
 	cfg.Tol = 0
 
 	before := lapack.PoolDraws()
-	comp := Compress(ten, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d := lapack.PoolDraws() - before; d > 1 {
-		t.Fatalf("Compress drew %d workspaces from the lapack pool, want at most 1 (the stage-2 SVD)", d)
+		t.Fatalf("CompressCtx drew %d workspaces from the lapack pool, want at most 1 (the stage-2 SVD)", d)
 	}
 
 	before = lapack.PoolDraws()
-	if _, err := DPar2FromCompressed(comp, cfg); err != nil {
+	if _, err := DPar2FromCompressedCtx(context.Background(), comp, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if d := lapack.PoolDraws() - before; d != 0 {
@@ -46,8 +50,10 @@ func TestShardedCompressPoolChurn(t *testing.T) {
 	cfg.ShardRows = 128 // tall slice fans out into shard units
 
 	before := lapack.PoolDraws()
-	Compress(ten, cfg)
+	if _, err := CompressCtx(context.Background(), ten, cfg); err != nil {
+		t.Fatal(err)
+	}
 	if d := lapack.PoolDraws() - before; d > 1 {
-		t.Fatalf("sharded Compress drew %d pool workspaces, want at most 1", d)
+		t.Fatalf("sharded CompressCtx drew %d pool workspaces, want at most 1", d)
 	}
 }

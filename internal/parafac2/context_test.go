@@ -45,16 +45,16 @@ func TestRegistryResolvesAllMethods(t *testing.T) {
 }
 
 // TestRegistryMatchesFreeFunctions: dispatching through the registry is
-// bit-identical to the (deprecated) free functions.
+// bit-identical to calling each algorithm's function directly.
 func TestRegistryMatchesFreeFunctions(t *testing.T) {
 	ten := ctxTestTensor(t)
 	cfg := smallConfig(3)
 	cfg.MaxIters = 5
-	free := map[string]func(*tensor.Irregular, Config) (*Result, error){
-		"dpar2": DPar2, "rd-als": RDALS, "als": ALS, "spartan": SPARTan,
+	free := map[string]func(context.Context, *tensor.Irregular, Config) (*Result, error){
+		"dpar2": DPar2Ctx, "rd-als": RDALSCtx, "als": ALSCtx, "spartan": SPARTanCtx,
 	}
 	for name, fn := range free {
-		want, err := fn(ten, cfg)
+		want, err := fn(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +145,7 @@ func TestCancelledAbsorbLeavesStreamUsable(t *testing.T) {
 	g := rng.New(21)
 	full := synthPARAFAC2(g, []int{40, 50, 45, 55, 42, 48}, 14, 3, 0.02)
 	cfg := smallConfig(3)
-	s, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:4]), cfg)
+	s, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:4]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestCancelledAbsorbLeavesStreamUsable(t *testing.T) {
 	if s.K() != 4 {
 		t.Fatalf("cancelled absorb changed K to %d", s.K())
 	}
-	if err := s.Absorb(full.Slices[4:]); err != nil {
+	if err := s.AbsorbCtx(context.Background(), full.Slices[4:]); err != nil {
 		t.Fatal(err)
 	}
 	if s.K() != 6 {
@@ -207,7 +207,7 @@ func TestCancelledRefreshRecoverable(t *testing.T) {
 	g := rng.New(22)
 	full := synthPARAFAC2(g, []int{40, 50, 45, 55, 42, 48}, 14, 3, 0.02)
 	cfg := smallConfig(3)
-	s, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:4]), cfg)
+	s, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:4]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,10 +46,11 @@ func (c *Compressed) SizeBytes() int64 {
 	return n * 8
 }
 
-// Clone returns an independent copy: Append on the original no longer
+// Clone returns an independent copy: AppendCtx on the original no longer
 // affects the clone and vice versa. The A_k bases are shared, not copied —
-// they are immutable once built (Append only appends new ones; the in-place
-// basis rotation touches F blocks only) — so a clone costs O(K·R² + J·R).
+// they are immutable once built (AppendCtx only appends new ones; the
+// in-place basis rotation touches F blocks only) — so a clone costs
+// O(K·R² + J·R).
 func (c *Compressed) Clone() *Compressed {
 	f := make([]*mat.Dense, len(c.F))
 	for i, b := range c.F {
@@ -71,17 +72,13 @@ func (c *Compressed) SliceApprox(k int) *mat.Dense {
 	return c.A[k].Mul(c.F[k].ScaleColumns(c.E)).MulT(c.D)
 }
 
-// Compress runs the two-stage compression (lines 2-6 of Algorithm 3).
+// CompressCtx runs the two-stage compression (lines 2-6 of Algorithm 3).
 // Stage 1 is parallelized with the greedy slice partition of Algorithm 4,
 // because the randomized-SVD cost of slice k is proportional to I_k.
-func Compress(t *tensor.Irregular, cfg Config) *Compressed {
-	c, _ := CompressCtx(context.Background(), t, cfg)
-	return c
-}
-
-// CompressCtx is Compress with cancellation: the context is checked before
-// each compression phase and between per-slice sketches, and the unwrapped
-// ctx.Err() is returned as soon as it is observed.
+//
+// The context is checked before each compression phase and between
+// per-slice sketches, and the unwrapped ctx.Err() is returned as soon as it
+// is observed.
 func CompressCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Compressed, error) {
 	pool, done := cfg.runtimePool()
 	defer done()
@@ -130,7 +127,7 @@ func compressWith(ctx context.Context, t *tensor.Irregular, cfg Config, pool *co
 }
 
 // stage1Sketches runs the per-slice stage-1 randomized SVDs (A_k, C_k B_k)
-// for Compress and Append. Slices taller than cfg.ShardRows are routed
+// for CompressCtx and AppendCtx. Slices taller than cfg.ShardRows are routed
 // through the row-sharded path: each shard is an independent work unit, so
 // scheduler.Partition balances over shards rather than whole slices — one
 // tall slice spreads across the whole pool instead of pinning a worker — and
@@ -227,19 +224,16 @@ func stage1Sketches(ctx context.Context, slices []*mat.Dense, gens []*rng.RNG, c
 	return a, cb
 }
 
-// DPar2 runs the full method of the paper (Algorithm 3): two-stage
+// DPar2Ctx runs the full method of the paper (Algorithm 3): two-stage
 // compression, then ALS iterations that touch only the compressed factors.
 //
 // Per iteration (Lemmas 1-3) the cost is O(JR² + KR³) — independent of the
 // slice heights I_k — versus O(Σ_k I_k J R) for PARAFAC2-ALS.
-func DPar2(t *tensor.Irregular, cfg Config) (*Result, error) {
-	return DPar2Ctx(context.Background(), t, cfg)
-}
-
-// DPar2Ctx is DPar2 with cancellation: the context is checked between
-// compression phases, before every ALS iteration, and between the parallel
-// phases inside one iteration. On cancellation the unwrapped ctx.Err() is
-// returned promptly and any transient pool is released.
+//
+// The context is checked between compression phases, before every ALS
+// iteration, and between the parallel phases inside one iteration. On
+// cancellation the unwrapped ctx.Err() is returned promptly and any
+// transient pool is released.
 func DPar2Ctx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, error) {
 	if err := cfg.validate(t); err != nil {
 		return nil, err
@@ -266,10 +260,10 @@ func DPar2Ctx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, er
 	return res, nil
 }
 
-// DPar2FromCompressed runs the iteration phase of Algorithm 3 on an already
-// compressed tensor. Exposed separately so callers can amortize compression
-// across runs (e.g. rank sweeps over the same data) and so benchmarks can
-// time the phases independently.
+// DPar2FromCompressedCtx runs the iteration phase of Algorithm 3 on an
+// already compressed tensor. Exposed separately so callers can amortize
+// compression across runs (e.g. rank sweeps over the same data) and so
+// benchmarks can time the phases independently.
 //
 // Result.Fitness is a compressed-space estimate (FitnessKind ==
 // FitnessCompressed): 1 − e/‖X̃‖², where e is the final convergence measure
@@ -282,13 +276,8 @@ func DPar2Ctx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, er
 //
 // All per-slice working state is allocated once up front and every kernel in
 // the loop writes into preallocated or arena scratch, so the steady-state
-// iteration performs (nearly) zero heap allocations.
-func DPar2FromCompressed(comp *Compressed, cfg Config) (*Result, error) {
-	return DPar2FromCompressedCtx(context.Background(), comp, cfg)
-}
-
-// DPar2FromCompressedCtx is DPar2FromCompressed with cancellation (see
-// DPar2Ctx for the check points).
+// iteration performs (nearly) zero heap allocations. The context is checked
+// at the same points as in DPar2Ctx's iteration phase.
 func DPar2FromCompressedCtx(ctx context.Context, comp *Compressed, cfg Config) (*Result, error) {
 	return dpar2Iterate(ctx, comp, cfg, nil)
 }
@@ -296,7 +285,7 @@ func DPar2FromCompressedCtx(ctx context.Context, comp *Compressed, cfg Config) (
 // warmStart seeds the iteration phase with factors from a previous run over
 // (a prefix of) the same data — the streaming refresh path. H, V, and S live
 // in basis-independent spaces (H is the R×R common matrix, V is J×R, S_k are
-// the diagonal weights), so they survive the basis rotation Append applies
+// the diagonal weights), so they survive the basis rotation AppendCtx applies
 // to the compressed representation. S rows beyond len(s) (newly absorbed
 // slices) keep the cold-start all-ones initialization.
 type warmStart struct {
@@ -452,11 +441,12 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 	}
 
 	// Q stays in factored form: Q_k = A_k Z_k P_kᵀ, with the A_k shared
-	// with the compressed representation (immutable once built — Append
-	// only appends to the A slice). The Result's accessors materialize
-	// dense slices on demand (line 25's U_k = Q_k H included), so nothing
-	// here pays the K-wide O(Σ_k I_k·R) pass the old eager loop did — the
-	// property that keeps streaming absorbs independent of the history.
+	// with the compressed representation (immutable once built —
+	// AppendCtx only appends to the A slice). The Result's accessors
+	// materialize dense slices on demand (line 25's U_k = Q_k H included),
+	// so nothing here pays the K-wide O(Σ_k I_k·R) pass the old eager loop
+	// did — the property that keeps streaming absorbs independent of the
+	// history.
 	res.H, res.V = h, v
 	res.SetFactoredQ(append([]*mat.Dense(nil), comp.A...), z, p)
 	// Compressed-space fitness: prev is the final convergence measure
@@ -464,7 +454,7 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 	// Σ_k ‖X̃_k − Q_k H S_k Vᵀ‖² because Z_k and P_k are square orthogonal
 	// (so Q_kᵀ loses nothing of X̃_k). ‖X̃‖² = Σ_k ‖F⁽ᵏ⁾E‖² by the
 	// orthonormality of A_k and D. Callers with the original tensor at hand
-	// (DPar2) overwrite this with the true fitness.
+	// (DPar2Ctx) overwrite this with the true fitness.
 	if prev >= 0 {
 		if n := comp.Norm2(); n > 0 {
 			res.Fitness = 1 - prev/n

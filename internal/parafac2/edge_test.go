@@ -1,6 +1,7 @@
 package parafac2
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -18,9 +19,9 @@ func TestSingleSliceTensor(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{40}, 12, 3, 0)
 	for _, m := range []struct {
 		name string
-		run  func(*tensor.Irregular, Config) (*Result, error)
-	}{{"DPar2", DPar2}, {"ALS", ALS}, {"RDALS", RDALS}, {"SPARTan", SPARTan}} {
-		res, err := m.run(ten, smallConfig(3))
+		run  func(context.Context, *tensor.Irregular, Config) (*Result, error)
+	}{{"DPar2", DPar2Ctx}, {"ALS", ALSCtx}, {"RDALS", RDALSCtx}, {"SPARTan", SPARTanCtx}} {
+		res, err := m.run(context.Background(), ten, smallConfig(3))
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -33,7 +34,7 @@ func TestSingleSliceTensor(t *testing.T) {
 func TestRankOne(t *testing.T) {
 	g := rng.New(2)
 	ten := synthPARAFAC2(g, []int{30, 40, 35}, 10, 1, 0)
-	res, err := DPar2(ten, smallConfig(1))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestRankEqualsJ(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{30, 40, 25}, j, 4, 0.05)
 	cfg := smallConfig(j)
 	cfg.MaxIters = 60
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestSliceExactlyRankRows(t *testing.T) {
 	g := rng.New(4)
 	r := 3
 	ten := synthPARAFAC2(g, []int{r, r + 1, 20}, 8, r, 0)
-	res, err := DPar2(ten, smallConfig(r))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestConstantSlices(t *testing.T) {
 	ten := tensor.MustIrregular(slices)
 	cfg := smallConfig(2)
 	cfg.MaxIters = 10
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestZeroSlicePresent(t *testing.T) {
 	mixed := tensor.MustIrregular(slices)
 	cfg := smallConfig(2)
 	cfg.MaxIters = 15
-	res, err := DPar2(mixed, cfg)
+	res, err := DPar2Ctx(context.Background(), mixed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestHugeValueScale(t *testing.T) {
 	for _, s := range ten.Slices {
 		s.ScaleInPlace(1e8)
 	}
-	res, err := DPar2(ten, smallConfig(2))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestTinyValueScale(t *testing.T) {
 	for _, s := range ten.Slices {
 		s.ScaleInPlace(1e-8)
 	}
-	res, err := DPar2(ten, smallConfig(2))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestManyTinySlices(t *testing.T) {
 	ten := synthPARAFAC2(g, rows, 12, 3, 0.01)
 	cfg := smallConfig(3)
 	cfg.MaxIters = 25
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +180,7 @@ func TestThreadsExceedSlices(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{30, 40}, 10, 2, 0)
 	cfg := smallConfig(2)
 	cfg.Threads = 64
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,11 +194,11 @@ func TestZeroThreadsClampsToOne(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{30, 40}, 10, 2, 0)
 	cfg := smallConfig(2)
 	cfg.Threads = 0
-	if _, err := DPar2(ten, cfg); err != nil {
+	if _, err := DPar2Ctx(context.Background(), ten, cfg); err != nil {
 		t.Fatalf("Threads=0 should clamp, got %v", err)
 	}
 	cfg.Threads = -5
-	if _, err := ALS(ten, cfg); err != nil {
+	if _, err := ALSCtx(context.Background(), ten, cfg); err != nil {
 		t.Fatalf("negative Threads should clamp, got %v", err)
 	}
 }
@@ -207,7 +208,7 @@ func TestMaxIters1(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{30, 40}, 10, 2, 0.1)
 	cfg := smallConfig(2)
 	cfg.MaxIters = 1
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +224,9 @@ func TestNonnegativeSConstraint(t *testing.T) {
 	cfg.NonnegativeS = true
 	for _, m := range []struct {
 		name string
-		run  func(*tensor.Irregular, Config) (*Result, error)
-	}{{"DPar2", DPar2}, {"ALS", ALS}} {
-		res, err := m.run(ten, cfg)
+		run  func(context.Context, *tensor.Irregular, Config) (*Result, error)
+	}{{"DPar2", DPar2Ctx}, {"ALS", ALSCtx}} {
+		res, err := m.run(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
@@ -247,12 +248,12 @@ func TestRidgeStabilizes(t *testing.T) {
 	ten := synthPARAFAC2(g, irregRows(g, 5, 30, 60), 12, 3, 0.05)
 	cfg := smallConfig(3)
 	cfg.Ridge = 1e-8
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plain := smallConfig(3)
-	base, err := DPar2(ten, plain)
+	base, err := DPar2Ctx(context.Background(), ten, plain)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +276,7 @@ func TestProgressCallback(t *testing.T) {
 		}
 		return iter < 5 // stop after 5 iterations
 	}
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +290,7 @@ func TestProgressCallback(t *testing.T) {
 	}
 	// ALS path honors the callback too.
 	calls = nil
-	if _, err := ALS(ten, cfg); err != nil {
+	if _, err := ALSCtx(context.Background(), ten, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 5 {

@@ -1,6 +1,7 @@
 package parafac2
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -17,13 +18,16 @@ func TestLazyQMatchesEagerAcrossPoolWidths(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{40, 55, 30, 62}, 14, 3, 0.02)
 	cfg := smallConfig(3)
 	cfg.MaxIters = 15
-	comp := Compress(ten, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var ref *Result
 	for _, th := range []int{1, 4} {
 		c := cfg
 		c.Threads = th
-		res, err := DPar2FromCompressed(comp, c)
+		res, err := DPar2FromCompressedCtx(context.Background(), comp, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +92,7 @@ func TestFitnessAgreesLazyVsMaterialized(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{50, 35, 44}, 12, 3, 0.05)
 	cfg := smallConfig(3)
 	cfg.MaxIters = 20
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +105,16 @@ func TestFitnessAgreesLazyVsMaterialized(t *testing.T) {
 		t.Fatalf("factored fitness %v vs dense fitness %v", lazy, dense)
 	}
 
-	comp := Compress(ten, cfg)
-	cres, err := DPar2FromCompressed(comp, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cres, err := DPar2FromCompressedCtx(context.Background(), comp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cres.FitnessKind != FitnessCompressed {
-		t.Fatalf("DPar2FromCompressed FitnessKind = %v, want compressed", cres.FitnessKind)
+		t.Fatalf("DPar2FromCompressedCtx FitnessKind = %v, want compressed", cres.FitnessKind)
 	}
 }
 
@@ -127,14 +134,14 @@ func TestAbsorbPerformsNoPerOldSliceWork(t *testing.T) {
 		cfg := smallConfig(3)
 		cfg.MaxIters = 20
 
-		st, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:k]), cfg)
+		st, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:k]), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		var count int64
 		qMaterializeHook = func(int, int) { atomic.AddInt64(&count, 1) }
-		err = st.Absorb(full.Slices[k:])
+		err = st.AbsorbCtx(context.Background(), full.Slices[k:])
 		qMaterializeHook = nil
 		if err != nil {
 			t.Fatal(err)

@@ -29,12 +29,12 @@
 //
 // Result.Fitness carries one of two quantities, told apart by
 // Result.FitnessKind: FitnessTrue is 1 − Σ‖X_k−X̂_k‖²/Σ‖X_k‖² against the
-// input tensor (DPar2, ALS, RD-ALS, SPARTan — anything that had the tensor in
-// hand), while FitnessCompressed is the compressed-space estimate 1 − e/‖X̃‖²
-// that DPar2FromCompressed and streaming refreshes report (exact against the
-// compressed approximation X̃, off from the true fitness only by the one-time
-// compression error). Use Fitness/FitnessWith to re-evaluate a result against
-// a tensor when the true value is needed.
+// input tensor (DPar2Ctx, ALSCtx, RDALSCtx, SPARTanCtx — anything that had
+// the tensor in hand), while FitnessCompressed is the compressed-space
+// estimate 1 − e/‖X̃‖² that DPar2FromCompressedCtx and streaming refreshes
+// report (exact against the compressed approximation X̃, off from the true
+// fitness only by the one-time compression error). Use Fitness/FitnessWith
+// to re-evaluate a result against a tensor when the true value is needed.
 package parafac2
 
 import (
@@ -187,7 +187,7 @@ const (
 	FitnessTrue
 	// FitnessCompressed is the compressed-space estimate 1 − e/‖X̃‖²
 	// reported when only the compressed representation was available
-	// (DPar2FromCompressed, streaming refreshes).
+	// (DPar2FromCompressedCtx, streaming refreshes).
 	FitnessCompressed
 )
 

@@ -1,6 +1,7 @@
 package parafac2
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -52,7 +53,7 @@ func smallConfig(r int) Config {
 func TestALSExactRecovery(t *testing.T) {
 	g := rng.New(1)
 	ten := synthPARAFAC2(g, irregRows(g, 8, 20, 60), 15, 4, 0)
-	res, err := ALS(ten, smallConfig(4))
+	res, err := ALSCtx(context.Background(), ten, smallConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestALSExactRecovery(t *testing.T) {
 func TestDPar2ExactRecovery(t *testing.T) {
 	g := rng.New(2)
 	ten := synthPARAFAC2(g, irregRows(g, 8, 30, 80), 20, 4, 0)
-	res, err := DPar2(ten, smallConfig(4))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRDALSExactRecovery(t *testing.T) {
 	ten := synthPARAFAC2(g, irregRows(g, 6, 20, 50), 12, 3, 0)
 	cfg := smallConfig(3)
 	cfg.MaxIters = 500 // ALS converges slowly through swamps on this seed
-	res, err := RDALS(ten, cfg)
+	res, err := RDALSCtx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestRDALSExactRecovery(t *testing.T) {
 func TestSPARTanExactRecovery(t *testing.T) {
 	g := rng.New(4)
 	ten := synthPARAFAC2(g, irregRows(g, 6, 20, 50), 12, 3, 0)
-	res, err := SPARTan(ten, smallConfig(3))
+	res, err := SPARTanCtx(context.Background(), ten, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,11 +105,11 @@ func TestDPar2ComparableFitnessToALSOnNoisyData(t *testing.T) {
 	g := rng.New(5)
 	ten := synthPARAFAC2(g, irregRows(g, 10, 40, 100), 25, 5, 0.05)
 	cfg := smallConfig(5)
-	als, err := ALS(ten, cfg)
+	als, err := ALSCtx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dp, err := DPar2(ten, cfg)
+	dp, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestDPar2ComparableFitnessToALSOnNoisyData(t *testing.T) {
 func TestDPar2QOrthonormal(t *testing.T) {
 	g := rng.New(6)
 	ten := synthPARAFAC2(g, irregRows(g, 5, 25, 60), 15, 3, 0.1)
-	res, err := DPar2(ten, smallConfig(3))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestDPar2QOrthonormal(t *testing.T) {
 func TestALSQOrthonormal(t *testing.T) {
 	g := rng.New(7)
 	ten := synthPARAFAC2(g, irregRows(g, 5, 25, 60), 15, 3, 0.1)
-	res, err := ALS(ten, smallConfig(3))
+	res, err := ALSCtx(context.Background(), ten, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestALSQOrthonormal(t *testing.T) {
 func TestDPar2PreprocessedSmallerThanInput(t *testing.T) {
 	g := rng.New(8)
 	ten := synthPARAFAC2(g, irregRows(g, 10, 100, 200), 60, 3, 0.05)
-	res, err := DPar2(ten, smallConfig(3))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,10 @@ func TestCompressApproximatesSlices(t *testing.T) {
 	g := rng.New(9)
 	ten := synthPARAFAC2(g, irregRows(g, 6, 50, 120), 30, 4, 0)
 	cfg := smallConfig(4)
-	comp := Compress(ten, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := range ten.Slices {
 		rel := comp.SliceApprox(k).FrobDist(ten.Slices[k]) / ten.Slices[k].FrobNorm()
 		if rel > 1e-6 {
@@ -183,7 +187,10 @@ func TestCompressSizeMatchesTheorem2(t *testing.T) {
 	rows := []int{40, 60, 80}
 	ten := synthPARAFAC2(g, rows, 20, 3, 0.01)
 	cfg := smallConfig(3)
-	comp := Compress(ten, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	r := cfg.Rank
 	want := int64(0)
 	for _, ik := range rows {
@@ -282,8 +289,11 @@ func TestConvergenceIdentityAgainstSliceApprox(t *testing.T) {
 	ten := synthPARAFAC2(g, irregRows(g, 5, 30, 60), 12, 3, 0.05)
 	cfg := smallConfig(3)
 	cfg.MaxIters = 5
-	comp := Compress(ten, cfg)
-	res, err := DPar2FromCompressed(comp, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := DPar2FromCompressedCtx(context.Background(), comp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,10 +326,10 @@ func TestConfigValidation(t *testing.T) {
 		{Rank: 2, MaxIters: 0},   // bad iters
 	}
 	for i, cfg := range cases {
-		if _, err := DPar2(ten, cfg); err == nil {
+		if _, err := DPar2Ctx(context.Background(), ten, cfg); err == nil {
 			t.Fatalf("case %d: expected validation error", i)
 		}
-		if _, err := ALS(ten, cfg); err == nil {
+		if _, err := ALSCtx(context.Background(), ten, cfg); err == nil {
 			t.Fatalf("case %d: ALS expected validation error", i)
 		}
 	}
@@ -328,7 +338,7 @@ func TestConfigValidation(t *testing.T) {
 func TestResultHelpers(t *testing.T) {
 	g := rng.New(15)
 	ten := synthPARAFAC2(g, []int{25, 35}, 10, 2, 0)
-	res, err := DPar2(ten, smallConfig(2))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,7 @@ func TestResultHelpers(t *testing.T) {
 func TestFitnessBounds(t *testing.T) {
 	g := rng.New(16)
 	ten := synthPARAFAC2(g, irregRows(g, 4, 20, 40), 10, 3, 0)
-	res, err := DPar2(ten, smallConfig(3))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +374,7 @@ func TestTrackConvergenceTrace(t *testing.T) {
 	cfg := smallConfig(2)
 	cfg.TrackConvergence = true
 	cfg.MaxIters = 8
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,11 +392,11 @@ func TestDPar2Deterministic(t *testing.T) {
 	g := rng.New(18)
 	ten := synthPARAFAC2(g, irregRows(g, 5, 20, 50), 12, 3, 0.05)
 	cfg := smallConfig(3)
-	r1, err := DPar2(ten, cfg)
+	r1, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := DPar2(ten, cfg)
+	r2, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,11 +418,11 @@ func TestDPar2ThreadCountInvariance(t *testing.T) {
 	cfg1.Threads = 1
 	cfg4 := smallConfig(3)
 	cfg4.Threads = 4
-	r1, err := DPar2(ten, cfg1)
+	r1, err := DPar2Ctx(context.Background(), ten, cfg1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := DPar2(ten, cfg4)
+	r4, err := DPar2Ctx(context.Background(), ten, cfg4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,11 +434,11 @@ func TestDPar2ThreadCountInvariance(t *testing.T) {
 func TestHigherRankFitsBetter(t *testing.T) {
 	g := rng.New(20)
 	ten := synthPARAFAC2(g, irregRows(g, 6, 40, 80), 20, 6, 0.1)
-	f2, err := DPar2(ten, smallConfig(2))
+	f2, err := DPar2Ctx(context.Background(), ten, smallConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	f6, err := DPar2(ten, smallConfig(6))
+	f6, err := DPar2Ctx(context.Background(), ten, smallConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package parafac2
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -12,7 +13,7 @@ import (
 func TestSliceResidualsExactData(t *testing.T) {
 	g := rng.New(40)
 	ten := synthPARAFAC2(g, []int{30, 40, 35}, 12, 3, 0)
-	res, err := DPar2(ten, smallConfig(3))
+	res, err := DPar2Ctx(context.Background(), ten, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestDetectAnomaliesFindsInjectedFault(t *testing.T) {
 
 	cfg := smallConfig(3)
 	cfg.MaxIters = 40
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestDetectAnomaliesCleanData(t *testing.T) {
 	ten := synthPARAFAC2(g, irregRows(g, 10, 30, 60), 12, 3, 0.05)
 	cfg := smallConfig(3)
 	cfg.MaxIters = 40
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSliceResidualsZeroSlice(t *testing.T) {
 	mixed := tensor.MustIrregular(slices)
 	cfg := smallConfig(2)
 	cfg.MaxIters = 10
-	res, err := DPar2(mixed, cfg)
+	res, err := DPar2Ctx(context.Background(), mixed, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestSortComponentsPreservesModel(t *testing.T) {
 	ten := synthPARAFAC2(g, []int{30, 40, 35}, 12, 4, 0.05)
 	cfg := smallConfig(4)
 	cfg.MaxIters = 20
-	res, err := DPar2(ten, cfg)
+	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

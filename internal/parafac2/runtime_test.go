@@ -1,6 +1,7 @@
 package parafac2
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestSharedPoolConcurrentDecompositions(t *testing.T) {
 	cfg := smallConfig(4)
 	cfg.MaxIters = 6
 
-	baseline, err := DPar2(ten, cfg)
+	baseline, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestSharedPoolConcurrentDecompositions(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = DPar2(ten, shared)
+			results[i], errs[i] = DPar2Ctx(context.Background(), ten, shared)
 		}(i)
 	}
 	wg.Wait()
@@ -67,13 +68,13 @@ func TestThreadsDoNotChangeResult(t *testing.T) {
 	cfg.MaxIters = 5
 
 	cfg.Threads = 1
-	want, err := DPar2(ten, cfg)
+	want, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, th := range []int{2, 3, 6, 8} {
 		cfg.Threads = th
-		got, err := DPar2(ten, cfg)
+		got, err := DPar2Ctx(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,16 +88,16 @@ func TestThreadsDoNotChangeResult(t *testing.T) {
 
 	// The baselines carry the same guarantee: no reduction order may
 	// depend on the pool width.
-	for name, run := range map[string]func(*tensor.Irregular, Config) (*Result, error){
-		"ALS": ALS, "RDALS": RDALS, "SPARTan": SPARTan,
+	for name, run := range map[string]func(context.Context, *tensor.Irregular, Config) (*Result, error){
+		"ALS": ALSCtx, "RDALS": RDALSCtx, "SPARTan": SPARTanCtx,
 	} {
 		cfg.Threads = 1
-		serial, err := run(ten, cfg)
+		serial, err := run(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Threads = 5
-		wide, err := run(ten, cfg)
+		wide, err := run(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestConfigPoolOverridesThreads(t *testing.T) {
 
 	serial := cfg
 	serial.Threads = 1
-	want, err := DPar2(ten, serial)
+	want, err := DPar2Ctx(context.Background(), ten, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestConfigPoolOverridesThreads(t *testing.T) {
 	withPool := cfg
 	withPool.Threads = -99
 	withPool.Pool = pool
-	got, err := DPar2(ten, withPool)
+	got, err := DPar2Ctx(context.Background(), ten, withPool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package parafac2
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -36,7 +37,7 @@ func TestShardNoShardFitnessEquivalence(t *testing.T) {
 	for i, shardRows := range []int{-1, 800, 230} {
 		cfg := base
 		cfg.ShardRows = shardRows
-		res, err := DPar2(ten, cfg)
+		res, err := DPar2Ctx(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatalf("ShardRows %d: %v", shardRows, err)
 		}
@@ -56,7 +57,10 @@ func TestShardedCompressKeepsAkOrthonormal(t *testing.T) {
 	ten := datagen.LowRank(g, []int{1600, 700, 350}, 40, 5, 0.01)
 	cfg := shardTestConfig(5)
 	cfg.ShardRows = 230 // 7 shards for the tall slice, 3 or fewer for the rest
-	comp := Compress(ten, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k, a := range comp.A {
 		if a.Rows != ten.Slices[k].Rows || a.Cols != 5 {
 			t.Fatalf("A_%d is %dx%d, want %dx5", k, a.Rows, a.Cols, ten.Slices[k].Rows)
@@ -66,7 +70,7 @@ func TestShardedCompressKeepsAkOrthonormal(t *testing.T) {
 		}
 	}
 	// The factored Q_k = A_k Z_k P_kᵀ inherit the property end to end.
-	res, err := DPar2FromCompressed(comp, cfg)
+	res, err := DPar2FromCompressedCtx(context.Background(), comp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,13 +90,13 @@ func TestShardEightTimesThreshold(t *testing.T) {
 
 	un := base
 	un.ShardRows = -1
-	resU, err := DPar2(ten, un)
+	resU, err := DPar2Ctx(context.Background(), ten, un)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sh := base
 	sh.ShardRows = 300 // tallest slice = 8 shards
-	resS, err := DPar2(ten, sh)
+	resS, err := DPar2Ctx(context.Background(), ten, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +104,10 @@ func TestShardEightTimesThreshold(t *testing.T) {
 		t.Errorf("8x-threshold slice: fitness %g vs %g differ by %g", resS.Fitness, resU.Fitness, d)
 	}
 	// The sharded compression is as tight as the flat one on exact data.
-	comp := Compress(ten, sh)
+	comp, err := CompressCtx(context.Background(), ten, sh)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for k := range ten.Slices {
 		approx := comp.SliceApprox(k)
 		if rel := approx.FrobDist(ten.Slices[k]) / ten.Slices[k].FrobNorm(); rel > 1e-8 {
@@ -116,7 +123,11 @@ func TestShardedCompressBitReproducible(t *testing.T) {
 		cfg := shardTestConfig(4)
 		cfg.Threads = threads
 		cfg.ShardRows = 200
-		return Compress(ten, cfg)
+		c, err := CompressCtx(context.Background(), ten, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
 	}
 	c1, c2, c4 := mk(1), mk(1), mk(4)
 	for k := range c1.A {
@@ -132,7 +143,7 @@ func TestShardedCompressBitReproducible(t *testing.T) {
 }
 
 func TestShardedAppendMatchesContract(t *testing.T) {
-	// Append with a tall new slice routes through the sharded path and
+	// AppendCtx with a tall new slice routes through the sharded path and
 	// keeps the compressed invariants.
 	g := rng.New(55)
 	full := datagen.LowRank(g, []int{300, 400, 1200}, 30, 4, 0)
@@ -140,9 +151,12 @@ func TestShardedAppendMatchesContract(t *testing.T) {
 	cfg.ShardRows = 200
 
 	head := tensor.MustIrregular(full.Slices[:2])
-	comp := Compress(head, cfg)
+	comp, err := CompressCtx(context.Background(), head, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ag := rng.New(99)
-	if err := comp.Append(ag, full.Slices[2:], cfg); err != nil {
+	if err := comp.AppendCtx(context.Background(), ag, full.Slices[2:], cfg); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(comp.A); got != 3 {
@@ -171,13 +185,13 @@ func TestNarrowTallSliceDoesNotPanic(t *testing.T) {
 
 	sh := base
 	sh.ShardRows = 1000
-	resS, err := DPar2(ten, sh)
+	resS, err := DPar2Ctx(context.Background(), ten, sh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	un := base
 	un.ShardRows = -1
-	resU, err := DPar2(ten, un)
+	resU, err := DPar2Ctx(context.Background(), ten, un)
 	if err != nil {
 		t.Fatal(err)
 	}

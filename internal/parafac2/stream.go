@@ -11,7 +11,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// Append extends a compressed tensor with newly arrived slices without
+// AppendCtx extends a compressed tensor with newly arrived slices without
 // recompressing the old ones — the streaming setting the paper names as
 // future work (and SPADE addresses for sparse data).
 //
@@ -30,17 +30,14 @@ import (
 //
 // The cost is O(Σ_new I_k J R + J (n+1) R²): independent of the K slices
 // already absorbed.
-func (c *Compressed) Append(g *rng.RNG, newSlices []*mat.Dense, cfg Config) error {
-	return c.AppendCtx(context.Background(), g, newSlices, cfg)
-}
-
-// AppendCtx is Append with cancellation: the context is checked between the
-// per-slice sketches and before the incremental stage-2 factorization. On
-// cancellation the compressed representation AND the caller's generator are
-// left unmodified and the unwrapped ctx.Err() is returned, so retrying the
-// same batch reproduces an uninterrupted run bit for bit.
 //
-// All of Append's randomness (the per-slice stage-1 generators and the
+// The context is checked between the per-slice sketches and before the
+// incremental stage-2 factorization. On cancellation the compressed
+// representation AND the caller's generator are left unmodified and the
+// unwrapped ctx.Err() is returned, so retrying the same batch reproduces an
+// uninterrupted run bit for bit.
+//
+// All of AppendCtx's randomness (the per-slice stage-1 generators and the
 // stage-2 sketch) is drawn from a single child generator derived from a
 // clone of g; g itself advances — by exactly the one Split an uninterrupted
 // run observes — only once the batch is past every cancellation point.
@@ -82,7 +79,7 @@ func (c *Compressed) AppendCtx(ctx context.Context, g *rng.RNG, newSlices []*mat
 	child := parent.Split()
 
 	// Stage 1 on the new slices only, load-balanced (over shards of tall
-	// slices, whole slices otherwise) as in Compress.
+	// slices, whole slices otherwise) as in CompressCtx.
 	n := len(newSlices)
 	gens := make([]*rng.RNG, n)
 	for i := range gens {
@@ -96,7 +93,7 @@ func (c *Compressed) AppendCtx(ctx context.Context, g *rng.RNG, newSlices []*mat
 	// Incremental stage 2: G = [D·E ‖ N], J × (R + nR), assembled in arena
 	// scratch (the per-part ScaleColumns/HConcat copies used to be fresh
 	// heap allocations every batch). One big factorization, so its kernels
-	// run on the pool (as in Compress).
+	// run on the pool (as in CompressCtx).
 	gmat := arena.GetUninit(c.J, (n+1)*r)
 	for i := 0; i < c.J; i++ {
 		row := gmat.Row(i)
@@ -136,16 +133,16 @@ func (c *Compressed) AppendCtx(ctx context.Context, g *rng.RNG, newSlices []*mat
 	return nil
 }
 
-// DefaultRefreshIters bounds the warm-started factor refresh per Absorb: the
+// DefaultRefreshIters bounds the warm-started factor refresh per absorb: the
 // previous factors are already (near-)converged for all but the newest
 // slices, so a handful of iterations recovers convergence instead of the
 // full MaxIters a cold start needs.
 const DefaultRefreshIters = 8
 
 // StreamingDPar2 maintains a PARAFAC2 decomposition over a growing irregular
-// tensor: slices arrive in batches, each batch is absorbed with Append, and
-// the factors are refreshed by warm-starting the (cheap) iteration phase on
-// the compressed representation from the previous factors.
+// tensor: slices arrive in batches, each batch is absorbed with AppendCtx,
+// and the factors are refreshed by warm-starting the (cheap) iteration phase
+// on the compressed representation from the previous factors.
 type StreamingDPar2 struct {
 	cfg    Config
 	g      *rng.RNG
@@ -154,7 +151,7 @@ type StreamingDPar2 struct {
 	// absorbed counts the slices seen so far.
 	absorbed int
 
-	// RefreshIters bounds the ALS iterations of each warm-started Absorb
+	// RefreshIters bounds the ALS iterations of each warm-started absorb
 	// refresh (the bootstrap always runs the full cfg.MaxIters). It
 	// defaults to min(DefaultRefreshIters, cfg.MaxIters); set it between
 	// batches to trade absorb latency against fitness recovery. Values
@@ -163,12 +160,7 @@ type StreamingDPar2 struct {
 	RefreshIters int
 }
 
-// NewStreamingDPar2 initializes the stream with a first batch.
-func NewStreamingDPar2(initial *tensor.Irregular, cfg Config) (*StreamingDPar2, error) {
-	return NewStreamingDPar2Ctx(context.Background(), initial, cfg)
-}
-
-// NewStreamingDPar2Ctx is NewStreamingDPar2 with cancellation.
+// NewStreamingDPar2Ctx initializes the stream with a first batch.
 func NewStreamingDPar2Ctx(ctx context.Context, initial *tensor.Irregular, cfg Config) (*StreamingDPar2, error) {
 	if err := cfg.validate(initial); err != nil {
 		return nil, err
@@ -192,17 +184,13 @@ func NewStreamingDPar2Ctx(ctx context.Context, initial *tensor.Irregular, cfg Co
 	return s, nil
 }
 
-// Absorb folds a batch of new slices into the stream and refreshes the
-// factors. Only the new slices are touched at full resolution.
-func (s *StreamingDPar2) Absorb(newSlices []*mat.Dense) error {
-	return s.AbsorbCtx(context.Background(), newSlices)
-}
-
-// AbsorbCtx is Absorb with cancellation. The refresh warm-starts from the
-// previous H, V, and S (which are basis-independent, so they survive the
-// rotation Append applies to the compressed representation); new slices get
-// the cold-start S_k initialization. The refresh runs at most RefreshIters
-// iterations instead of the full cfg.MaxIters a cold start would need.
+// AbsorbCtx folds a batch of new slices into the stream and refreshes the
+// factors. Only the new slices are touched at full resolution. The refresh
+// warm-starts from the previous H, V, and S (which are basis-independent, so
+// they survive the rotation AppendCtx applies to the compressed
+// representation); new slices get the cold-start S_k initialization. The
+// refresh runs at most RefreshIters iterations instead of the full
+// cfg.MaxIters a cold start would need.
 //
 // Error semantics: an error from the append phase (wrapping nothing, e.g. a
 // plain ctx.Err()) means the batch was NOT absorbed — the stream, including
@@ -220,7 +208,7 @@ func (s *StreamingDPar2) Absorb(newSlices []*mat.Dense) error {
 // and allocations are independent of the slices already absorbed.
 func (s *StreamingDPar2) AbsorbCtx(ctx context.Context, newSlices []*mat.Dense) error {
 	if len(newSlices) == 0 {
-		// Append would no-op, but the refresh below would still burn
+		// AppendCtx would no-op, but the refresh below would still burn
 		// RefreshIters warm-start iterations; an empty batch must leave
 		// Result untouched.
 		return nil
@@ -254,7 +242,7 @@ func (s *StreamingDPar2) Refresh(ctx context.Context) error {
 	return nil
 }
 
-// refreshIters resolves the per-Absorb iteration bound.
+// refreshIters resolves the per-absorb iteration bound.
 func (s *StreamingDPar2) refreshIters() int {
 	n := s.RefreshIters
 	if n <= 0 {
@@ -268,7 +256,7 @@ func (s *StreamingDPar2) refreshIters() int {
 
 // Clone forks the stream: the copy absorbs and refreshes independently of
 // the original. The compressed A_k bases are shared (immutable once built);
-// everything Append mutates in place (the F blocks, D, E, the RNG state, and
+// everything AppendCtx mutates in place (the F blocks, D, E, the RNG state, and
 // the result pointer) is copied, so the fork costs O(K·R² + J·R) — cheap
 // enough to branch a stream per what-if batch, and what lets BenchmarkAbsorb
 // replay the same absorb at a fixed K.

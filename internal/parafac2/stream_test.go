@@ -20,8 +20,11 @@ func TestAppendMatchesFullCompressOnExactData(t *testing.T) {
 	cfg := smallConfig(3)
 
 	initial := tensor.MustIrregular(full.Slices[:3])
-	comp := Compress(initial, cfg)
-	if err := comp.Append(rng.New(99), full.Slices[3:], cfg); err != nil {
+	comp, err := CompressCtx(context.Background(), initial, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := comp.AppendCtx(context.Background(), rng.New(99), full.Slices[3:], cfg); err != nil {
 		t.Fatal(err)
 	}
 	if len(comp.A) != 5 || len(comp.F) != 5 {
@@ -42,17 +45,20 @@ func TestAppendValidation(t *testing.T) {
 	g := rng.New(2)
 	ten := synthPARAFAC2(g, []int{30, 40}, 10, 2, 0)
 	cfg := smallConfig(2)
-	comp := Compress(ten, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if err := comp.Append(g, nil, cfg); err != nil {
+	if err := comp.AppendCtx(context.Background(), g, nil, cfg); err != nil {
 		t.Fatalf("empty append should be a no-op: %v", err)
 	}
 	bad := []*mat.Dense{mat.New(20, 11)} // wrong column count
-	if err := comp.Append(g, bad, cfg); err == nil {
+	if err := comp.AppendCtx(context.Background(), g, bad, cfg); err == nil {
 		t.Fatal("expected column-mismatch error")
 	}
 	tiny := []*mat.Dense{mat.New(1, 10)} // fewer rows than rank
-	if err := comp.Append(g, tiny, cfg); err == nil {
+	if err := comp.AppendCtx(context.Background(), g, tiny, cfg); err == nil {
 		t.Fatal("expected rank/rows error")
 	}
 }
@@ -64,7 +70,7 @@ func TestAppendRejectsNarrowCompressed(t *testing.T) {
 	g := rng.New(21)
 	comp := &Compressed{J: 3, Rank: 5}
 	bad := []*mat.Dense{mat.New(10, 3)}
-	if err := comp.Append(g, bad, smallConfig(5)); err == nil {
+	if err := comp.AppendCtx(context.Background(), g, bad, smallConfig(5)); err == nil {
 		t.Fatal("expected J < rank error")
 	}
 }
@@ -74,26 +80,26 @@ func TestAbsorbEmptyBatchLeavesResultUntouched(t *testing.T) {
 	// AbsorbCtx early-returns and Result stays the exact same object.
 	g := rng.New(22)
 	initial := synthPARAFAC2(g, []int{50, 60, 45}, 18, 3, 0.02)
-	st, err := NewStreamingDPar2(initial, smallConfig(3))
+	st, err := NewStreamingDPar2Ctx(context.Background(), initial, smallConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := st.Result()
 	fitBefore := before.Fitness
-	if err := st.Absorb(nil); err != nil {
+	if err := st.AbsorbCtx(context.Background(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Absorb([]*mat.Dense{}); err != nil {
+	if err := st.AbsorbCtx(context.Background(), []*mat.Dense{}); err != nil {
 		t.Fatal(err)
 	}
 	if st.Result() != before {
-		t.Fatal("empty Absorb replaced Result (ran a refresh)")
+		t.Fatal("empty AbsorbCtx replaced Result (ran a refresh)")
 	}
 	if st.Result().Fitness != fitBefore {
-		t.Fatal("empty Absorb changed the factors")
+		t.Fatal("empty AbsorbCtx changed the factors")
 	}
 	if st.K() != initial.K() {
-		t.Fatalf("empty Absorb changed K to %d", st.K())
+		t.Fatalf("empty AbsorbCtx changed K to %d", st.K())
 	}
 }
 
@@ -103,17 +109,17 @@ func TestStreamingDPar2TracksBatches(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.MaxIters = 40
 
-	s, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:4]), cfg)
+	s, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:4]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.K() != 4 {
 		t.Fatalf("K=%d want 4", s.K())
 	}
-	if err := s.Absorb(full.Slices[4:6]); err != nil {
+	if err := s.AbsorbCtx(context.Background(), full.Slices[4:6]); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Absorb(full.Slices[6:]); err != nil {
+	if err := s.AbsorbCtx(context.Background(), full.Slices[6:]); err != nil {
 		t.Fatal(err)
 	}
 	if s.K() != 8 {
@@ -135,15 +141,15 @@ func TestStreamingComparableToBatch(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.MaxIters = 60
 
-	batch, err := DPar2(full, cfg)
+	batch, err := DPar2Ctx(context.Background(), full, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:3]), cfg)
+	s, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:3]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Absorb(full.Slices[3:]); err != nil {
+	if err := s.AbsorbCtx(context.Background(), full.Slices[3:]); err != nil {
 		t.Fatal(err)
 	}
 	streamFit := Fitness(full, s.Result())
@@ -152,7 +158,7 @@ func TestStreamingComparableToBatch(t *testing.T) {
 	}
 }
 
-// TestAbsorbWarmStartBoundsIterations: each Absorb refresh warm-starts from
+// TestAbsorbWarmStartBoundsIterations: each AbsorbCtx refresh warm-starts from
 // the previous factors and runs at most RefreshIters iterations (instead of
 // the full MaxIters a cold start uses), without giving up fitness on data
 // the previous factors already explain.
@@ -162,7 +168,7 @@ func TestAbsorbWarmStartBoundsIterations(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.MaxIters = 40
 
-	s, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:4]), cfg)
+	s, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:4]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +176,7 @@ func TestAbsorbWarmStartBoundsIterations(t *testing.T) {
 		t.Fatalf("bootstrap ran %d iterations", got)
 	}
 
-	if err := s.Absorb(full.Slices[4:6]); err != nil {
+	if err := s.AbsorbCtx(context.Background(), full.Slices[4:6]); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Result().Iters; got > DefaultRefreshIters {
@@ -178,7 +184,7 @@ func TestAbsorbWarmStartBoundsIterations(t *testing.T) {
 	}
 
 	s.RefreshIters = 2
-	if err := s.Absorb(full.Slices[6:]); err != nil {
+	if err := s.AbsorbCtx(context.Background(), full.Slices[6:]); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Result().Iters; got > 2 {
@@ -198,14 +204,17 @@ func TestWarmStartIncompatibleFallsBack(t *testing.T) {
 	g := rng.New(32)
 	ten := synthPARAFAC2(g, []int{40, 50, 45}, 12, 3, 0.02)
 	cfg := smallConfig(3)
-	comp := Compress(ten, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	bad := &warmStart{h: mat.New(5, 5), v: mat.New(7, 5)} // wrong shapes
 	res, err := dpar2Iterate(context.Background(), comp, cfg, bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := DPar2FromCompressed(comp, cfg)
+	cold, err := DPar2FromCompressedCtx(context.Background(), comp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +223,7 @@ func TestWarmStartIncompatibleFallsBack(t *testing.T) {
 	}
 }
 
-// TestCompressedFitnessEstimatePopulated: DPar2FromCompressed now reports a
+// TestCompressedFitnessEstimatePopulated: DPar2FromCompressedCtx now reports a
 // compressed-space fitness. On exact low-rank data compression is lossless,
 // so the estimate must agree closely with the true fitness; it must also be
 // populated (the old behavior silently left 0).
@@ -224,13 +233,16 @@ func TestCompressedFitnessEstimatePopulated(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.MaxIters = 60
 
-	comp := Compress(ten, cfg)
-	res, err := DPar2FromCompressed(comp, cfg)
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := DPar2FromCompressedCtx(context.Background(), comp, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Fitness == 0 {
-		t.Fatal("Result.Fitness left unpopulated by DPar2FromCompressed")
+		t.Fatal("Result.Fitness left unpopulated by DPar2FromCompressedCtx")
 	}
 	truth := Fitness(ten, res)
 	if diff := math.Abs(res.Fitness - truth); diff > 1e-6 {
@@ -288,7 +300,7 @@ func compressedEqualBits(t *testing.T, a, b *Compressed) {
 
 // TestAppendRetryBitReproducible: a cancelled AppendCtx must leave the
 // caller's generator untouched, so cancel → retry reproduces an
-// uninterrupted stream bit for bit. Before the fix, Append consumed n
+// uninterrupted stream bit for bit. Before the fix, an append consumed n
 // stage-1 Splits (plus the stage-2 draws) from the parent generator before
 // the cancellation checkpoints, so a retried batch sketched with different
 // randomness.
@@ -301,12 +313,15 @@ func TestAppendRetryBitReproducible(t *testing.T) {
 	batch1, batch2 := full.Slices[2:4], full.Slices[4:6]
 
 	// Uninterrupted reference run.
-	ref := Compress(initial, cfg)
-	gRef := rng.New(7)
-	if err := ref.Append(gRef, batch1, cfg); err != nil {
+	ref, err := CompressCtx(context.Background(), initial, cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.Append(gRef, batch2, cfg); err != nil {
+	gRef := rng.New(7)
+	if err := ref.AppendCtx(context.Background(), gRef, batch1, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.AppendCtx(context.Background(), gRef, batch2, cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -314,10 +329,13 @@ func TestAppendRetryBitReproducible(t *testing.T) {
 	// (Err call 1 = entry, calls 2-3 = the two stage-1 units, call 4 =
 	// after the sketches), i.e. after all of stage 1 already drew
 	// randomness from the child generator.
-	got := Compress(initial, cfg)
+	got, err := CompressCtx(context.Background(), initial, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	gGot := rng.New(7)
 	flaky := &errAfterCtx{failAfter: 3}
-	err := got.AppendCtx(flaky, gGot, batch1, cfg)
+	err = got.AppendCtx(flaky, gGot, batch1, cfg)
 	if err == nil {
 		t.Fatal("expected cancellation error from mid-append cancel")
 	}
@@ -325,10 +343,10 @@ func TestAppendRetryBitReproducible(t *testing.T) {
 		t.Fatal("cancelled append mutated the compressed representation")
 	}
 	// Retry the same batch, then continue the stream.
-	if err := got.Append(gGot, batch1, cfg); err != nil {
+	if err := got.AppendCtx(context.Background(), gGot, batch1, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if err := got.Append(gGot, batch2, cfg); err != nil {
+	if err := got.AppendCtx(context.Background(), gGot, batch2, cfg); err != nil {
 		t.Fatal(err)
 	}
 
@@ -349,7 +367,10 @@ func TestAppendAllocsBoundedInK(t *testing.T) {
 		for i := range rows {
 			rows[i] = 25 + 5*(i%4)
 		}
-		base := Compress(synthPARAFAC2(g, rows, 12, 3, 0.02), cfg)
+		base, err := CompressCtx(context.Background(), synthPARAFAC2(g, rows, 12, 3, 0.02), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
 		batch := synthPARAFAC2(g, []int{30, 35}, 12, 3, 0.02).Slices
 
 		const runs = 8
@@ -361,7 +382,7 @@ func TestAppendAllocsBoundedInK(t *testing.T) {
 		return testing.AllocsPerRun(runs, func() {
 			c := comps[idx]
 			idx++
-			if err := c.Append(rng.New(9), batch, cfg); err != nil {
+			if err := c.AppendCtx(context.Background(), rng.New(9), batch, cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -373,7 +394,7 @@ func TestAppendAllocsBoundedInK(t *testing.T) {
 	// amortized growth of the A/F pointer slices. Allow modest slack for
 	// arena/sync.Pool jitter.
 	if a64 > a8*1.3+16 {
-		t.Fatalf("Append allocations grew with K: %d slices -> %.0f allocs, %d slices -> %.0f allocs",
+		t.Fatalf("AppendCtx allocations grew with K: %d slices -> %.0f allocs, %d slices -> %.0f allocs",
 			8, a8, 64, a64)
 	}
 }
@@ -387,17 +408,17 @@ func TestStreamCloneIsIndependent(t *testing.T) {
 	cfg := smallConfig(3)
 	cfg.MaxIters = 30
 
-	st, err := NewStreamingDPar2(tensor.MustIrregular(full.Slices[:4]), cfg)
+	st, err := NewStreamingDPar2Ctx(context.Background(), tensor.MustIrregular(full.Slices[:4]), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fork := st.Clone()
 
 	// Same batch into both: bit-identical outcomes (same RNG state).
-	if err := st.Absorb(full.Slices[4:6]); err != nil {
+	if err := st.AbsorbCtx(context.Background(), full.Slices[4:6]); err != nil {
 		t.Fatal(err)
 	}
-	if err := fork.Absorb(full.Slices[4:6]); err != nil {
+	if err := fork.AbsorbCtx(context.Background(), full.Slices[4:6]); err != nil {
 		t.Fatal(err)
 	}
 	compressedEqualBits(t, st.Compressed(), fork.Compressed())
@@ -412,7 +433,7 @@ func TestStreamCloneIsIndependent(t *testing.T) {
 
 	// A further absorb into the fork must not touch the original.
 	before := st.Compressed().D.Clone()
-	if err := fork.Absorb(full.Slices[4:6]); err != nil {
+	if err := fork.AbsorbCtx(context.Background(), full.Slices[4:6]); err != nil {
 		t.Fatal(err)
 	}
 	if st.K() != 6 || fork.K() != 8 {

@@ -221,13 +221,13 @@ func (s *Server) resumeStreams() error {
 	return nil
 }
 
-// checkpointLocked persists a session the caller holds the semaphore of.
-// No-op on a memory-only server.
-func (s *Server) checkpointLocked(rec *streamRec) error {
+// checkpointLocked persists st as the state of a session the caller holds
+// the semaphore of. No-op on a memory-only server.
+func (s *Server) checkpointLocked(rec *streamRec, st *repro.StreamingDPar2) error {
 	if rec.ckptPath == "" {
 		return nil
 	}
-	if err := s.eng.SaveStream(rec.ckptPath, rec.st); err != nil {
+	if err := s.eng.SaveStream(rec.ckptPath, st); err != nil {
 		return fmt.Errorf("service: checkpoint stream %s: %w", rec.id, err)
 	}
 	return nil
@@ -702,7 +702,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 			return json.NewEncoder(w).Encode(streamMeta{Spec: spec})
 		})
 		if err == nil {
-			err = s.checkpointLocked(rec)
+			err = s.checkpointLocked(rec, st)
 		}
 		if err != nil {
 			fail(err)
@@ -768,7 +768,10 @@ func (s *Server) absorbSlices(r *http.Request) ([]*repro.Matrix, error) {
 // handleStreamAbsorb feeds the session its next batch and checkpoints the
 // advanced state before replying, so a 200 means the absorb is durable: a
 // server killed at any point between absorbs restarts into exactly the
-// state the last 200 acknowledged.
+// state the last 200 acknowledged. The batch goes into a clone of the
+// session, which replaces it only once its checkpoint has landed, so any
+// error (a failed checkpoint, a cancel mid-refresh) leaves memory and disk
+// at the last acknowledged state and a retry absorbs the batch once.
 func (s *Server) handleStreamAbsorb(w http.ResponseWriter, r *http.Request) {
 	slices, err := s.absorbSlices(r)
 	if err != nil {
@@ -781,7 +784,8 @@ func (s *Server) handleStreamAbsorb(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release(rec)
-	if err := rec.st.AbsorbCtx(r.Context(), slices); err != nil {
+	next := rec.st.Clone()
+	if err := next.AbsorbCtx(r.Context(), slices); err != nil {
 		if isCtxErr(err, r.Context()) {
 			writeError(w, err)
 		} else {
@@ -789,13 +793,12 @@ func (s *Server) handleStreamAbsorb(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	rec.absorbs++
-	if err := s.checkpointLocked(rec); err != nil {
-		// The absorb is applied in memory but not durable; the client must
-		// know the resume guarantee no longer covers it.
+	if err := s.checkpointLocked(rec, next); err != nil {
 		writeError(w, err)
 		return
 	}
+	rec.st = next
+	rec.absorbs++
 	writeJSON(w, http.StatusOK, rec.infoView())
 }
 
@@ -811,7 +814,7 @@ func (s *Server) handleStreamCheckpoint(w http.ResponseWriter, r *http.Request) 
 			"server has no state dir; stream %s is memory-only", rec.id))
 		return
 	}
-	if err := s.checkpointLocked(rec); err != nil {
+	if err := s.checkpointLocked(rec, rec.st); err != nil {
 		writeError(w, err)
 		return
 	}

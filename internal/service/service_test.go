@@ -6,6 +6,8 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -286,6 +288,13 @@ func TestStreamResumeBitIdentical(t *testing.T) {
 	if _, err := c1.Absorb(ctx, "sess", batch1); err != nil {
 		t.Fatal(err)
 	}
+	ck, err := c1.CheckpointStream(ctx, "sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ck.StreamID != "sess" || !ck.Durable || ck.K != ten.K()+batch1.K() || ck.Absorbs != 1 {
+		t.Fatalf("explicit checkpoint returned %+v", ck)
+	}
 	hs1.Close()
 	eng1.Close() // the process dies; no srv1.Close, no final checkpoint
 
@@ -337,6 +346,79 @@ func TestStreamResumeBitIdentical(t *testing.T) {
 	}
 	if want := resultBytes(t, st.Result()); !bytes.Equal(served, want) {
 		t.Fatal("resumed stream result differs from the uninterrupted stream bits")
+	}
+}
+
+// TestFailedCheckpointLeavesStreamUnchanged: an absorb whose checkpoint
+// fails is answered with an error and leaves the session at the last
+// acknowledged state, so retrying it absorbs the batch exactly once —
+// bit-identical to a stream that never saw the failure.
+func TestFailedCheckpointLeavesStreamUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	ts := newTestServer(t, Config{StateDir: dir}, repro.WithEngineThreads(2))
+	ten := testTensor(41)
+	batch := repro.LowRankTensor(repro.NewRNG(42), []int{40, 35}, 30, 5, 0.02)
+	spec := SpecRequest{Rank: intp(5), Seed: u64p(7), MaxIters: intp(8), Tol: f64p(0)}
+
+	info, err := ts.client.UploadTensor(ctx, ten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.client.CreateStream(ctx, StreamCreateRequest{
+		StreamID: "sess", TensorID: info.TensorID, Spec: spec,
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A regular file where the stream directory belongs makes SaveStream's
+	// MkdirAll fail, even for a root test run that a chmod would not stop.
+	streams := filepath.Join(dir, "streams")
+	if err := os.Rename(streams, streams+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(streams, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = ts.client.Absorb(ctx, "sess", batch)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Body.Status != http.StatusInternalServerError {
+		t.Fatalf("absorb with a failing checkpoint: err = %v, want a 500", err)
+	}
+	got, err := ts.client.StreamInfo(ctx, "sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.K != ten.K() || got.Absorbs != 0 {
+		t.Fatalf("failed absorb moved the session to K=%d absorbs=%d, want K=%d absorbs=0",
+			got.K, got.Absorbs, ten.K())
+	}
+
+	// Restore the directory and retry.
+	if err := os.Remove(streams); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(streams+".aside", streams); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.client.Absorb(ctx, "sess", batch); err != nil {
+		t.Fatal(err)
+	}
+	served, err := ts.client.StreamResultBytes(ctx, "sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := ts.eng.NewStream(ctx, ten,
+		repro.WithRank(5), repro.WithSeed(7), repro.WithMaxIters(8), repro.WithTolerance(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AbsorbCtx(ctx, batch.Slices); err != nil {
+		t.Fatal(err)
+	}
+	if want := resultBytes(t, st.Result()); !bytes.Equal(served, want) {
+		t.Fatal("retried absorb differs from a stream that absorbed the batch once")
 	}
 }
 
@@ -439,6 +521,21 @@ func TestErrorTaxonomy(t *testing.T) {
 		}
 		_, err = ts.client.CreateStream(ctx, StreamCreateRequest{
 			StreamID: "../escape", TensorID: info.TensorID})
+		expect(t, err, http.StatusBadRequest, CodeBadRequest)
+	})
+
+	t.Run("checkpoint_memory_only", func(t *testing.T) {
+		info, err := ts.client.UploadTensor(ctx, testTensor(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ts.client.CreateStream(ctx, StreamCreateRequest{
+			StreamID: "mem", TensorID: info.TensorID,
+			Spec: SpecRequest{Rank: intp(3), MaxIters: intp(2), Tol: f64p(0)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ts.client.CheckpointStream(ctx, "mem")
 		expect(t, err, http.StatusBadRequest, CodeBadRequest)
 	})
 

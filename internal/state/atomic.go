@@ -52,8 +52,8 @@ func WriteFileAtomic(path string, write func(w io.Writer) error) (err error) {
 	tmpName := tmp.Name()
 	defer func() {
 		if err != nil {
-			tmp.Close()           // no-op if already closed
-			os.Remove(tmpName)    // best effort; the temp never becomes path
+			tmp.Close()        // no-op if already closed
+			os.Remove(tmpName) // best effort; the temp never becomes path
 		}
 	}()
 	if err = write(tmp); err != nil {

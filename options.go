@@ -189,18 +189,3 @@ func WithProgress(fn func(iter int, measure float64) bool) Option {
 		return nil
 	}
 }
-
-// WithConfig replaces the whole base Config for this call — the migration
-// escape hatch for code that already builds a Config. The Config's Pool and
-// Threads fields are ignored: every Engine call runs on the Engine's shared
-// pool (that is the Engine's contract). Internally the Config splits into
-// its serializable Spec (the deterministic knobs) and the local-only
-// overlay (Progress, TrackConvergence) — see Spec. Combine with other
-// options freely; order matters.
-func WithConfig(cfg Config) Option {
-	return func(j *jobSpec) error {
-		j.spec = specFromConfig(j.spec.Method, cfg)
-		j.run = runOverlay{trackConvergence: cfg.TrackConvergence, progress: cfg.Progress}
-		return nil
-	}
-}

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ func TestDPar2FitnessMatchesRecordedBaseline(t *testing.T) {
 	ten := benchTensor(1)
 	cfg := benchConfig(10)
 	cfg.Tol = 0
-	res, err := parafac2.DPar2(ten, cfg)
+	res, err := parafac2.DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,14 +147,15 @@
 //
 // # Streaming absorbs
 //
-// Lazy Q is what makes streaming absorbs independent of the history: an
-// Absorb touches the new slices' sketches, an R-sized stage-2 update, an
-// O(K·R²) in-place basis rotation, and a few compressed-space refresh
-// iterations — no O(I_k) work on any previously absorbed slice, and per-batch
-// allocations that do not grow with K (BenchmarkAbsorb guards both in CI).
+// Lazy Q is what makes streaming absorbs independent of the history:
+// StreamingDPar2.AbsorbCtx touches the new slices' sketches, an R-sized
+// stage-2 update, an O(K·R²) in-place basis rotation, and a few
+// compressed-space refresh iterations — no O(I_k) work on any previously
+// absorbed slice, and per-batch allocations that do not grow with K
+// (BenchmarkAbsorb guards both in CI).
 //
-// Absorb's retry contract: an error from the append phase means the batch was
-// NOT absorbed — the stream, including its RNG state, is unchanged, and
+// AbsorbCtx's retry contract: an error from the append phase means the batch
+// was NOT absorbed — the stream, including its RNG state, is unchanged, and
 // retrying the same batch yields a stream bit-identical to one that was never
 // interrupted. An error from the refresh phase (wrapped with "batch
 // absorbed") means the slices ARE in the stream but the factors are stale:
@@ -167,7 +168,7 @@
 // Streams survive their process: Engine.SaveStream writes a complete
 // checkpoint (config, RNG state, compressed representation, factors)
 // atomically — write-temp, fsync, rename — and Engine.ResumeStream restores
-// it, such that checkpoint → restore → Absorb is bit-identical to a stream
+// it, such that checkpoint → restore → AbsorbCtx is bit-identical to a stream
 // that was never interrupted. With WithStateDir and WithResultCache the
 // Engine also keeps a content-addressed, LRU-bounded result cache: a
 // repeated Decompose of the same tensor under the same deterministic knobs
@@ -192,23 +193,9 @@
 // stickiness rules live in docs/SERVICE.md; the typed Go client is
 // internal/service.Client, and examples/service walks the whole surface.
 //
-// # Migration from the free functions
-//
-// The per-method free functions (DPar2, ALS, RDALS, SPARTan,
-// DPar2FromCompressed, Compress, NewStreamingDPar2) and the Config.Threads /
-// Config.Pool knobs still work but are deprecated in favor of the Engine:
-//
-//	res, err := repro.DPar2(ten, cfg)                  // before
-//	res, err := eng.Decompose(ctx, ten,                // after
-//		repro.WithConfig(cfg))                     // or granular With* options
-//
-// WithConfig(cfg) carries an existing Config over verbatim (its Threads/Pool
-// fields are superseded by the Engine's pool). The wrappers remain for one
-// release and then become thin shims over a package-default Engine.
-//
 // The heavy lifting lives in internal packages (compute, mat, lapack, rsvd,
-// tensor, cp, parafac2, scheduler, datagen, stats); this package re-exports
-// the surface a downstream user needs.
+// tensor, parafac2, scheduler, datagen, stats); this package re-exports the
+// surface a downstream user needs.
 package repro
 
 import (
@@ -222,22 +209,10 @@ import (
 )
 
 // Pool is the shared compute runtime: a long-lived worker pool plus
-// size-bucketed scratch reuse that all decomposition phases run on. Set
-// Config.Pool to share one across decompositions.
+// size-bucketed scratch reuse that all decomposition phases run on. Every
+// Engine owns one (Engine.Pool); hand it to further Engines with
+// WithEnginePool to share it across them.
 type Pool = compute.Pool
-
-// NewPool returns a worker pool of width n. Close it when done; a nil *Pool
-// means serial execution. NewPool(n <= 0) means GOMAXPROCS — the natural
-// default for a pool you size explicitly. To derive a pool from a
-// Config-style thread count (where <= 0 means serial), use
-// NewPoolFromThreads; that helper is the single place the thread-count
-// convention is interpreted.
-func NewPool(n int) *Pool { return compute.NewPool(n) }
-
-// NewPoolFromThreads builds a pool from a Config-style thread count under
-// the repository's one clamping rule: threads <= 0 means a serial width-1
-// pool (never GOMAXPROCS). The Engine and every wrapper use this same rule.
-func NewPoolFromThreads(threads int) *Pool { return compute.NewPoolFromThreads(threads) }
 
 // Matrix is a row-major dense matrix of float64.
 type Matrix = mat.Dense
@@ -300,56 +275,6 @@ func NewMatrixFromData(rows, cols int, data []float64) *Matrix {
 	return mat.NewFromData(rows, cols, data)
 }
 
-// DPar2 decomposes an irregular dense tensor with the paper's method:
-// two-stage randomized-SVD compression followed by ALS iterations whose
-// per-iteration cost O(JR² + KR³) is independent of the slice heights.
-//
-// Deprecated: use Engine.Decompose with WithMethod(MethodDPar2) — it adds
-// cancellation, a shared pool, and the batched Submit path. This wrapper
-// remains for one release.
-func DPar2(t *Irregular, cfg Config) (*Result, error) { return parafac2.DPar2(t, cfg) }
-
-// Compress runs only the two-stage compression (lines 2-6 of Algorithm 3),
-// for callers that amortize preprocessing across several decompositions.
-//
-// Deprecated: use Engine.Compress, which adds cancellation and runs on the
-// Engine's shared pool. This wrapper remains for one release.
-func Compress(t *Irregular, cfg Config) *Compressed { return parafac2.Compress(t, cfg) }
-
-// DPar2FromCompressed runs DPar2's iteration phase on a previously
-// compressed tensor. Result.Fitness is the compressed-space estimate
-// 1 − e/‖X̃‖² — exact against the compressed approximation X̃ the iteration
-// sees, differing from the fitness against the original tensor only by the
-// one-time compression error; use Fitness when the tensor is at hand.
-//
-// Deprecated: use Engine.DecomposeCompressed. This wrapper remains for one
-// release.
-func DPar2FromCompressed(c *Compressed, cfg Config) (*Result, error) {
-	return parafac2.DPar2FromCompressed(c, cfg)
-}
-
-// ALS is the classical PARAFAC2-ALS baseline (Algorithm 2; Kiers et al.
-// 1999): every iteration recomputes against the full input tensor.
-//
-// Deprecated: use Engine.Decompose with WithMethod(MethodALS). This wrapper
-// remains for one release.
-func ALS(t *Irregular, cfg Config) (*Result, error) { return parafac2.ALS(t, cfg) }
-
-// RDALS is the RD-ALS baseline (Cheng & Haardt 2019): deterministic
-// dimensionality reduction once, ALS on the reduced slices, full
-// reconstruction error for convergence.
-//
-// Deprecated: use Engine.Decompose with WithMethod(MethodRDALS). This
-// wrapper remains for one release.
-func RDALS(t *Irregular, cfg Config) (*Result, error) { return parafac2.RDALS(t, cfg) }
-
-// SPARTan is a SPARTan-style baseline (Perros et al. 2017) adapted to dense
-// data: slice-parallel PARAFAC2-ALS with fused MTTKRP accumulation.
-//
-// Deprecated: use Engine.Decompose with WithMethod(MethodSPARTan). This
-// wrapper remains for one release.
-func SPARTan(t *Irregular, cfg Config) (*Result, error) { return parafac2.SPARTan(t, cfg) }
-
 // Fitness evaluates 1 − Σ‖X_k−X̂_k‖²/Σ‖X_k‖² of a result against a tensor —
 // always the FitnessTrue quantity, whatever kind Result.Fitness carries.
 // Factored results are evaluated through their small factors without
@@ -377,17 +302,10 @@ func FactorMatchScore(a, b *Matrix) float64 { return stats.FactorMatchScore(a, b
 // StreamingDPar2 maintains a PARAFAC2 decomposition over a growing tensor:
 // new slices are absorbed into the compressed representation without
 // recompressing the old ones (the paper's named future-work setting), and
-// each Absorb warm-starts the factor refresh from the previous result with
-// a small iteration bound (StreamingDPar2.RefreshIters).
+// each AbsorbCtx warm-starts the factor refresh from the previous result
+// with a small iteration bound (StreamingDPar2.RefreshIters). Start one with
+// Engine.NewStream.
 type StreamingDPar2 = parafac2.StreamingDPar2
-
-// NewStreamingDPar2 initializes a stream with a first batch of slices.
-//
-// Deprecated: use Engine.NewStream, which adds cancellation and keeps the
-// stream on the Engine's shared pool. This wrapper remains for one release.
-func NewStreamingDPar2(initial *Irregular, cfg Config) (*StreamingDPar2, error) {
-	return parafac2.NewStreamingDPar2(initial, cfg)
-}
 
 // ----- Synthetic data generators (stand-ins for the paper's datasets) -----
 

@@ -1,7 +1,10 @@
 package repro
 
 import (
+	"context"
 	"testing"
+
+	"repro/internal/parafac2"
 )
 
 // The root package is a thin re-export layer; these tests exercise the full
@@ -16,7 +19,9 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	cfg.MaxIters = 30
 	cfg.Threads = 2
 
-	res, err := DPar2(ten, cfg)
+	eng := NewEngine(WithBaseConfig(cfg))
+	defer eng.Close()
+	res, err := eng.Decompose(context.Background(), ten)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,10 +46,13 @@ func TestPublicAllMethodsAgree(t *testing.T) {
 
 	type runner struct {
 		name string
-		fn   func(*Irregular, Config) (*Result, error)
+		fn   func(context.Context, *Irregular, Config) (*Result, error)
 	}
-	for _, r := range []runner{{"DPar2", DPar2}, {"ALS", ALS}, {"RDALS", RDALS}, {"SPARTan", SPARTan}} {
-		res, err := r.fn(ten, cfg)
+	for _, r := range []runner{
+		{"DPar2", parafac2.DPar2Ctx}, {"ALS", parafac2.ALSCtx},
+		{"RDALS", parafac2.RDALSCtx}, {"SPARTan", parafac2.SPARTanCtx},
+	} {
+		res, err := r.fn(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", r.name, err)
 		}
@@ -62,11 +70,17 @@ func TestPublicCompressedWorkflow(t *testing.T) {
 	cfg.MaxIters = 20
 	cfg.Threads = 2
 
-	comp := Compress(ten, cfg)
+	eng := NewEngine(WithBaseConfig(cfg))
+	defer eng.Close()
+	ctx := context.Background()
+	comp, err := eng.Compress(ctx, ten)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if comp.SizeBytes() >= ten.SizeBytes() {
 		t.Fatal("compression did not shrink the tensor")
 	}
-	res, err := DPar2FromCompressed(comp, cfg)
+	res, err := eng.DecomposeCompressed(ctx, comp)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Invariant lint gate: go vet plus the repository's own reprolint analyzer
-# suite (determinism, arenapair, ctxloop, noalloc, lockhold, goroleak,
+# Invariant lint gate: gofmt over every tracked .go file, go vet, plus the
+# repository's own reprolint analyzer suite (determinism, arenapair, ctxloop, noalloc, lockhold, goroleak,
 # lockorder, errdisc — see docs/INVARIANTS.md for the catalogue and the
 # //repro:allow suppression grammar). Hard-fails on any unsuppressed finding,
 # on reason-less or stale suppressions, on a reprolint build failure — a lint
@@ -17,6 +17,8 @@
 #   REPROLINT_BUDGET_SECONDS=N  wall-clock budget for the reprolint run
 #                               (default 120)
 #
+# The gofmt check prints its own gate line, {"gate":"gofmt","files":N,
+# "pass":...}, naming the unformatted files on stderr; N > 0 fails the gate.
 # The reprolint run always ends with a machine-readable gate line matching the
 # benchsmoke convention: {"gate":"reprolint","findings":N,"suppressions":M,
 # "pass":...}. This script appends a second gate line for the wall-clock
@@ -27,6 +29,24 @@ set -eu
 cd "$(dirname "$0")/.."
 
 pkgs="${*:-./...}"
+
+echo "lint: gofmt"
+# Outside a git checkout git ls-files fails, and set -e fails the gate with
+# it rather than passing over an empty file list.
+gofiles=$(git ls-files '*.go')
+# shellcheck disable=SC2086  # gofiles is an intentional word list
+unformatted=$(gofmt -l $gofiles)
+nfmt=$(printf '%s' "$unformatted" | grep -c . || true)
+fmt_pass=true
+if [ "$nfmt" -gt 0 ]; then
+    fmt_pass=false
+    printf '%s\n' "$unformatted" >&2
+fi
+echo "{\"gate\":\"gofmt\",\"files\":$nfmt,\"pass\":$fmt_pass}"
+if [ "$fmt_pass" != "true" ]; then
+    echo "lint: FAIL — $nfmt file(s) not gofmt-clean (run gofmt -w)" >&2
+    exit 1
+fi
 
 echo "lint: go vet $pkgs"
 # shellcheck disable=SC2086  # pkgs is an intentional word list

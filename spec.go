@@ -130,11 +130,11 @@ func (s Spec) config(run runOverlay) Config {
 }
 
 // WithSpec replaces every deterministic knob at once with a canonical Spec —
-// the serializable analogue of WithConfig, and the option the HTTP front end
-// executes resolved requests through. The local-only overlay (Progress,
-// convergence trace) is untouched; combine freely with those options. The
-// Spec is validated eagerly: an invalid field surfaces as an error from the
-// call WithSpec was passed to, like any per-call option.
+// the option the HTTP front end executes resolved requests through. The
+// local-only overlay (Progress, convergence trace) is untouched; combine
+// freely with those options. The Spec is validated eagerly: an invalid field
+// surfaces as an error from the call WithSpec was passed to, like any
+// per-call option.
 func WithSpec(s Spec) Option {
 	return func(j *jobSpec) error {
 		if err := s.Validate(); err != nil {

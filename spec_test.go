@@ -177,21 +177,3 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-// TestWithConfigSplitsIntoSpecAndOverlay: WithConfig still carries a whole
-// Config over, with its deterministic knobs visible in the resolved Spec.
-func TestWithConfigSplitsIntoSpecAndOverlay(t *testing.T) {
-	eng := NewEngine(WithEngineThreads(1))
-	defer eng.Close()
-	cfg := DefaultConfig()
-	cfg.Rank = 4
-	cfg.Seed = 77
-	cfg.TrackConvergence = true // overlay, must not affect the Spec
-	spec, err := eng.ResolveSpec(WithConfig(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if spec.Rank != 4 || spec.Seed != 77 {
-		t.Fatalf("WithConfig knobs missing from spec: %+v", spec)
-	}
-}

@@ -16,7 +16,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/admission"
 	"repro/internal/datagen"
 	"repro/internal/experiments"
 	"repro/internal/lapack"
@@ -178,13 +177,14 @@ func BenchmarkEngineContendedQueue(b *testing.B) {
 	base.Rank = 3
 	base.MaxIters = 3
 	base.Tol = 0
-	stats := &admission.Stats{}
+	// hi and lo sum every iteration's queue waits (no job is cancelled), so
+	// the reported means are over every job of the run.
+	var hi, lo TenantStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := NewEngine(WithEngineThreads(1), WithBaseConfig(base),
-			WithJobConcurrency(1), WithQueueDepth(4*perClass),
-			WithEngineMetrics(stats))
+			WithJobConcurrency(1), WithQueueDepth(4*perClass))
 		running := make(chan struct{})
 		release := make(chan struct{})
 		var once sync.Once
@@ -220,9 +220,12 @@ func BenchmarkEngineContendedQueue(b *testing.B) {
 			}
 		}
 		eng.Close()
+		st := eng.Stats()
+		h, l := st.Tenant("hi"), st.Tenant("lo")
+		hi.Started, hi.QueueWait = hi.Started+h.Started, hi.QueueWait+h.QueueWait
+		lo.Started, lo.QueueWait = lo.Started+l.Started, lo.QueueWait+l.QueueWait
 	}
 	b.StopTimer()
-	hi, lo := stats.Tenant("hi"), stats.Tenant("lo")
 	b.ReportMetric(float64(hi.MeanQueueWait().Microseconds())/1e3, "hi-qwait-ms")
 	b.ReportMetric(float64(lo.MeanQueueWait().Microseconds())/1e3, "lo-qwait-ms")
 }
@@ -254,9 +257,9 @@ func BenchmarkCacheHit(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	hits, misses := eng.CacheCounters()
-	if misses != 1 || hits < uint64(b.N) {
-		b.Fatalf("cache did not serve the loop: %d hits, %d misses", hits, misses)
+	st := eng.Stats().Tenant("")
+	if st.CacheMisses != 1 || st.CacheHits < int64(b.N) {
+		b.Fatalf("cache did not serve the loop: %d hits, %d misses", st.CacheHits, st.CacheMisses)
 	}
 }
 

@@ -100,8 +100,12 @@ func main() {
 		repro.WithTolerance(*tol),
 		repro.WithSeed(*seed),
 	}
+	var trace []float64
 	if *verbose {
-		opts = append(opts, repro.WithConvergenceTrace())
+		opts = append(opts, repro.WithProgress(func(_ int, measure float64) bool {
+			trace = append(trace, measure)
+			return true
+		}))
 	}
 	var res *repro.Result
 	if *checkpoint != "" || *resume != "" {
@@ -118,8 +122,8 @@ func main() {
 		os.Exit(1)
 	}
 	if *cacheDir != "" {
-		hits, misses := eng.CacheCounters()
-		fmt.Fprintf(os.Stderr, "result cache  %d hit(s), %d miss(es)\n", hits, misses)
+		st := eng.Stats().Tenant("")
+		fmt.Fprintf(os.Stderr, "result cache  %d hit(s), %d miss(es)\n", st.CacheHits, st.CacheMisses)
 	}
 
 	fmt.Printf("method        %s\n", *method)
@@ -139,7 +143,7 @@ func main() {
 		float64(ten.SizeBytes())/(1<<20), float64(res.PreprocessedBytes)/(1<<20),
 		float64(ten.SizeBytes())/float64(res.PreprocessedBytes))
 	if *verbose {
-		for i, e := range res.ConvergenceTrace {
+		for i, e := range trace {
 			fmt.Printf("iter %3d  convergence measure %.6g\n", i+1, e)
 		}
 	}

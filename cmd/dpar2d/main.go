@@ -88,15 +88,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	if *cacheMB > 0 {
 		engOpts = append(engOpts, repro.WithResultCache(*cacheMB<<20))
 	}
-	stats := &repro.EngineStats{}
-	engOpts = append(engOpts, repro.WithEngineMetrics(stats))
 
 	eng := repro.NewEngine(engOpts...)
 	defer eng.Close()
 
 	srv, err := service.New(service.Config{
 		Engine:       eng,
-		Stats:        stats,
 		StateDir:     *stateDir,
 		MaxBodyBytes: *maxBodyMB << 20,
 	})

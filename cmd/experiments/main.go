@@ -194,12 +194,11 @@ func main() {
 // "interactive" tenant submitting small high-priority jobs, a "batch" tenant
 // with a low-priority backlog squeezed by a per-tenant override, and a
 // "noisy" tenant bursting past its queued quota (its excess is rejected with
-// ErrQuotaExceeded instead of starving the queue). The metrics hook collects
-// the per-tenant admitted/rejected/completed counters and latencies printed
-// as the served-traffic table.
+// ErrQuotaExceeded instead of starving the queue). Engine.Stats supplies the
+// per-tenant admitted/rejected/completed counters and latencies printed as
+// the served-traffic table.
 func runFleet(ctx context.Context, cfg parafac2.Config, pool *compute.Pool, sc experiments.Scale) {
 	fmt.Fprintln(os.Stderr, "running multi-tenant fleet scenario...")
-	stats := &repro.EngineStats{}
 	eng := repro.NewEngine(
 		repro.WithEnginePool(pool), // shared with the other experiments; Close leaves it open
 		repro.WithBaseConfig(cfg),
@@ -210,7 +209,6 @@ func runFleet(ctx context.Context, cfg parafac2.Config, pool *compute.Pool, sc e
 			"batch": {MaxQueued: 4, MaxRunning: 1},
 			"noisy": {MaxQueued: 2, MaxRunning: 1},
 		}),
-		repro.WithEngineMetrics(stats),
 	)
 	defer eng.Close()
 
@@ -256,7 +254,8 @@ func runFleet(ctx context.Context, cfg parafac2.Config, pool *compute.Pool, sc e
 	wall := time.Since(start).Round(time.Millisecond)
 
 	fmt.Println("== Fleet: served traffic under admission control ==")
-	fmt.Print(stats.String())
+	stats := eng.Stats()
+	fmt.Print(stats)
 	it, bt := stats.Tenant("interactive"), stats.Tenant("batch")
 	fmt.Printf("priority effect: interactive mean wait %v vs batch %v; %d noisy submits rejected; wall %v\n\n",
 		it.MeanQueueWait().Round(time.Microsecond), bt.MeanQueueWait().Round(time.Microsecond),

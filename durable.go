@@ -10,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"repro/internal/admission"
 	"repro/internal/dataio"
 	"repro/internal/parafac2"
 	"repro/internal/state"
@@ -70,22 +69,10 @@ func (e *Engine) ResumeStream(ctx context.Context, path string, opts ...Option) 
 	return parafac2.RestoreStream(f, cfg)
 }
 
-// CacheCounters reports the result cache's cumulative hits and misses since
-// the Engine was built (both zero when WithResultCache is off). Per-tenant
-// counts are available through a WithEngineMetrics hook implementing
-// CacheMetrics (EngineStats does).
-func (e *Engine) CacheCounters() (hits, misses uint64) {
-	if e.cache == nil {
-		return 0, 0
-	}
-	return e.cache.Counters()
-}
-
 // resultCacheKey derives the cache key for one decomposition, or reports the
-// call uncacheable: caching is off, a Progress callback must run, or a
-// convergence trace was requested (the trace is not serialized). The key is
-// a sha256 over a format tag, the method name, the request's canonical Spec
-// (every deterministic knob, with ShardRows resolved to its effective
+// call uncacheable: caching is off, or a Progress callback must run. The key
+// is a sha256 over a format tag, the method name, the request's canonical
+// Spec (every deterministic knob, with ShardRows resolved to its effective
 // threshold), and a digest of the tensor's serialized content — so any
 // change to input data or to a result-affecting parameter misses, while
 // Threads/Pool (which never change the computed bits) do not split the
@@ -93,7 +80,7 @@ func (e *Engine) CacheCounters() (hits, misses uint64) {
 // the same Spec (internal/service) hits the same entry as the equivalent
 // in-process call.
 func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (string, bool) {
-	if e.cache == nil || js.run.progress != nil || js.run.trackConvergence {
+	if e.cache == nil || js.progress != nil {
 		return "", false
 	}
 	th := sha256.New()
@@ -137,11 +124,12 @@ func boolBit(b bool) uint64 {
 // would measure never happened.
 const cacheHdrWords = 4
 
-// cacheLookup fetches and decodes a cached result; any corruption is handled
-// inside state.Cache (entry dropped, reported as a miss).
-func (e *Engine) cacheLookup(key string) (*Result, bool) {
+// cacheLookup fetches and decodes a cached result, or returns nil on a miss;
+// any corruption is handled inside state.Cache (entry dropped, reported as a
+// miss).
+func (e *Engine) cacheLookup(key string) *Result {
 	var res *Result
-	hit, err := e.cache.Get(key, func(r io.Reader) error {
+	if !e.cache.Get(key, func(r io.Reader) error {
 		var hdr [cacheHdrWords * 8]byte
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			return err
@@ -156,11 +144,10 @@ func (e *Engine) cacheLookup(key string) (*Result, bool) {
 		dec.PreprocessedBytes = int64(binary.LittleEndian.Uint64(hdr[24:]))
 		res = dec
 		return nil
-	})
-	if err != nil || !hit {
-		return nil, false
+	}) {
+		return nil
 	}
-	return res, true
+	return res
 }
 
 // cacheStore persists a successful result. Best-effort: a full disk or
@@ -178,18 +165,4 @@ func (e *Engine) cacheStore(key string, res *Result) {
 		}
 		return dataio.WriteResult(w, res)
 	})
-}
-
-// noteCache forwards a cache event to the metrics hook when it implements
-// the optional CacheMetrics extension.
-func (e *Engine) noteCache(tenant string, hit bool) {
-	cm, ok := e.metrics.(admission.CacheMetrics)
-	if !ok {
-		return
-	}
-	if hit {
-		cm.CacheHit(tenant)
-	} else {
-		cm.CacheMiss(tenant)
-	}
 }

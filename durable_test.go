@@ -72,17 +72,15 @@ func resultsEqualBits(t *testing.T, a, b *Result) {
 
 // TestEngineResultCacheHit is the tentpole acceptance test: a repeated
 // Decompose is served from the cache without invoking the method, with
-// hit/miss counters surfaced through CacheCounters, EngineStats, and the
-// per-tenant Submit path.
+// hit/miss counters surfaced through Engine.Stats, per tenant on the Submit
+// path.
 func TestEngineResultCacheHit(t *testing.T) {
 	cm := countingDPar2(t)
-	stats := &EngineStats{}
 	dir := t.TempDir()
 	eng := NewEngine(
 		WithBaseConfig(engineTestConfig()),
 		WithStateDir(dir),
 		WithResultCache(1<<22),
-		WithEngineMetrics(stats),
 	)
 	defer eng.Close()
 	ctx := context.Background()
@@ -107,13 +105,9 @@ func TestEngineResultCacheHit(t *testing.T) {
 	}
 	resultsEqualBits(t, first, second)
 
-	hits, misses := eng.CacheCounters()
-	if hits != 1 || misses != 1 {
-		t.Fatalf("CacheCounters = (%d, %d), want (1, 1)", hits, misses)
-	}
-	def := stats.Tenant("")
+	def := eng.Stats().Tenant("")
 	if def.CacheHits != 1 || def.CacheMisses != 1 {
-		t.Fatalf("EngineStats default tenant cache counters = (%d, %d), want (1, 1)",
+		t.Fatalf("Engine.Stats default tenant cache counters = (%d, %d), want (1, 1)",
 			def.CacheHits, def.CacheMisses)
 	}
 
@@ -127,7 +121,7 @@ func TestEngineResultCacheHit(t *testing.T) {
 		t.Fatalf("submitted job missed the cache (%d total calls)", got)
 	}
 	resultsEqualBits(t, first, jr.Result)
-	if acme := stats.Tenant("acme"); acme.CacheHits != 1 {
+	if acme := eng.Stats().Tenant("acme"); acme.CacheHits != 1 {
 		t.Fatalf("tenant acme cache hits = %d, want 1", acme.CacheHits)
 	}
 
@@ -140,9 +134,9 @@ func TestEngineResultCacheHit(t *testing.T) {
 	}
 }
 
-// TestEngineCacheBypassesSideEffectRuns: convergence traces and Progress
-// callbacks must actually run, so those calls never consult or populate the
-// cache.
+// TestEngineCacheBypassesSideEffectRuns: Progress callbacks (the one way to
+// trace convergence) must actually run, so those calls never consult or
+// populate the cache.
 func TestEngineCacheBypassesSideEffectRuns(t *testing.T) {
 	cm := countingDPar2(t)
 	eng := NewEngine(
@@ -156,24 +150,21 @@ func TestEngineCacheBypassesSideEffectRuns(t *testing.T) {
 	opt := WithMethod(MethodID(cm.Name()))
 
 	before := cm.calls.Load()
-	for i := 0; i < 2; i++ {
-		if _, err := eng.Decompose(ctx, ten, opt, WithConvergenceTrace()); err != nil {
+	for i := 0; i < 3; i++ {
+		calls := 0
+		progress := WithProgress(func(int, float64) bool { calls++; return true })
+		if _, err := eng.Decompose(ctx, ten, opt, progress); err != nil {
 			t.Fatal(err)
 		}
-	}
-	calls := 0
-	progress := WithProgress(func(int, float64) bool { calls++; return true })
-	if _, err := eng.Decompose(ctx, ten, opt, progress); err != nil {
-		t.Fatal(err)
-	}
-	if calls == 0 {
-		t.Fatal("Progress callback never ran")
+		if calls == 0 {
+			t.Fatalf("run %d: Progress callback never ran", i)
+		}
 	}
 	if got := cm.calls.Load() - before; got != 3 {
 		t.Fatalf("side-effect runs were cached (%d calls, want 3)", got)
 	}
-	if hits, misses := eng.CacheCounters(); hits != 0 || misses != 0 {
-		t.Fatalf("bypassed runs touched the cache: (%d, %d)", hits, misses)
+	if def := eng.Stats().Tenant(""); def.CacheHits != 0 || def.CacheMisses != 0 {
+		t.Fatalf("bypassed runs touched the cache: (%d, %d)", def.CacheHits, def.CacheMisses)
 	}
 }
 
@@ -206,7 +197,7 @@ func TestEngineCachePersistsAcrossEngines(t *testing.T) {
 		t.Fatal("second engine re-ran a cached decomposition")
 	}
 	resultsEqualBits(t, first, second)
-	if hits, _ := eng2.CacheCounters(); hits != 1 {
+	if hits := eng2.Stats().Tenant("").CacheHits; hits != 1 {
 		t.Fatalf("second engine hits = %d, want 1", hits)
 	}
 }

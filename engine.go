@@ -32,25 +32,13 @@ type QuotaError = admission.QuotaError
 // with WithTenantQuota / WithTenantQuotaOverrides.
 type TenantQuota = admission.Quota
 
-// EngineMetrics is the observation hook on the Engine's admission scheduler:
-// queue depth on admit and pop, per-job queue-wait and run latency, and
-// per-tenant admitted/rejected/completed/cancelled events. Register with
-// WithEngineMetrics; EngineStats is a ready-made implementation.
-// Implementations must be safe for concurrent use.
-type EngineMetrics = admission.Metrics
-
-// EngineStats is a ready-made EngineMetrics: per-tenant counters and latency
-// totals with a Snapshot accessor and a printable served-traffic table
-// (String). The zero value is ready to use.
-type EngineStats = admission.Stats
-
-// TenantStats is one tenant's row in an EngineStats snapshot.
+// TenantStats is one tenant's row in an EngineStatsSnapshot.
 type TenantStats = admission.TenantStats
 
-// EngineStatsSnapshot is the marshallable form of an EngineStats: tenants in
-// deterministic sorted order plus the queue's high-water depth, under stable
-// JSON field names. EngineStats.MarshalJSON emits exactly this shape — it is
-// the /v1/stats wire schema of the HTTP front end (docs/SERVICE.md).
+// EngineStatsSnapshot is what Engine.Stats returns: every tenant's served
+// traffic in deterministic sorted order plus the queue's high-water depth,
+// under stable JSON field names — the /v1/stats wire schema of the HTTP
+// front end (docs/SERVICE.md). String renders it as a served-traffic table.
 type EngineStatsSnapshot = admission.StatsSnapshot
 
 // Engine is the long-lived entry point for every decomposition in this
@@ -90,15 +78,14 @@ type Engine struct {
 	// lives in its "cache" subdirectory. Empty = no durable state.
 	stateDir string
 	// cache is the content-addressed result cache (WithResultCache), nil
-	// when caching is off. metrics is the WithEngineMetrics hook, kept so
-	// cache hits/misses can reach a CacheMetrics implementation.
-	cache   *state.Cache
-	metrics EngineMetrics
+	// when caching is off.
+	cache *state.Cache
 
 	// sched is the admission-controlled job queue: a bounded priority queue
 	// (higher Job.Priority pops first, FIFO within a class) with per-tenant
-	// quotas and the metrics hook. It replaces the plain FIFO channel of the
-	// original Submit path.
+	// quotas. It also keeps the per-tenant traffic stats Engine.Stats
+	// reports. It replaces the plain FIFO channel of the original Submit
+	// path.
 	sched *admission.Queue[pendingJob]
 	wg    sync.WaitGroup
 
@@ -131,7 +118,6 @@ type engineSettings struct {
 
 	quota     TenantQuota
 	overrides map[string]TenantQuota
-	metrics   EngineMetrics
 
 	stateDir   string
 	cacheBytes int64
@@ -239,20 +225,6 @@ func WithTenantQuotaOverrides(per map[string]TenantQuota) EngineOption {
 	}
 }
 
-// WithEngineMetrics registers the observation hook on the Submit scheduler:
-// queue depth on admit/pop, per-job queue-wait and run latency, per-tenant
-// admitted/rejected/completed/cancelled events. m must be non-nil (omit the
-// option for no observation) and safe for concurrent use; EngineStats is a
-// ready-made implementation.
-func WithEngineMetrics(m EngineMetrics) EngineOption {
-	return func(s *engineSettings) {
-		if m == nil {
-			panic("repro: WithEngineMetrics(nil): metrics hook must be non-nil")
-		}
-		s.metrics = m
-	}
-}
-
 // WithStateDir roots the Engine's durable state at dir: relative
 // SaveStream/ResumeStream paths resolve under it, and WithResultCache stores
 // its entries in its "cache" subdirectory. The directory is created if
@@ -276,10 +248,9 @@ func WithStateDir(dir string) EngineOption {
 // panics — and evicted least-recently-used beyond maxBytes of payload.
 // maxBytes must be positive; zero or negative panics.
 //
-// Lookups with a Progress callback or a convergence trace bypass the cache
-// (their side effects must run). A cache hit restores the factors plus
-// Iters/Fitness/FitnessKind/PreprocessedBytes; timings are zero, as in any
-// deserialized result.
+// Lookups with a Progress callback bypass the cache (its side effects must
+// run). A cache hit restores the factors plus Iters/Fitness/FitnessKind/
+// PreprocessedBytes; timings are zero, as in any deserialized result.
 func WithResultCache(maxBytes int64) EngineOption {
 	return func(s *engineSettings) {
 		if maxBytes <= 0 {
@@ -291,8 +262,8 @@ func WithResultCache(maxBytes int64) EngineOption {
 
 // NewEngine builds an Engine. With no options it owns a pool of width
 // DefaultConfig().Threads (the paper's 6), a base Config of DefaultConfig(),
-// a Submit queue of depth 32, 4 concurrent job workers, no tenant quotas,
-// and no metrics hook.
+// a Submit queue of depth 32, 4 concurrent job workers, and no tenant
+// quotas.
 func NewEngine(opts ...EngineOption) *Engine {
 	s := engineSettings{
 		base:       DefaultConfig(),
@@ -305,7 +276,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		}
 	}
 
-	e := &Engine{base: s.base, stateDir: s.stateDir, metrics: s.metrics}
+	e := &Engine{base: s.base, stateDir: s.stateDir}
 	if s.stateDir != "" {
 		if err := os.MkdirAll(s.stateDir, 0o755); err != nil {
 			panic(fmt.Sprintf("repro: WithStateDir(%q): %v", s.stateDir, err))
@@ -345,7 +316,6 @@ func NewEngine(opts ...EngineOption) *Engine {
 		Capacity:     s.queueDepth,
 		DefaultQuota: s.quota,
 		Overrides:    s.overrides,
-		Metrics:      s.metrics,
 	})
 	e.wg.Add(s.jobWorkers)
 	for i := 0; i < s.jobWorkers; i++ {
@@ -353,6 +323,14 @@ func NewEngine(opts ...EngineOption) *Engine {
 	}
 	return e
 }
+
+// Stats reports the traffic the Engine has served since it was built, per
+// tenant: Submit admissions, rejections, starts, completions, failures and
+// cancellations with their queue-wait and run latencies, and result-cache
+// hits and misses (a synchronous Decompose counts under the default tenant
+// ""). The snapshot is consistent: the queue updates it in the same critical
+// section as each job transition.
+func (e *Engine) Stats() EngineStatsSnapshot { return e.sched.Stats() }
 
 // Pool exposes the Engine's shared pool (e.g. for repro.Fitness-style
 // helpers or direct Config users during migration). The Engine retains
@@ -395,18 +373,15 @@ func (e *Engine) isClosed() bool {
 
 // newJobSpec seeds a jobSpec from the Engine's base configuration: the
 // base Config's deterministic knobs become the starting Spec (method
-// defaulting to DPar2) and its Progress/TrackConvergence fields the
-// starting overlay. Options then mutate either half.
+// defaulting to DPar2) and its Progress the starting callback. Options then
+// mutate either.
 func (e *Engine) newJobSpec() jobSpec {
-	return jobSpec{
-		spec: specFromConfig(MethodDPar2, e.base),
-		run:  runOverlay{trackConvergence: e.base.TrackConvergence, progress: e.base.Progress},
-	}
+	return jobSpec{spec: specFromConfig(MethodDPar2, e.base), progress: e.base.Progress}
 }
 
 // prepare is the shared preamble of every Engine call: reject a closed
 // engine, default a nil ctx, compile the per-call options over the base
-// into a jobSpec (canonical Spec + local overlay), resolve the method
+// into a jobSpec (canonical Spec + Progress callback), resolve the method
 // against the registry, and materialize the Config pinned to the shared
 // pool. Callers that cannot run all methods pass dpar2Only.
 func (e *Engine) prepare(ctx context.Context, opts []Option, dpar2Only bool, op string) (context.Context, parafac2.Method, jobSpec, Config, error) {
@@ -438,7 +413,7 @@ func (e *Engine) prepareOpen(ctx context.Context, opts []Option, dpar2Only bool,
 	if dpar2Only && m.Name() != string(MethodDPar2) {
 		return ctx, nil, js, Config{}, fmt.Errorf("repro: %s supports only %s, got %s", op, MethodDPar2, m.Name())
 	}
-	cfg := js.spec.config(js.run)
+	cfg := js.spec.config(js.progress)
 	cfg.Pool = e.pool
 	cfg.Threads = e.pool.Workers()
 	return ctx, m, js, cfg, nil
@@ -458,8 +433,8 @@ func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*
 // decompose is Decompose without the closed check — the path drained jobs
 // take after Close has begun. prepare would re-reject those, so its closed
 // check is skipped by construction: a drained job was accepted before Close.
-// tenant attributes cache hit/miss events (Decompose passes the default
-// bucket, runJob the job's tenant).
+// tenant attributes cache hits and misses in the Engine's stats (Decompose
+// passes the default bucket, runJob the job's tenant).
 func (e *Engine) decompose(ctx context.Context, t *Irregular, opts []Option, tenant string) (*Result, error) {
 	if t == nil {
 		return nil, errors.New("repro: Decompose with nil tensor")
@@ -470,11 +445,11 @@ func (e *Engine) decompose(ctx context.Context, t *Irregular, opts []Option, ten
 	}
 	key, cacheable := e.resultCacheKey(m, t, js)
 	if cacheable {
-		if res, ok := e.cacheLookup(key); ok {
-			e.noteCache(tenant, true)
+		res := e.cacheLookup(key)
+		e.sched.NoteCache(tenant, res != nil)
+		if res != nil {
 			return res, nil
 		}
-		e.noteCache(tenant, false)
 	}
 	res, err := m.Decompose(ctx, t, cfg)
 	if err == nil && cacheable {

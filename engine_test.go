@@ -410,34 +410,40 @@ func TestEngineSubmitFullQueueDoesNotBlockOtherCalls(t *testing.T) {
 	}
 }
 
-// ----- Admission control: tenants, priorities, quotas, metrics --------------
+// ----- Admission control: tenants, priorities, quotas, stats ----------------
 
-// gateJob returns an Option whose job blocks the worker it runs on until
-// release is closed, plus a channel closed once the job has started.
-func gateJob() (opt Option, running chan struct{}, release chan struct{}) {
+// gateJob returns a Progress callback whose job blocks the worker it runs on
+// until release is closed, plus a channel closed once the job has started.
+func gateJob() (hold func(int, float64) bool, running chan struct{}, release chan struct{}) {
 	running = make(chan struct{})
 	release = make(chan struct{})
 	var once sync.Once
-	opt = WithProgress(func(int, float64) bool {
+	hold = func(int, float64) bool {
 		once.Do(func() { close(running) })
 		<-release
 		return true
-	})
-	return opt, running, release
+	}
+	return hold, running, release
 }
 
-// startRecorder records the tenant of every JobStarted in pop order.
+// startRecorder records the tenant of every job it is attached to on that
+// job's first iteration; with one job worker, that is the pop order.
 type startRecorder struct {
-	EngineStats // counter aggregation, plus the Metrics method set
-	mu          sync.Mutex
-	starts      []string
+	mu     sync.Mutex
+	starts []string
 }
 
-func (r *startRecorder) JobStarted(tenant string, priority, depth int, wait time.Duration) {
-	r.mu.Lock()
-	r.starts = append(r.starts, tenant)
-	r.mu.Unlock()
-	r.EngineStats.JobStarted(tenant, priority, depth, wait)
+// option is a WithProgress option that records tenant on iteration 1 and
+// then defers to next (nil means keep iterating).
+func (r *startRecorder) option(tenant string, next func(int, float64) bool) Option {
+	return WithProgress(func(iter int, measure float64) bool {
+		if iter == 1 {
+			r.mu.Lock()
+			r.starts = append(r.starts, tenant)
+			r.mu.Unlock()
+		}
+		return next == nil || next(iter, measure)
+	})
 }
 
 func (r *startRecorder) startOrder() []string {
@@ -454,23 +460,24 @@ func TestEnginePriorityUnderSaturation(t *testing.T) {
 	cfg.Rank = 3
 	cfg.MaxIters = 3
 	rec := &startRecorder{}
-	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg),
-		WithJobConcurrency(1), WithEngineMetrics(rec))
+	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg), WithJobConcurrency(1))
 	defer eng.Close()
 	ctx := context.Background()
 	ten := engineTestTensor(20)
 
 	hold, running, release := gateJob()
-	gate := eng.Submit(ctx, Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{hold}})
+	gate := eng.Submit(ctx, Job{Tensor: ten, Tag: "gate", Tenant: "gate",
+		Options: []Option{rec.option("gate", hold)}})
 	<-running
 
 	const backlog = 4
 	lo := make([]<-chan JobResult, backlog)
 	for i := range lo {
 		lo[i] = eng.Submit(ctx, Job{Tensor: ten, Tag: fmt.Sprintf("lo-%d", i),
-			Tenant: "batch", Priority: 0, Options: []Option{WithSeed(uint64(i))}})
+			Tenant: "batch", Priority: 0, Options: []Option{WithSeed(uint64(i)), rec.option("batch", nil)}})
 	}
-	hi := eng.Submit(ctx, Job{Tensor: ten, Tag: "hi", Tenant: "urgent", Priority: 10})
+	hi := eng.Submit(ctx, Job{Tensor: ten, Tag: "hi", Tenant: "urgent", Priority: 10,
+		Options: []Option{rec.option("urgent", nil)}})
 
 	close(release)
 	jr := <-hi
@@ -503,15 +510,14 @@ func TestEngineTenantQuotaReject(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 2
-	stats := &EngineStats{}
 	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg),
-		WithJobConcurrency(1), WithTenantQuota(1, 1), WithEngineMetrics(stats))
+		WithJobConcurrency(1), WithTenantQuota(1, 1))
 	defer eng.Close()
 	ctx := context.Background()
 	ten := engineTestTensor(21)
 
 	hold, running, release := gateJob()
-	gate := eng.Submit(ctx, Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{hold}})
+	gate := eng.Submit(ctx, Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{WithProgress(hold)}})
 	<-running
 
 	queued := eng.Submit(ctx, Job{Tensor: ten, Tag: "q", Tenant: "noisy"})
@@ -532,7 +538,7 @@ func TestEngineTenantQuotaReject(t *testing.T) {
 			t.Fatalf("job %s: %v", tag, jr.Err)
 		}
 	}
-	if ts := stats.Tenant("noisy"); ts.Rejected != 1 || ts.Admitted != 1 {
+	if ts := eng.Stats().Tenant("noisy"); ts.Rejected != 1 || ts.Admitted != 1 {
 		t.Fatalf("noisy stats = %+v, want 1 admitted + 1 rejected", ts)
 	}
 }
@@ -550,7 +556,7 @@ func TestEngineQuotaReleasedOnCancelWhileQueued(t *testing.T) {
 	ten := engineTestTensor(22)
 
 	hold, running, release := gateJob()
-	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{hold}})
+	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{WithProgress(hold)}})
 	<-running
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -638,16 +644,14 @@ func TestEnginePriorityDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineMetricsHook: the hook's per-tenant accounting is consistent once
-// traffic drains — every admit either started or was cancelled, every start
-// finished, and latencies are observed.
-func TestEngineMetricsHook(t *testing.T) {
+// TestEngineStatsAccounting: Engine.Stats' per-tenant accounting is
+// consistent once traffic drains — every admit either started or was
+// cancelled, every start finished, and latencies are observed.
+func TestEngineStatsAccounting(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 2
-	stats := &EngineStats{}
-	eng := NewEngine(WithEngineThreads(2), WithBaseConfig(cfg),
-		WithJobConcurrency(2), WithEngineMetrics(stats))
+	eng := NewEngine(WithEngineThreads(2), WithBaseConfig(cfg), WithJobConcurrency(2))
 	ctx := context.Background()
 
 	const jobs = 8
@@ -666,8 +670,9 @@ func TestEngineMetricsHook(t *testing.T) {
 	}
 	eng.Close()
 
+	stats := eng.Stats()
 	var admitted, completed int64
-	for _, ts := range stats.Snapshot() {
+	for _, ts := range stats.Tenants {
 		admitted += ts.Admitted
 		completed += ts.Completed
 		if ts.Admitted != ts.Started+ts.Cancelled {
@@ -685,8 +690,8 @@ func TestEngineMetricsHook(t *testing.T) {
 	if admitted != jobs || completed != jobs {
 		t.Fatalf("admitted %d completed %d, want %d each", admitted, completed, jobs)
 	}
-	if stats.MaxDepth() < 1 {
-		t.Fatal("metrics never observed a queue depth")
+	if stats.MaxDepth < 1 {
+		t.Fatal("stats never observed a queue depth")
 	}
 }
 
@@ -755,7 +760,7 @@ func TestEngineDrainedAfterCloseComplete(t *testing.T) {
 	ten := engineTestTensor(60)
 
 	hold, running, release := gateJob()
-	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Options: []Option{hold}})
+	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Options: []Option{WithProgress(hold)}})
 	<-running
 
 	const backlog = 5
@@ -834,7 +839,6 @@ func TestEngineOptionValidationPanics(t *testing.T) {
 	mustPanic("WithTenantQuotaOverrides(nil)", WithTenantQuotaOverrides(nil))
 	mustPanic("WithTenantQuotaOverrides(bad)", WithTenantQuotaOverrides(
 		map[string]TenantQuota{"t": {MaxQueued: 0, MaxRunning: 1}}))
-	mustPanic("WithEngineMetrics(nil)", WithEngineMetrics(nil))
 
 	// Positive values configure without panicking.
 	s := engineSettings{}
@@ -842,9 +846,8 @@ func TestEngineOptionValidationPanics(t *testing.T) {
 	WithJobConcurrency(2)(&s)
 	WithTenantQuota(3, 1)(&s)
 	WithTenantQuotaOverrides(map[string]TenantQuota{"vip": {MaxQueued: 9, MaxRunning: 4}})(&s)
-	WithEngineMetrics(&EngineStats{})(&s)
 	if s.queueDepth != 7 || s.jobWorkers != 2 || s.quota.MaxQueued != 3 ||
-		s.overrides["vip"].MaxRunning != 4 || s.metrics == nil {
+		s.overrides["vip"].MaxRunning != 4 {
 		t.Fatalf("options did not apply: %+v", s)
 	}
 }

@@ -77,12 +77,11 @@ func main() {
 	// The serving path: a fleet of tensors decomposed through the
 	// admission-controlled job queue — per-tenant quotas keep the "noisy"
 	// tenant's burst from starving anyone, the "interactive" tenant's
-	// high-priority jobs overtake the pre-queued "batch" backlog, and the
-	// metrics hook aggregates it all into a served-traffic table. Every
+	// high-priority jobs overtake the pre-queued "batch" backlog, and
+	// Engine.Stats aggregates it all into a served-traffic table. Every
 	// job still shares the one pool and its scratch arenas, and results
 	// stay bit-identical to serial runs whatever order the queue picks.
 	fmt.Println("\n== admission-controlled job service: 3 tenants through Engine.Submit ==")
-	stats := &repro.EngineStats{}
 	srv := repro.NewEngine(
 		repro.WithEnginePool(eng.Pool()), // share the pool; we keep ownership
 		repro.WithJobConcurrency(2),
@@ -91,7 +90,6 @@ func main() {
 		repro.WithTenantQuotaOverrides(map[string]repro.TenantQuota{
 			"noisy": {MaxQueued: 2, MaxRunning: 1}, // one greedy tenant, contained
 		}),
-		repro.WithEngineMetrics(stats),
 	)
 	defer srv.Close()
 
@@ -126,7 +124,7 @@ func main() {
 			log.Fatalf("%s: %v", jr.Tag, jr.Err)
 		}
 	}
-	fmt.Print(stats.String())
+	fmt.Print(srv.Stats())
 	fmt.Printf("noisy submits rejected: %d\nfleet wall time: %v\n",
 		rejected, time.Since(start).Round(time.Millisecond))
 }

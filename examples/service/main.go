@@ -25,15 +25,13 @@ func main() {
 
 	// One Engine serves everything: a shared pool, an admission-controlled
 	// queue with a per-tenant quota, and traffic statistics.
-	stats := &repro.EngineStats{}
 	eng := repro.NewEngine(
 		repro.WithEngineThreads(4),
 		repro.WithTenantQuota(2, 1),
-		repro.WithEngineMetrics(stats),
 	)
 	defer eng.Close()
 
-	srv, err := service.New(service.Config{Engine: eng, Stats: stats})
+	srv, err := service.New(service.Config{Engine: eng})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,9 +1,9 @@
 // Package admission is the Engine's admission-controlled job scheduler: a
-// bounded, mutex+cond-guarded priority queue with per-tenant quotas and a
-// metrics hook. It replaces the plain FIFO channel the Submit path used
-// before — a FIFO with no quotas lets one tenant starve everyone else, which
-// is exactly the failure mode of the multi-tenant, continuously-absorbing
-// workload DPar2 is meant to serve.
+// bounded, mutex+cond-guarded priority queue with per-tenant quotas and
+// per-tenant traffic statistics. It replaces the plain FIFO channel the
+// Submit path used before — a FIFO with no quotas lets one tenant starve
+// everyone else, which is exactly the failure mode of the multi-tenant,
+// continuously-absorbing workload DPar2 is meant to serve.
 //
 // # Scheduling order
 //
@@ -34,6 +34,15 @@
 // frees the tenant's queued slot, and invokes the onCancel callback exactly
 // once — the ticket state machine under the queue lock makes pop and cancel
 // mutually exclusive.
+//
+// # Statistics
+//
+// The queue keeps one TenantStats row per tenant it has seen, plus its
+// high-water depth, and updates them under the queue lock in the same
+// critical section as each transition (admit, reject, pop, cancel-while-
+// queued, Finish), so a Stats snapshot is always consistent with the
+// queue's own state. NoteCache adds the Engine's result-cache lookups to the
+// same rows.
 package admission
 
 import (
@@ -41,6 +50,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 )
@@ -89,21 +99,14 @@ type Config struct {
 	DefaultQuota Quota
 	// Overrides replaces DefaultQuota for specific tenants.
 	Overrides map[string]Quota
-	// Metrics observes the scheduler; nil means no observation.
-	Metrics Metrics
 }
 
 // ticketState is the lifecycle of a Ticket; transitions happen only under
-// Queue.mu, which is what makes pop/cancel exactly-once. A ticket enters the
-// heap as statePending — it holds its Capacity and quota slots but is not
-// poppable — and becomes stateQueued only after the metrics hook has
-// observed JobAdmitted, so a live observer can never see a ticket start (or
-// cancel) before it was admitted.
+// Queue.mu, which is what makes pop/cancel exactly-once.
 type ticketState uint8
 
 const (
-	statePending ticketState = iota
-	stateQueued
+	stateQueued ticketState = iota
 	stateRunning
 	stateCancelled
 	stateDone
@@ -141,13 +144,18 @@ type Queue[T any] struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	cfg     Config
-	metrics Metrics
+	cfg Config
 
 	heap    ticketHeap[T]
 	seq     uint64
 	tenants map[string]*tenantCount
 	closed  bool
+
+	// traffic is the per-tenant statistics table (never reaped: it is the
+	// served-traffic history, not live load) and maxDepth the deepest the
+	// queue has been at any admit. Both are guarded by mu.
+	traffic  map[string]*TenantStats
+	maxDepth int
 }
 
 // tenantCount tracks one tenant's live load. Entries are dropped as soon as
@@ -162,11 +170,8 @@ func New[T any](cfg Config) *Queue[T] {
 	}
 	q := &Queue[T]{
 		cfg:     cfg,
-		metrics: cfg.Metrics,
 		tenants: make(map[string]*tenantCount),
-	}
-	if q.metrics == nil {
-		q.metrics = NopMetrics{}
+		traffic: make(map[string]*TenantStats),
 	}
 	q.cond = sync.NewCond(&q.mu)
 	return q
@@ -198,6 +203,17 @@ func (q *Queue[T]) reap(tenant string, c *tenantCount) {
 	}
 }
 
+// statsFor returns (creating if needed) the traffic row for tenant. Callers
+// must hold q.mu.
+func (q *Queue[T]) statsFor(tenant string) *TenantStats {
+	ts := q.traffic[tenant]
+	if ts == nil {
+		ts = &TenantStats{Tenant: tenant}
+		q.traffic[tenant] = ts
+	}
+	return ts
+}
+
 // Admit enqueues a ticket after per-tenant checks. It returns immediately
 // with a *QuotaError (errors.Is ErrQuotaExceeded) when the tenant is at its
 // MaxQueued quota, with ErrClosed when the queue is (or becomes) closed, and
@@ -215,14 +231,14 @@ func (q *Queue[T]) Admit(ctx context.Context, tenant string, priority int, paylo
 	}
 	q.mu.Lock()
 	var stopWait func() bool
-	// fail is the shared unwind of every rejected admit: drop the lock,
-	// release the backpressure watcher, and count the rejection.
+	// fail is the shared unwind of every rejected admit: count the
+	// rejection, drop the lock, and release the backpressure watcher.
 	fail := func(err error) (*Ticket[T], error) {
+		q.statsFor(tenant).Rejected++
 		q.mu.Unlock()
 		if stopWait != nil {
 			stopWait()
 		}
-		q.metrics.JobRejected(tenant, err)
 		return nil, err
 	}
 	for {
@@ -262,7 +278,7 @@ func (q *Queue[T]) Admit(ctx context.Context, tenant string, priority int, paylo
 		priority: priority,
 		seq:      q.seq,
 		enqueued: time.Now(),
-		state:    statePending,
+		state:    stateQueued,
 		q:        q,
 		ctx:      ctx,
 		onCancel: onCancel,
@@ -270,19 +286,8 @@ func (q *Queue[T]) Admit(ctx context.Context, tenant string, priority int, paylo
 	q.seq++
 	heap.Push(&q.heap, tk)
 	q.counts(tenant).queued++
-	depth := len(q.heap)
-	q.mu.Unlock()
-	if stopWait != nil {
-		stopWait()
-	}
-	// Emit JobAdmitted while the ticket is still pending (holding its slots
-	// but invisible to Pop and to the cancel watcher), then flip it queued:
-	// per-ticket event order is Admitted before Started/Cancelled even for a
-	// hook snapshotting mid-traffic, and the callback still runs outside the
-	// queue lock.
-	q.metrics.JobAdmitted(tenant, priority, depth)
-	q.mu.Lock()
-	tk.state = stateQueued
+	q.statsFor(tenant).Admitted++
+	q.maxDepth = max(q.maxDepth, len(q.heap))
 	if onCancel != nil && ctx.Done() != nil {
 		// Watch for cancel-while-queued. Registering under q.mu is safe: an
 		// already-done ctx runs the callback in its own goroutine, never
@@ -292,6 +297,9 @@ func (q *Queue[T]) Admit(ctx context.Context, tenant string, priority int, paylo
 	}
 	q.cond.Broadcast()
 	q.mu.Unlock()
+	if stopWait != nil {
+		stopWait()
+	}
 	return tk, nil
 }
 
@@ -309,10 +317,11 @@ func (q *Queue[T]) cancelQueued(tk *Ticket[T]) {
 	c := q.tenants[tk.tenant]
 	c.queued--
 	q.reap(tk.tenant, c)
-	wait := time.Since(tk.enqueued)
+	ts := q.statsFor(tk.tenant)
+	ts.Cancelled++
+	ts.QueueWait += time.Since(tk.enqueued)
 	q.cond.Broadcast() // a Capacity slot freed
 	q.mu.Unlock()
-	q.metrics.JobCancelled(tk.tenant, tk.priority, wait)
 	tk.onCancel(tk.ctx.Err())
 }
 
@@ -329,8 +338,9 @@ func (q *Queue[T]) Pop() (tk *Ticket[T], ok bool) {
 			c := q.tenants[tk.tenant]
 			c.queued--
 			c.running++
-			depth := len(q.heap)
-			wait := tk.started.Sub(tk.enqueued)
+			ts := q.statsFor(tk.tenant)
+			ts.Started++
+			ts.QueueWait += tk.started.Sub(tk.enqueued)
 			stop := tk.stop
 			tk.stop = nil
 			q.cond.Broadcast() // a Capacity slot freed
@@ -338,7 +348,6 @@ func (q *Queue[T]) Pop() (tk *Ticket[T], ok bool) {
 			if stop != nil {
 				stop() // the cancel watcher's job is done; release it
 			}
-			q.metrics.JobStarted(tk.tenant, tk.priority, depth, wait)
 			return tk, true
 		}
 		if q.closed && len(q.heap) == 0 {
@@ -346,10 +355,9 @@ func (q *Queue[T]) Pop() (tk *Ticket[T], ok bool) {
 			return nil, false
 		}
 		// Empty, or no ticket is poppable: wait for an Admit or a Finish.
-		// No lost-wakeup deadlock: a non-empty heap holds either a pending
-		// ticket (its admitter is between the two Admit critical sections
-		// and will Broadcast when it flips it queued) or a ticket whose
-		// tenant has running > 0 (a Finish, and its Broadcast, is pending).
+		// No lost-wakeup deadlock: a non-empty heap with nothing poppable
+		// holds only tickets whose tenants have running > 0, so a Finish
+		// (and its Broadcast) is pending.
 		q.cond.Wait()
 	}
 }
@@ -382,13 +390,9 @@ func (q *Queue[T]) popEligible() *Ticket[T] {
 	return heap.Remove(&q.heap, best).(*Ticket[T])
 }
 
-// eligible reports whether the ticket may be popped: fully admitted (not
-// pending the JobAdmitted callback) and its tenant under its running cap.
-// Callers must hold q.mu.
+// eligible reports whether the ticket may be popped: its tenant is under
+// its running cap. Callers must hold q.mu.
 func (q *Queue[T]) eligible(tk *Ticket[T]) bool {
-	if tk.state != stateQueued {
-		return false
-	}
 	quota := q.quotaFor(tk.tenant)
 	if quota.MaxRunning <= 0 {
 		return true
@@ -398,9 +402,9 @@ func (q *Queue[T]) eligible(tk *Ticket[T]) bool {
 }
 
 // Finish retires a popped ticket: the tenant's running quota is released
-// (waking Pops blocked on it) and the run latency reported to the metrics
-// hook. Exactly one Finish per popped ticket; err is the job's outcome,
-// echoed to the hook (nil = success).
+// (waking Pops blocked on it) and the run latency added to the tenant's
+// stats. Exactly one Finish per popped ticket; err is the job's outcome
+// (nil counts as Completed, non-nil as Failed).
 func (t *Ticket[T]) Finish(err error) {
 	q := t.q
 	q.mu.Lock()
@@ -412,10 +416,15 @@ func (t *Ticket[T]) Finish(err error) {
 	c := q.tenants[t.tenant]
 	c.running--
 	q.reap(t.tenant, c)
-	run := time.Since(t.started)
+	ts := q.statsFor(t.tenant)
+	if err == nil {
+		ts.Completed++
+	} else {
+		ts.Failed++
+	}
+	ts.RunTime += time.Since(t.started)
 	q.cond.Broadcast() // a MaxRunning slot freed
 	q.mu.Unlock()
-	q.metrics.JobFinished(t.tenant, t.priority, run, err)
 }
 
 // Close stops admission: every Admit from now on — including ones blocked on
@@ -444,6 +453,34 @@ func (q *Queue[T]) TenantLoad(tenant string) (queued, running int) {
 		return c.queued, c.running
 	}
 	return 0, 0
+}
+
+// NoteCache counts one result-cache lookup for tenant: a hit served the
+// request without running the method, a miss ran it. The queue never looks
+// up the cache itself; the Engine reports each lookup here so that hits and
+// misses sit in the same per-tenant rows as the queue's own counters.
+func (q *Queue[T]) NoteCache(tenant string, hit bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	ts := q.statsFor(tenant)
+	if hit {
+		ts.CacheHits++
+	} else {
+		ts.CacheMisses++
+	}
+}
+
+// Stats returns a consistent snapshot of every tenant's traffic, sorted by
+// tenant name, plus the queue's high-water depth.
+func (q *Queue[T]) Stats() StatsSnapshot {
+	q.mu.Lock()
+	snap := StatsSnapshot{Tenants: make([]TenantStats, 0, len(q.traffic)), MaxDepth: q.maxDepth}
+	for _, ts := range q.traffic {
+		snap.Tenants = append(snap.Tenants, *ts)
+	}
+	q.mu.Unlock()
+	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Tenant < snap.Tenants[j].Tenant })
+	return snap
 }
 
 // ----- the priority heap ----------------------------------------------------

@@ -228,8 +228,7 @@ func TestBackpressureBlocksAndUnblocks(t *testing.T) {
 // TestBackpressureCancelled: a context dying during the capacity wait
 // returns ctx.Err (and counts as a rejection, not an admission).
 func TestBackpressureCancelled(t *testing.T) {
-	var stats Stats
-	q := New[int](Config{Capacity: 1, Metrics: &stats})
+	q := New[int](Config{Capacity: 1})
 	mustAdmit(t, q, "a", 0, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	admitted := make(chan error, 1)
@@ -247,7 +246,7 @@ func TestBackpressureCancelled(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled backpressure wait never returned")
 	}
-	if b := stats.Tenant("b"); b.Rejected != 1 || b.Admitted != 0 {
+	if b := q.Stats().Tenant("b"); b.Rejected != 1 || b.Admitted != 0 {
 		t.Fatalf("tenant b stats = %+v, want 1 rejection", b)
 	}
 }
@@ -307,11 +306,10 @@ func TestMaxRunningIsWorkConserving(t *testing.T) {
 	tk2.Finish(nil)
 }
 
-// TestMetricsCounters: the hook observes admit/reject/start/finish/cancel
-// with consistent counts and depths.
+// TestMetricsCounters: the queue's stats count admit/reject/start/finish/
+// cancel with consistent counts and depths.
 func TestMetricsCounters(t *testing.T) {
-	var stats Stats
-	q := New[int](Config{Capacity: 8, DefaultQuota: Quota{MaxQueued: 2}, Metrics: &stats})
+	q := New[int](Config{Capacity: 8, DefaultQuota: Quota{MaxQueued: 2}})
 	mustAdmit(t, q, "a", 1, 0)
 	mustAdmit(t, q, "a", 0, 1)
 	if _, err := q.Admit(context.Background(), "a", 0, 2, nil); !errors.Is(err, ErrQuotaExceeded) {
@@ -330,6 +328,7 @@ func TestMetricsCounters(t *testing.T) {
 	tk, _ = q.Pop()
 	tk.Finish(errors.New("boom"))
 
+	stats := q.Stats()
 	a := stats.Tenant("a")
 	if a.Admitted != 2 || a.Rejected != 1 || a.Started != 2 || a.Completed != 1 || a.Failed != 1 {
 		t.Fatalf("tenant a stats = %+v", a)
@@ -338,11 +337,11 @@ func TestMetricsCounters(t *testing.T) {
 	if b.Admitted != 1 || b.Cancelled != 1 || b.Started != 0 {
 		t.Fatalf("tenant b stats = %+v", b)
 	}
-	if d := stats.MaxDepth(); d < 2 || d > 3 {
+	if d := stats.MaxDepth; d < 2 || d > 3 {
 		t.Fatalf("max depth = %d, want 2..3", d)
 	}
 	if s := stats.String(); s == "" {
-		t.Fatal("Stats.String empty")
+		t.Fatal("StatsSnapshot.String empty")
 	}
 }
 
@@ -416,11 +415,9 @@ func TestPopCancelExactlyOnce(t *testing.T) {
 // workers at once — the accounting invariants hold and nothing deadlocks.
 // Run with -race.
 func TestConcurrentStress(t *testing.T) {
-	var stats Stats
 	q := New[int](Config{
 		Capacity:     16,
 		DefaultQuota: Quota{MaxQueued: 6, MaxRunning: 2},
-		Metrics:      &stats,
 	})
 	const producers, perProducer = 8, 40
 	var done atomic.Int64
@@ -480,7 +477,7 @@ func TestConcurrentStress(t *testing.T) {
 	if d := q.Depth(); d != 0 {
 		t.Fatalf("depth %d after drain", d)
 	}
-	for _, ts := range stats.Snapshot() {
+	for _, ts := range q.Stats().Tenants {
 		if ts.Admitted != ts.Started+ts.Cancelled {
 			t.Fatalf("tenant %s: admitted %d != started %d + cancelled %d",
 				ts.Tenant, ts.Admitted, ts.Started, ts.Cancelled)

@@ -2,29 +2,40 @@ package admission
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"testing"
-	"time"
 )
 
-// TestStatsJSONRoundTrip: marshalling a live Stats and unmarshalling into a
-// StatsSnapshot is lossless, with tenants in deterministic sorted order.
+// TestStatsJSONRoundTrip: marshalling a queue's Stats snapshot and
+// unmarshalling it into a StatsSnapshot is lossless, with tenants in
+// deterministic sorted order.
 func TestStatsJSONRoundTrip(t *testing.T) {
-	s := &Stats{}
-	// Populate through the Metrics interface, out of tenant-name order, so
-	// the test also pins the sorted output ordering.
-	s.JobAdmitted("zeta", 5, 3)
-	s.JobStarted("zeta", 5, 2, 40*time.Millisecond)
-	s.JobFinished("zeta", 5, 100*time.Millisecond, nil)
-	s.JobAdmitted("alpha", 0, 7)
-	s.JobRejected("alpha", errors.New("quota"))
-	s.JobCancelled("alpha", 0, 5*time.Millisecond)
-	s.JobFinished("mid", 1, 9*time.Millisecond, errors.New("boom"))
-	s.CacheHit("alpha")
-	s.CacheMiss("alpha")
+	q := New[int](Config{Capacity: 8, DefaultQuota: Quota{MaxQueued: 1}})
+	// Drive every transition, out of tenant-name order, so the test also
+	// pins the sorted output ordering.
+	mustAdmit(t, q, "zeta", 5, 0)
+	tk, _ := q.Pop()
+	tk.Finish(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancelled := make(chan error, 1)
+	if _, err := q.Admit(ctx, "alpha", 0, 1, func(err error) { cancelled <- err }); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Admit(context.Background(), "alpha", 0, 2, nil); !errors.Is(err, ErrQuotaExceeded) {
+		t.Fatalf("over-quota admit: %v", err)
+	}
+	cancel()
+	<-cancelled
+	mustAdmit(t, q, "mid", 1, 3)
+	tk, _ = q.Pop()
+	tk.Finish(errors.New("boom"))
+	q.NoteCache("alpha", true)
+	q.NoteCache("alpha", false)
 
-	raw, err := json.Marshal(s)
+	want := q.Stats()
+	raw, err := json.Marshal(want)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +44,6 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 		t.Fatalf("unmarshal %s: %v", raw, err)
 	}
 
-	want := s.SnapshotAll()
 	if snap.MaxDepth != want.MaxDepth {
 		t.Fatalf("max_depth %d, want %d", snap.MaxDepth, want.MaxDepth)
 	}
@@ -57,16 +67,16 @@ func TestStatsJSONRoundTrip(t *testing.T) {
 // TestStatsJSONDeterministic: repeated marshals of the same state are
 // byte-identical (map iteration order must not leak into the output).
 func TestStatsJSONDeterministic(t *testing.T) {
-	s := &Stats{}
-	for _, tenant := range []string{"b", "a", "c", "", "d"} {
-		s.JobAdmitted(tenant, 0, 1)
+	q := New[int](Config{Capacity: 8})
+	for i, tenant := range []string{"b", "a", "c", "", "d"} {
+		mustAdmit(t, q, tenant, 0, i)
 	}
-	first, err := json.Marshal(s)
+	first, err := json.Marshal(q.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 16; i++ {
-		again, err := json.Marshal(s)
+		again, err := json.Marshal(q.Stats())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,9 +88,9 @@ func TestStatsJSONDeterministic(t *testing.T) {
 
 // TestStatsJSONFieldNames pins the wire contract /v1/stats documents.
 func TestStatsJSONFieldNames(t *testing.T) {
-	s := &Stats{}
-	s.JobAdmitted("t", 0, 1)
-	raw, err := json.Marshal(s)
+	q := New[int](Config{Capacity: 8})
+	mustAdmit(t, q, "t", 0, 0)
+	raw, err := json.Marshal(q.Stats())
 	if err != nil {
 		t.Fatal(err)
 	}

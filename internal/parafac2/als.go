@@ -71,9 +71,6 @@ func ALSCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, erro
 		// Convergence: full reconstruction error (this is what makes the
 		// baseline's per-iteration cost high — Section IV-B).
 		cur := reconstructionError2(t, q, h, v, s, pool)
-		if cfg.TrackConvergence {
-			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
-		}
 		if cfg.Progress != nil && !cfg.Progress(res.Iters, cur) {
 			prev = cur
 			break

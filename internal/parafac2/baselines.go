@@ -99,9 +99,6 @@ func RDALSCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, er
 		// inefficiency of RD-ALS's iteration phase).
 		vFull := uc.Mul(vTilde)
 		cur := reconstructionError2(t, q, h, vFull, s, pool)
-		if cfg.TrackConvergence {
-			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
-		}
 		if cfg.Progress != nil && !cfg.Progress(res.Iters, cur) {
 			prev = cur
 			break
@@ -182,9 +179,6 @@ func SPARTanCtx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, 
 		}
 
 		cur := reconstructionError2(t, q, h, v, s, pool)
-		if cfg.TrackConvergence {
-			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
-		}
 		if cfg.Progress != nil && !cfg.Progress(res.Iters, cur) {
 			prev = cur
 			break

@@ -29,11 +29,11 @@ import (
 // rng.State. The result's A_k bases are NOT stored twice: they are the
 // first kRes blocks of the compressed A (dpar2Iterate installs exactly that
 // prefix), so RestoreStream rewires the factored Q onto the restored
-// compressed bases. Timings and the convergence trace are run artifacts, not
-// state, and are not checkpointed.
+// compressed bases. Timings are run artifacts, not state, and are not
+// checkpointed.
 //
-// What is deliberately absent: Threads, Pool, Progress, and TrackConvergence.
-// Those are runtime bindings of the process, not stream state — RestoreStream
+// What is deliberately absent: Threads, Pool, and Progress. Those are
+// runtime bindings of the process, not stream state — RestoreStream
 // takes them from the caller's Config, and they do not affect the computed
 // bits (kernels are deterministic at any pool width).
 
@@ -151,10 +151,10 @@ func (s *StreamingDPar2) Checkpoint(w io.Writer) error {
 // RestoreStream reconstructs a stream from a Checkpoint payload. Every
 // deterministic knob (rank, iteration budget, tolerances, seeds, sketch
 // parameters) comes from the checkpoint; only the runtime bindings —
-// Threads, Pool, Progress, TrackConvergence — are taken from cfg. The
-// restored stream's next AbsorbCtx is bit-identical to the same AbsorbCtx on
-// the stream that wrote the checkpoint. The checksum trailer is mandatory here
-// (unlike dataio's legacy files): any decode failure reports ErrCheckpoint.
+// Threads, Pool, Progress — are taken from cfg. The restored stream's next
+// AbsorbCtx is bit-identical to the same AbsorbCtx on the stream that wrote
+// the checkpoint. The checksum trailer is mandatory here (unlike dataio's
+// legacy files): any decode failure reports ErrCheckpoint.
 func RestoreStream(r io.Reader, cfg Config) (*StreamingDPar2, error) {
 	br := bufio.NewReaderSize(r, 1<<20)
 	sr := state.NewSumReader(br)
@@ -186,7 +186,6 @@ func RestoreStream(r io.Reader, cfg Config) (*StreamingDPar2, error) {
 	stored.Threads = cfg.Threads
 	stored.Pool = cfg.Pool
 	stored.Progress = cfg.Progress
-	stored.TrackConvergence = cfg.TrackConvergence
 
 	absorbed := int(cr.u64())
 	refreshIters := int(cr.i64())

@@ -422,9 +422,6 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 		// e = Σ_k ‖P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ − H S_k Vᵀ‖_F², computed on R×R
 		// Gram matrices only.
 		cur := compressedError2(tf, comp.E, dtv, v, h, s, arena)
-		if cfg.TrackConvergence {
-			res.ConvergenceTrace = append(res.ConvergenceTrace, cur)
-		}
 		if cfg.Progress != nil && !cfg.Progress(res.Iters, cur) {
 			prev = cur
 			break

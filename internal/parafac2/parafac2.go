@@ -86,9 +86,6 @@ type Config struct {
 	// slice parallelizes across the whole pool instead of pinning one
 	// worker. 0 means DefaultShardRows; negative disables sharding.
 	ShardRows int
-	// TrackConvergence records the convergence measure after every
-	// iteration in Result.ConvergenceTrace.
-	TrackConvergence bool
 
 	// NonnegativeS constrains the S_k weights to be nonnegative by
 	// projection after each W update — the most common of the practical
@@ -231,10 +228,6 @@ type Result struct {
 	// PreprocessedBytes is the footprint of preprocessed data the method
 	// iterates on (input size for methods without preprocessing).
 	PreprocessedBytes int64
-
-	// ConvergenceTrace holds the per-iteration convergence measure when
-	// Config.TrackConvergence is set.
-	ConvergenceTrace []float64
 }
 
 // factoredQ holds Q in the factored form DPar2 produces: per-slice references

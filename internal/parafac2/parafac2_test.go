@@ -372,17 +372,21 @@ func TestTrackConvergenceTrace(t *testing.T) {
 	g := rng.New(17)
 	ten := synthPARAFAC2(g, irregRows(g, 4, 20, 40), 10, 2, 0.05)
 	cfg := smallConfig(2)
-	cfg.TrackConvergence = true
+	var trace []float64
+	cfg.Progress = func(iter int, measure float64) bool {
+		trace = append(trace, measure)
+		return true
+	}
 	cfg.MaxIters = 8
 	res, err := DPar2Ctx(context.Background(), ten, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.ConvergenceTrace) != res.Iters {
-		t.Fatalf("trace length %d != iters %d", len(res.ConvergenceTrace), res.Iters)
+	if len(trace) != res.Iters {
+		t.Fatalf("trace length %d != iters %d", len(trace), res.Iters)
 	}
 	// ALS convergence measure should broadly decrease.
-	first, last := res.ConvergenceTrace[0], res.ConvergenceTrace[len(res.ConvergenceTrace)-1]
+	first, last := trace[0], trace[len(trace)-1]
 	if last > first*1.01 {
 		t.Fatalf("convergence measure increased: %v -> %v", first, last)
 	}

@@ -31,11 +31,6 @@ type Config struct {
 	// ownership (Server.Close does not close it).
 	Engine *repro.Engine
 
-	// Stats, when non-nil, is served at /v1/stats. Pass the same value
-	// registered on the Engine via repro.WithEngineMetrics so the snapshot
-	// reflects served traffic.
-	Stats *repro.EngineStats
-
 	// StateDir roots the server's durable session state: stream checkpoints
 	// (and their spec sidecars) live in its "streams" subdirectory, written
 	// after create and after every absorb, and every checkpoint found there
@@ -55,7 +50,6 @@ type Config struct {
 // process exits to checkpoint every durable stream.
 type Server struct {
 	eng      *repro.Engine
-	stats    *repro.EngineStats
 	stateDir string
 	maxBody  int64
 	mux      *http.ServeMux
@@ -100,7 +94,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		eng:      cfg.Engine,
-		stats:    cfg.Stats,
 		stateDir: cfg.StateDir,
 		maxBody:  cfg.MaxBodyBytes,
 		tensors:  newTensorStore(cfg.MaxTensors),
@@ -294,9 +287,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decodeJSON strictly decodes one JSON document from the request body.
+// decodeJSON strictly decodes one JSON document from the request body. A
+// field the target type does not declare, at any depth, is a bad_json error
+// rather than silently dropped: a misspelled knob must not run the request
+// without it.
 func decodeJSON(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -319,13 +316,12 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	resp := StatsResponse{}
-	if s.stats != nil {
-		snap := s.stats.SnapshotAll()
-		resp.Engine = &snap
+	snap := s.eng.Stats()
+	resp := StatsResponse{Engine: &snap}
+	for _, t := range snap.Tenants {
+		resp.Cache.Hits += uint64(t.CacheHits)
+		resp.Cache.Misses += uint64(t.CacheMisses)
 	}
-	hits, misses := s.eng.CacheCounters()
-	resp.Cache = CacheCounts{Hits: hits, Misses: misses}
 	s.mu.Lock()
 	resp.Tensors = s.tensors.len()
 	for _, j := range s.jobs {

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -322,12 +323,28 @@ func TestStreamResumeBitIdentical(t *testing.T) {
 	if resumed.Spec.Rank != 5 || resumed.Spec.Seed != 7 {
 		t.Fatalf("resumed spec lost: %+v", resumed.Spec)
 	}
-	if _, err := c2.Absorb(ctx, "sess", batch2); err != nil {
+	// The second batch goes through the JSON envelope: upload, then absorb
+	// by tensor_id.
+	up2, err := c2.UploadTensor(ctx, batch2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absorbed, err := c2.AbsorbTensor(ctx, "sess", up2.TensorID)
+	if err != nil {
 		t.Fatal(err)
 	}
 	served, err := c2.StreamResultBytes(ctx, "sess")
 	if err != nil {
 		t.Fatal(err)
+	}
+	decoded, err := c2.StreamResult(ctx, "sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := absorbed.Meta; decoded.Fitness != m.Fitness ||
+		decoded.FitnessKind.String() != m.FitnessKind || decoded.Iters != m.Iters {
+		t.Fatalf("StreamResult metadata (fitness %v, kind %v, iters %d) differs from the absorb reply %+v",
+			decoded.Fitness, decoded.FitnessKind, decoded.Iters, m)
 	}
 
 	// Reference: the same stream never interrupted, fully in-process.
@@ -450,6 +467,18 @@ func TestErrorTaxonomy(t *testing.T) {
 		expect(t, err, http.StatusNotFound, CodeNotFound)
 		_, _, err = ts.client.Decompose(ctx, DecomposeRequest{TensorID: "t-missing"})
 		expect(t, err, http.StatusNotFound, CodeNotFound)
+		info, err := ts.client.UploadTensor(ctx, testTensor(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ts.client.CreateStream(ctx, StreamCreateRequest{
+			StreamID: "absorb-missing", TensorID: info.TensorID,
+			Spec: SpecRequest{Rank: intp(3), MaxIters: intp(2), Tol: f64p(0)},
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = ts.client.AbsorbTensor(ctx, "absorb-missing", "t-missing")
+		expect(t, err, http.StatusNotFound, CodeNotFound)
 	})
 
 	t.Run("bad_json", func(t *testing.T) {
@@ -462,6 +491,18 @@ func TestErrorTaxonomy(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("bad JSON got HTTP %d", resp.StatusCode)
 		}
+	})
+
+	t.Run("unknown_field", func(t *testing.T) {
+		info, err := ts.client.UploadTensor(ctx, testTensor(31))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// nonnegative_s is a misspelling of the nonneg_s wire name: it must
+		// fail, not run the request without the constraint.
+		body := `{"tensor_id":"` + info.TensorID + `","spec":{"rank":3,"max_iters":2,"nonnegative_s":true}}`
+		err = ts.client.do(ctx, http.MethodPost, "/v1/decompose", json.RawMessage(body), nil)
+		expect(t, err, http.StatusBadRequest, CodeBadJSON)
 	})
 
 	t.Run("corrupt_tensor", func(t *testing.T) {
@@ -645,12 +686,10 @@ func TestTensorStoreContentAddressedAndEvicting(t *testing.T) {
 	}
 }
 
-// TestStatsEndpoint: the traffic snapshot flows through with deterministic
-// tenant ordering and the server's own resource counts.
+// TestStatsEndpoint: the Engine's traffic snapshot flows through with
+// deterministic tenant ordering and the server's own resource counts.
 func TestStatsEndpoint(t *testing.T) {
-	stats := &repro.EngineStats{}
-	ts := newTestServer(t, Config{Stats: stats},
-		repro.WithEngineThreads(1), repro.WithEngineMetrics(stats))
+	ts := newTestServer(t, Config{}, repro.WithEngineThreads(1))
 	ctx := context.Background()
 	info, err := ts.client.UploadTensor(ctx, testTensor(71))
 	if err != nil {

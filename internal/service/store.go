@@ -26,10 +26,9 @@ type storedTensor struct {
 // count. Uploads are idempotent: the ID is the sha256 of the canonical DPT2
 // serialization, so the same tensor re-uploaded lands on the same entry.
 type tensorStore struct {
-	max     int
-	byID    map[string]*storedTensor
-	order   []string // access order, oldest first
-	evicted int64
+	max   int
+	byID  map[string]*storedTensor
+	order []string // access order, oldest first
 }
 
 func newTensorStore(max int) *tensorStore {
@@ -72,7 +71,6 @@ func (ts *tensorStore) put(t *repro.Irregular) (TensorInfo, error) {
 		victim := ts.order[0]
 		ts.order = ts.order[1:]
 		delete(ts.byID, victim)
-		ts.evicted++
 	}
 	return info, nil
 }

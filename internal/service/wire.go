@@ -187,8 +187,8 @@ type StreamInfo struct {
 }
 
 // StatsResponse is the /v1/stats reply: the Engine's served-traffic
-// snapshot (absent when the server was built without an EngineStats hook),
-// result-cache counters, and the server's own resource counts.
+// snapshot (Engine.Stats, always present), result-cache counters totalled
+// over its tenants, and the server's own resource counts.
 type StatsResponse struct {
 	Engine  *repro.EngineStatsSnapshot `json:"engine,omitempty"`
 	Cache   CacheCounts                `json:"cache"`
@@ -197,7 +197,8 @@ type StatsResponse struct {
 	Streams int                        `json:"streams"`
 }
 
-// CacheCounts mirrors Engine.CacheCounters.
+// CacheCounts totals the result-cache hits and misses of every tenant in
+// the Engine's stats.
 type CacheCounts struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`

@@ -33,9 +33,6 @@ type Cache struct {
 	total   int64
 	lru     *list.List               // front = most recent; values are *cacheEntry
 	entries map[string]*list.Element // key → element
-
-	hits   uint64
-	misses uint64
 }
 
 type cacheEntry struct {
@@ -138,29 +135,26 @@ func (c *Cache) path(key string) string {
 }
 
 // Get looks up key and, on a hit, streams the entry's payload (checksum
-// verified) into read. It returns (true, nil) on a verified hit, (false, nil)
-// on a miss, and (false, err) only when read itself fails. An entry that is
-// unreadable or corrupt counts as a miss and is dropped from the cache.
-func (c *Cache) Get(key string, read func(r io.Reader) error) (bool, error) {
+// verified) into read, reporting whether the entry was served. An entry that
+// is unreadable, fails its checksum, or whose payload read rejects is
+// dropped from the cache and reported as a miss, like an absent key.
+func (c *Cache) Get(key string, read func(r io.Reader) error) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses++
-		return false, nil
+		return false
 	}
 	f, err := os.Open(c.path(key))
 	if err != nil {
 		c.dropLocked(el)
-		c.misses++
-		return false, nil
+		return false
 	}
 	defer f.Close()
 	info, err := f.Stat()
 	if err != nil || info.Size() < int64(TrailerSize) {
 		c.dropLocked(el)
-		c.misses++
-		return false, nil
+		return false
 	}
 	// Bound the callback to the payload (everything before the trailer) so it
 	// may freely ReadAll or buffer without consuming trailer bytes.
@@ -180,12 +174,10 @@ func (c *Cache) Get(key string, read func(r io.Reader) error) (bool, error) {
 		// The entry is corrupt on disk or the decoder rejected it: drop it
 		// and report a miss, not an error.
 		c.dropLocked(el)
-		c.misses++
-		return false, nil
+		return false
 	}
 	c.lru.MoveToFront(el)
-	c.hits++
-	return true, nil
+	return true
 }
 
 // Put stores the payload produced by write under key, atomically and with a
@@ -242,14 +234,6 @@ func (c *Cache) evictLocked() {
 	for c.total > c.maxBytes && c.lru.Len() > 1 {
 		c.dropLocked(c.lru.Back())
 	}
-}
-
-// Counters returns the cumulative hit and miss counts since the cache was
-// opened.
-func (c *Cache) Counters() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Len and Bytes report the current entry count and payload byte total —

@@ -31,22 +31,15 @@ func Methods() []string { return parafac2.MethodNames() }
 
 // jobSpec is the resolved per-call request an Engine executes: the
 // canonical serializable Spec (method + the nine deterministic knobs) plus
-// the local-only runOverlay of non-serializable request state. Options
-// mutate it; the Engine materializes a Config and pins it to the shared
-// pool afterwards (a per-call Pool/Threads cannot override the Engine's —
-// that is the point of the Engine).
+// the Progress callback, which deliberately does NOT travel with a Spec.
+// Requests arriving over a transport (internal/service) never carry one;
+// in-process callers layer WithProgress over any Spec. Options mutate the
+// jobSpec; the Engine materializes a Config and pins it to the shared pool
+// afterwards (a per-call Pool/Threads cannot override the Engine's — that is
+// the point of the Engine).
 type jobSpec struct {
-	spec Spec
-	run  runOverlay
-}
-
-// runOverlay is the per-call state that deliberately does NOT travel with a
-// Spec: in-process callbacks and trace capture. Requests arriving over a
-// transport (internal/service) always carry a zero overlay; in-process
-// callers layer these options over any Spec.
-type runOverlay struct {
-	trackConvergence bool
-	progress         func(iter int, measure float64) bool
+	spec     Spec
+	progress func(iter int, measure float64) bool
 }
 
 // Option configures one decomposition request (Engine.Decompose, a submitted
@@ -171,21 +164,15 @@ func WithNonnegativeS() Option {
 	}
 }
 
-// WithConvergenceTrace records the per-iteration convergence measure in
-// Result.ConvergenceTrace.
-func WithConvergenceTrace() Option {
-	return func(j *jobSpec) error {
-		j.run.trackConvergence = true
-		return nil
-	}
-}
-
-// WithProgress registers a per-iteration callback; returning false stops the
-// iteration early (a graceful stop — unlike context cancellation it is not
-// an error). Called from the decomposition goroutine.
+// WithProgress registers a per-iteration callback, the one observation hook
+// on a run: it receives the 1-based iteration number and that iteration's
+// convergence measure (record them to trace convergence). Returning false
+// stops the iteration early (a graceful stop — unlike context cancellation
+// it is not an error). Called from the decomposition goroutine. A call with
+// a callback bypasses the result cache, so the callback always runs.
 func WithProgress(fn func(iter int, measure float64) bool) Option {
 	return func(j *jobSpec) error {
-		j.run.progress = fn
+		j.progress = fn
 		return nil
 	}
 }

@@ -41,13 +41,11 @@
 // queue with per-tenant quotas, so N tenants share the Engine without a
 // FIFO letting one of them starve the rest:
 //
-//	stats := &repro.EngineStats{} // ready-made metrics hook
 //	eng := repro.NewEngine(
 //		repro.WithTenantQuota(8, 2), // per tenant: <=8 queued, <=2 running
 //		repro.WithTenantQuotaOverrides(map[string]repro.TenantQuota{
 //			"batch": {MaxQueued: 4, MaxRunning: 1}, // squeezed pipeline
 //		}),
-//		repro.WithEngineMetrics(stats),
 //	)
 //	defer eng.Close()
 //
@@ -59,6 +57,7 @@
 //		Options:  []repro.Option{repro.WithRank(10), repro.WithSeed(7)},
 //	})
 //	jr := <-ch // exactly one result per job
+//	fmt.Print(eng.Stats()) // the served-traffic table
 //
 // Queued jobs run in (Priority descending, submission order) — a saturated
 // queue's high-priority submits overtake the pre-queued backlog. A tenant
@@ -81,11 +80,13 @@
 //     queued quota;
 //   - the decomposition's own error otherwise.
 //
-// The WithEngineMetrics hook observes the whole flow: queue depth on admit
-// and pop, per-job queue-wait and run latency, per-tenant
-// admitted/rejected/completed/cancelled events. EngineStats aggregates them
-// into a printable served-traffic table (see examples/scalability and
-// cmd/experiments -fleet).
+// Engine.Stats reports the whole flow per tenant: admitted, rejected,
+// started, completed, failed and cancelled jobs, their queue-wait and run
+// latency, result-cache hits and misses, and the queue's high-water depth.
+// The admission queue keeps these counts itself, under the same lock as each
+// transition; the snapshot prints as a served-traffic table (see
+// examples/scalability and cmd/experiments -fleet). The one per-iteration
+// hook is WithProgress, which sees each iteration's convergence measure.
 //
 // Results are deterministic for a given tensor and options — bit-identical
 // whether a job runs alone, concurrently with others, at any pool width, or
@@ -98,7 +99,8 @@
 // otherwise silently fall back to a default: WithQueueDepth and
 // WithJobConcurrency require positive counts, WithTenantQuota and
 // WithTenantQuotaOverrides require positive bounds (leave a tenant
-// quota-less for "unbounded"), WithEngineMetrics requires a non-nil hook.
+// quota-less for "unbounded"), WithStateDir requires a non-empty directory,
+// and WithResultCache a positive byte bound plus WithStateDir.
 // Per-call Options (WithRank, WithMaxIters, ...) instead return an error
 // from the call they were passed to, before any work starts.
 //
@@ -172,12 +174,11 @@
 // that was never interrupted. With WithStateDir and WithResultCache the
 // Engine also keeps a content-addressed, LRU-bounded result cache: a
 // repeated Decompose of the same tensor under the same deterministic knobs
-// is served from disk without running the method (Engine.CacheCounters and
-// the CacheMetrics hook report hits/misses). All persisted files — tensors
-// and results (internal/dataio), checkpoints, cache entries — are written
-// atomically and carry a sha256 content checksum; readers reject corrupt or
-// truncated input with typed errors and cap allocations against hostile
-// headers. docs/DURABILITY.md documents the formats, the crash-safety
+// is served from disk without running the method (Engine.Stats counts hits
+// and misses per tenant). All persisted files — tensors and results
+// (internal/dataio), checkpoints, cache entries — are written atomically and
+// carry a sha256 content checksum; readers reject corrupt or truncated input
+// with typed errors and cap allocations against hostile headers. docs/DURABILITY.md documents the formats, the crash-safety
 // contract, and the cache key in full.
 //
 // # Serving over HTTP
@@ -189,8 +190,8 @@
 // servable: cmd/dpar2d exposes Decompose/Submit/NewStream over HTTP/JSON —
 // tensor upload, async job handles, durable streaming sessions that survive
 // a daemon kill bit-identically, per-tenant 429s off the admission layer,
-// and /stats off EngineStats. The API contract, error taxonomy, and session
-// stickiness rules live in docs/SERVICE.md; the typed Go client is
+// and /v1/stats off Engine.Stats. The API contract, error taxonomy, and
+// session stickiness rules live in docs/SERVICE.md; the typed Go client is
 // internal/service.Client, and examples/service walks the whole surface.
 //
 // The heavy lifting lives in internal packages (compute, mat, lapack, rsvd,

@@ -16,11 +16,10 @@ import (
 // a Spec is what lets a job description cross a process boundary.
 //
 // A Spec deliberately excludes everything runtime-bound or non-serializable:
-// the pool/thread binding (always the executing Engine's), Progress
-// callbacks, and convergence-trace capture stay per-call options layered on
-// top (the Engine keeps them in a local-only overlay). Two runs of the same
-// tensor under the same Spec are bit-identical on any machine, at any pool
-// width, through any transport.
+// the pool/thread binding (always the executing Engine's) and the Progress
+// callback, which stays a per-call option layered on top. Two runs of the
+// same tensor under the same Spec are bit-identical on any machine, at any
+// pool width, through any transport.
 //
 // The zero Spec is not runnable (a zero Rank is invalid); start from
 // DefaultSpec or resolve options with Engine.ResolveSpec.
@@ -57,8 +56,8 @@ func DefaultSpec() Spec {
 }
 
 // specFromConfig projects a Config's deterministic knobs into a Spec. The
-// runtime fields (Pool, Threads, Progress, TrackConvergence) do not travel —
-// they are exactly the non-serializable overlay a Spec excludes.
+// runtime fields (Pool, Threads, Progress) do not travel — they are exactly
+// the non-serializable state a Spec excludes.
 func specFromConfig(m MethodID, cfg Config) Spec {
 	return Spec{
 		Method:       m,
@@ -111,30 +110,28 @@ func (s Spec) shardRowsThreshold() int {
 }
 
 // config materializes the Config a method executes: the Spec's deterministic
-// knobs plus the local-only overlay. Pool/Threads stay zero — the Engine
-// pins them to its shared pool afterwards.
-func (s Spec) config(run runOverlay) Config {
+// knobs plus the Progress callback. Pool/Threads stay zero — the Engine pins
+// them to its shared pool afterwards.
+func (s Spec) config(progress func(iter int, measure float64) bool) Config {
 	return Config{
-		Rank:             s.Rank,
-		MaxIters:         s.MaxIters,
-		Tol:              s.Tol,
-		Seed:             s.Seed,
-		Oversample:       s.Oversample,
-		PowerIters:       s.PowerIters,
-		ShardRows:        s.ShardRows,
-		Ridge:            s.Ridge,
-		NonnegativeS:     s.NonnegativeS,
-		TrackConvergence: run.trackConvergence,
-		Progress:         run.progress,
+		Rank:         s.Rank,
+		MaxIters:     s.MaxIters,
+		Tol:          s.Tol,
+		Seed:         s.Seed,
+		Oversample:   s.Oversample,
+		PowerIters:   s.PowerIters,
+		ShardRows:    s.ShardRows,
+		Ridge:        s.Ridge,
+		NonnegativeS: s.NonnegativeS,
+		Progress:     progress,
 	}
 }
 
 // WithSpec replaces every deterministic knob at once with a canonical Spec —
-// the option the HTTP front end executes resolved requests through. The
-// local-only overlay (Progress, convergence trace) is untouched; combine
-// freely with those options. The Spec is validated eagerly: an invalid field
-// surfaces as an error from the call WithSpec was passed to, like any
-// per-call option.
+// the option the HTTP front end executes resolved requests through. A
+// Progress callback is untouched; combine freely with WithProgress. The
+// Spec is validated eagerly: an invalid field surfaces as an error from the
+// call WithSpec was passed to, like any per-call option.
 func WithSpec(s Spec) Option {
 	return func(j *jobSpec) error {
 		if err := s.Validate(); err != nil {

@@ -20,10 +20,10 @@ import (
 // daemon wraps one real dpar2d subprocess: a built binary on a real socket,
 // so kill semantics are the operating system's, not the test harness's.
 type daemon struct {
-	cmd  *exec.Cmd
-	addr string
-	out  chan string // remaining stdout lines; closed at EOF
-	wait chan error  // result of cmd.Wait, delivered once
+	cmd   *exec.Cmd
+	addr  string
+	done  chan struct{} // closed once stdout hit EOF and cmd.Wait returned
+	lines []string      // stdout after the banner; read only after done
 }
 
 func buildDaemon(t *testing.T) string {
@@ -50,8 +50,10 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	t.Cleanup(func() { _ = cmd.Process.Kill() })
 
 	// The first stdout line announces the bound address before Serve starts;
-	// read it synchronously, then drain the rest from a goroutine joined via
-	// the out channel's close.
+	// read it synchronously, then keep every later line from a goroutine.
+	// That goroutine calls cmd.Wait only after stdout reaches EOF: Wait
+	// closes the pipe once the process exits, so waiting any earlier could
+	// lose the last lines (the drain log).
 	br := bufio.NewReader(stdout)
 	line, err := br.ReadString('\n')
 	if err != nil {
@@ -64,20 +66,16 @@ func startDaemon(t *testing.T, bin string, args ...string) *daemon {
 	d := &daemon{
 		cmd:  cmd,
 		addr: strings.TrimSpace(strings.TrimPrefix(line, banner)),
-		out:  make(chan string, 16),
-		wait: make(chan error, 1),
+		done: make(chan struct{}),
 	}
 	go func() {
-		defer close(d.out)
+		defer close(d.done)
 		sc := bufio.NewScanner(br)
 		for sc.Scan() {
-			select {
-			case d.out <- sc.Text():
-			default: // a slow test must not block the daemon's stdout
-			}
+			d.lines = append(d.lines, sc.Text())
 		}
+		_ = cmd.Wait() // the exit status stays readable via cmd.ProcessState
 	}()
-	go func() { d.wait <- cmd.Wait() }()
 	return d
 }
 
@@ -89,15 +87,11 @@ func (d *daemon) stop(t *testing.T, sig syscall.Signal) []string {
 		t.Fatal(err)
 	}
 	select {
-	case <-d.wait:
+	case <-d.done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("daemon did not exit after signal")
 	}
-	var lines []string
-	for line := range d.out {
-		lines = append(lines, line)
-	}
-	return lines
+	return d.lines
 }
 
 // TestDaemonSIGKILLBetweenAbsorbsResumesBitIdentical is the acceptance

@@ -71,10 +71,11 @@ func (e *Engine) ResumeStream(ctx context.Context, path string, opts ...Option) 
 
 // resultCacheKey derives the cache key for one decomposition, or reports the
 // call uncacheable: caching is off, or a Progress callback must run. The key
-// is a sha256 over a format tag, the method name, the request's canonical
-// Spec (every deterministic knob, with ShardRows resolved to its effective
-// threshold), and a digest of the tensor's serialized content — so any
-// change to input data or to a result-affecting parameter misses, while
+// is a sha256 over a format tag, the numerics epoch, the method name, the
+// request's canonical Spec (every deterministic knob, with ShardRows
+// resolved to its effective threshold), and a digest of the tensor's
+// serialized content — so any change to input data, to a result-affecting
+// parameter or to the arithmetic (parafac2.NumericsEpoch) misses, while
 // Threads/Pool (which never change the computed bits) do not split the
 // cache. Because the key reads only the Spec, an HTTP request resolved to
 // the same Spec (internal/service) hits the same entry as the equivalent
@@ -102,8 +103,11 @@ func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (st
 	} {
 		binary.LittleEndian.PutUint64(knobs[i*8:], v)
 	}
+	var epoch [8]byte
+	binary.LittleEndian.PutUint64(epoch[:], parafac2.NumericsEpoch)
 	return state.Key(
 		[]byte("repro:result-cache:v1"),
+		epoch[:],
 		[]byte(m.Name()),
 		knobs[:],
 		th.Sum(nil),

@@ -343,8 +343,10 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 	// The K per-slice Q-update SVDs run as one fused batch; its slab and
 	// masks live in bws for the whole iteration loop (and, through the
 	// absorb refresh, for the life of a streaming batch) so the batched
-	// kernel never touches the package workspace pool.
+	// kernel never touches the package workspace pool. pj receives the
+	// batch's right factors once the inputs are pre-rotated (see the loop).
 	svdIn := newRRBlocks(k, r)
+	pj := newRRBlocks(k, r)
 	var bws lapack.BatchWorkspace
 
 	dtv := mat.New(r, r)                   // DᵀV
@@ -364,24 +366,50 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 		comp.D.TMulInto(dtv, v, pool)
 
 		// --- Update Q_k in factored form (Section III-D) -------------
-		// SVD of F⁽ᵏ⁾ E DᵀV S_k Hᵀ (R×R) gives Z_k Σ_k P_kᵀ;
+		// SVD of M_k = F⁽ᵏ⁾ E DᵀV S_k Hᵀ (R×R) gives Z_k Σ_k P_kᵀ;
 		// Q_k = A_k Z_k P_kᵀ is never materialized. Three phases: build
 		// every SVD input, factor them all in one fused Jacobi batch
 		// (parallel across slices only, so results match K sequential
 		// FactorInto calls bit for bit), then form the T_k caches.
+		//
+		// From the second iteration on, each input is pre-rotated by the
+		// previous iteration's P_k. M_k barely moves between iterations,
+		// so M_k P_kᵖʳᵉᵛ ≈ Z_k Σ_k already has nearly orthogonal columns
+		// and one-sided Jacobi converges in fewer sweeps. Its right factor
+		// P_kʲᵃᶜ lands in pj, and M_k = Z_k Σ_k (P_kᵖʳᵉᵛ P_kʲᵃᶜ)ᵀ gives
+		// P_k ← P_kᵖʳᵉᵛ P_kʲᵃᶜ. The first iteration of every call (a
+		// fresh run, a stream create, each absorb refresh, a resume)
+		// stays cold, so a restored stream computes exactly what an
+		// uninterrupted one does without P_k being persisted. Each
+		// slice's arithmetic stays serial, so the factors stay
+		// bit-identical across thread counts.
+		rotated := it > 0
 		pool.ParallelFor(k, func(kk int) {
 			t1 := arena.GetUninit(r, r)
 			t2 := arena.GetUninit(r, r)
 			comp.F[kk].ScaleColumnsInto(t1, comp.E) // F⁽ᵏ⁾E
 			t1.MulInto(t2, dtv, nil)                // · DᵀV
 			t2.ScaleColumnsInto(t2, s[kk])          // · S_k
-			t2.MulTInto(svdIn[kk], h, nil)          // · Hᵀ
+			if rotated {
+				t2.MulTInto(t1, h, nil)           // · Hᵀ
+				t1.MulInto(svdIn[kk], p[kk], nil) // · P_kᵖʳᵉᵛ
+			} else {
+				t2.MulTInto(svdIn[kk], h, nil) // · Hᵀ
+			}
 			arena.Put(t1, t2)
 		})
-		lapack.FactorBatch(svdIn, z, svalRows, p, pool, &bws)
+		right := p
+		if rotated {
+			right = pj
+		}
+		lapack.FactorBatch(svdIn, z, svalRows, right, pool, &bws)
 		pool.ParallelFor(k, func(kk int) {
-			// Y_k = P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ; cache T_k = P_k Z_kᵀ F⁽ᵏ⁾.
 			t2 := arena.GetUninit(r, r)
+			if rotated {
+				p[kk].MulInto(t2, pj[kk], nil) // P_kᵖʳᵉᵛ P_kʲᵃᶜ
+				p[kk].CopyFrom(t2)
+			}
+			// Y_k = P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ; cache T_k = P_k Z_kᵀ F⁽ᵏ⁾.
 			p[kk].MulTInto(t2, z[kk], nil)
 			t2.MulInto(tf[kk], comp.F[kk], nil)
 			arena.Put(t2)

@@ -111,6 +111,18 @@ type Config struct {
 // arena's recyclable bucket range (compute.MaxRecycleFloats).
 const DefaultShardRows = 1 << 16
 
+// NumericsEpoch names the arithmetic that produced a result's bits. Within
+// one epoch, equal input and equal deterministic configuration give
+// bit-identical factors; the result cache keys on the epoch so an entry
+// written under another one misses instead of serving that epoch's bits.
+//
+// Rule: bump it whenever any method's computed bits change (a kernel, an
+// operation order, an algorithmic shortcut), and re-pin the golden digests
+// in golden_test.go in the same change. Epoch 1 is the arithmetic before
+// DPar2 pre-rotated its Q-update SVDs by the previous iteration's P_k;
+// epoch 2 adds that pre-rotation.
+const NumericsEpoch = 2
+
 // DefaultConfig mirrors the paper's experimental settings: rank 10, at most
 // 32 iterations, 6 threads.
 func DefaultConfig() Config {

@@ -185,14 +185,15 @@
 //
 // Every deterministic knob of a call compiles into a serializable Spec:
 // Engine.ResolveSpec turns a set of Options into the fully resolved form,
-// WithSpec replays one, and equal Specs mean bit-identical results (the
-// result cache is keyed accordingly). That is what makes the Engine
-// servable: cmd/dpar2d exposes Decompose/Submit/NewStream over HTTP/JSON —
-// tensor upload, async job handles, durable streaming sessions that survive
-// a daemon kill bit-identically, per-tenant 429s off the admission layer,
-// and /v1/stats off Engine.Stats. The API contract, error taxonomy, and
-// session stickiness rules live in docs/SERVICE.md; the typed Go client is
-// internal/service.Client, and examples/service walks the whole surface.
+// WithSpec replays one, and equal Specs mean bit-identical results within
+// one numerics epoch (the result cache is keyed accordingly). That is what
+// makes the Engine servable: cmd/dpar2d exposes Decompose/Submit/NewStream
+// over HTTP/JSON — tensor upload, async job handles, durable streaming
+// sessions that survive a daemon kill bit-identically, per-tenant 429s off
+// the admission layer, and /v1/stats off Engine.Stats. The API contract,
+// error taxonomy, and session stickiness rules live in docs/SERVICE.md; the
+// typed Go client is internal/service.Client, and examples/service walks
+// the whole surface.
 //
 // The heavy lifting lives in internal packages (compute, mat, lapack, rsvd,
 // tensor, parafac2, scheduler, datagen, stats); this package re-exports the

@@ -18,8 +18,10 @@ import (
 // A Spec deliberately excludes everything runtime-bound or non-serializable:
 // the pool/thread binding (always the executing Engine's) and the Progress
 // callback, which stays a per-call option layered on top. Two runs of the
-// same tensor under the same Spec are bit-identical on any machine, at any
-// pool width, through any transport.
+// same tensor under the same Spec are bit-identical at any pool width,
+// through any transport, on any machine of one GOARCH, as long as both run
+// under the same numerics epoch (parafac2.NumericsEpoch, which the result
+// cache also keys on).
 //
 // The zero Spec is not runnable (a zero Rank is invalid); start from
 // DefaultSpec or resolve options with Engine.ResolveSpec.

@@ -1,7 +1,7 @@
 // Command reprolint runs the repository's invariant analyzers (package
 // repro/internal/analyzers) over Go packages:
 //
-//	reprolint [-run analyzer,analyzer] [-json] [-gha] [-summaries file] [packages...]
+//	reprolint [-run analyzer,analyzer] [-json] [-gha] [packages...]
 //
 // With no package arguments it checks ./... . Findings print one per line as
 //
@@ -13,11 +13,8 @@
 //	{"gate":"reprolint","findings":N,"suppressions":M,"pass":true|false}
 //
 // -gha additionally emits GitHub Actions ::error annotations so findings
-// render inline on pull requests. -summaries names a JSON file persisting the
-// interprocedural summary store between runs: packages whose
-// dependency-chained fingerprint is unchanged skip the summary fixpoint (CI
-// caches this file keyed on export-data hashes). Exit status: 0 clean,
-// 1 findings, 2 usage or load failure.
+// render inline on pull requests. Exit status: 0 clean, 1 findings, 2 usage
+// or load failure.
 //
 // Suppress a finding with a //repro:allow(analyzer) directive carrying a
 // mandatory reason; reason-less or unused directives are themselves findings.
@@ -41,15 +38,13 @@ func main() {
 
 func run() int {
 	var (
-		runList   = flag.String("run", "", "comma-separated analyzer subset (default: all)")
-		jsonOut   = flag.Bool("json", false, "emit one JSON object per finding")
-		ghaOut    = flag.Bool("gha", false, "emit GitHub Actions ::error annotations alongside findings")
-		sumPath   = flag.String("summaries", "", "path of the persistent interprocedural summary store (empty: recompute every run)")
-		listOnly  = flag.Bool("list", false, "list analyzers and exit")
-		noSummary = flag.Bool("intraprocedural", false, "skip the summary layer (analyzers degrade to intraprocedural behavior)")
+		runList  = flag.String("run", "", "comma-separated analyzer subset (default: all)")
+		jsonOut  = flag.Bool("json", false, "emit one JSON object per finding")
+		ghaOut   = flag.Bool("gha", false, "emit GitHub Actions ::error annotations alongside findings")
+		listOnly = flag.Bool("list", false, "list analyzers and exit")
 	)
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: reprolint [-run analyzer,...] [-json] [-gha] [-summaries file] [packages...]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: reprolint [-run analyzer,...] [-json] [-gha] [packages...]\n\nanalyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
@@ -79,15 +74,7 @@ func run() int {
 		return 2
 	}
 
-	var table *analyzers.SummaryTable
-	if !*noSummary {
-		store := analyzers.OpenSummaryStore(*sumPath)
-		table = analyzers.ComputeSummaries(pkgs, store)
-		if err := store.Save(); err != nil {
-			// A cold cache next run, not a lint failure.
-			fmt.Fprintln(os.Stderr, "reprolint: warning: saving summary store:", err)
-		}
-	}
+	table := analyzers.ComputeSummaries(pkgs)
 
 	cwd, _ := os.Getwd()
 	findings, suppressions := 0, 0

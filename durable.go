@@ -1,12 +1,12 @@
 package repro
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"io"
-	"math"
 	"os"
 	"path/filepath"
 
@@ -89,44 +89,33 @@ func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (st
 		return "", false
 	}
 	spec := js.spec
-	var knobs [9 * 8]byte
-	for i, v := range [...]uint64{
-		uint64(spec.Rank),
-		uint64(spec.MaxIters),
-		math.Float64bits(spec.Tol),
-		spec.Seed,
-		uint64(spec.Oversample),
-		uint64(spec.PowerIters),
-		uint64(int64(spec.shardRowsThreshold())),
-		math.Float64bits(spec.Ridge),
-		boolBit(spec.NonnegativeS),
-	} {
-		binary.LittleEndian.PutUint64(knobs[i*8:], v)
-	}
-	var epoch [8]byte
-	binary.LittleEndian.PutUint64(epoch[:], parafac2.NumericsEpoch)
+	var knobs, epoch bytes.Buffer
+	enc := state.NewEncoder(&knobs)
+	enc.U64(uint64(spec.Rank))
+	enc.U64(uint64(spec.MaxIters))
+	enc.F64(spec.Tol)
+	enc.U64(spec.Seed)
+	enc.U64(uint64(spec.Oversample))
+	enc.U64(uint64(spec.PowerIters))
+	enc.I64(int64(spec.shardRowsThreshold()))
+	enc.F64(spec.Ridge)
+	enc.Bool(spec.NonnegativeS)
+	state.NewEncoder(&epoch).U64(parafac2.NumericsEpoch)
 	return state.Key(
 		[]byte("repro:result-cache:v1"),
-		epoch[:],
+		epoch.Bytes(),
 		[]byte(m.Name()),
-		knobs[:],
+		knobs.Bytes(),
 		th.Sum(nil),
 	), true
 }
 
-func boolBit(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// Cached-entry payload: a small run-metadata header, then the dataio result
-// format. ReadResult deliberately drops run artifacts (fitness, iteration
-// count), but a cache hit stands in for the run itself, so those must come
-// back; the header carries them. Timings stay zero on a hit — the work they
-// would measure never happened.
-const cacheHdrWords = 4
+// Cached-entry payload: a small run-metadata header — Fitness,
+// FitnessKind, Iters and PreprocessedBytes, one word each — then the dataio
+// result format. ReadResult deliberately drops run artifacts (fitness,
+// iteration count), but a cache hit stands in for the run itself, so those
+// must come back; the header carries them. Timings stay zero on a hit — the
+// work they would measure never happened.
 
 // cacheLookup fetches and decodes a cached result, or returns nil on a miss;
 // any corruption is handled inside state.Cache (entry dropped, reported as a
@@ -134,19 +123,21 @@ const cacheHdrWords = 4
 func (e *Engine) cacheLookup(key string) *Result {
 	var res *Result
 	if !e.cache.Get(key, func(r io.Reader) error {
-		var hdr [cacheHdrWords * 8]byte
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		br := bufio.NewReaderSize(r, 1<<20) // ReadResult reads on through br
+		dec := state.NewDecoder(br)
+		fitness := dec.F64()
+		kind := FitnessKind(dec.U64())
+		iters := int(dec.U64())
+		pre := dec.I64()
+		if err := dec.Err(); err != nil {
 			return err
 		}
-		dec, err := dataio.ReadResult(r)
+		got, err := dataio.ReadResult(br)
 		if err != nil {
 			return err
 		}
-		dec.Fitness = math.Float64frombits(binary.LittleEndian.Uint64(hdr[0:]))
-		dec.FitnessKind = FitnessKind(binary.LittleEndian.Uint64(hdr[8:]))
-		dec.Iters = int(binary.LittleEndian.Uint64(hdr[16:]))
-		dec.PreprocessedBytes = int64(binary.LittleEndian.Uint64(hdr[24:]))
-		res = dec
+		got.Fitness, got.FitnessKind, got.Iters, got.PreprocessedBytes = fitness, kind, iters, pre
+		res = got
 		return nil
 	}) {
 		return nil
@@ -159,14 +150,15 @@ func (e *Engine) cacheLookup(key string) *Result {
 // the result, so the error is dropped (the next lookup simply misses).
 func (e *Engine) cacheStore(key string, res *Result) {
 	_ = e.cache.Put(key, func(w io.Writer) error {
-		var hdr [cacheHdrWords * 8]byte
-		binary.LittleEndian.PutUint64(hdr[0:], math.Float64bits(res.Fitness))
-		binary.LittleEndian.PutUint64(hdr[8:], uint64(res.FitnessKind))
-		binary.LittleEndian.PutUint64(hdr[16:], uint64(res.Iters))
-		binary.LittleEndian.PutUint64(hdr[24:], uint64(res.PreprocessedBytes))
-		if _, err := w.Write(hdr[:]); err != nil {
+		bw := bufio.NewWriterSize(w, 1<<20) // WriteResult writes on through bw
+		enc := state.NewEncoder(bw)
+		enc.F64(res.Fitness)
+		enc.U64(uint64(res.FitnessKind))
+		enc.U64(uint64(res.Iters))
+		enc.I64(res.PreprocessedBytes)
+		if err := enc.Err(); err != nil {
 			return err
 		}
-		return dataio.WriteResult(w, res)
+		return dataio.WriteResult(bw, res)
 	})
 }

@@ -394,19 +394,10 @@ func (e *Engine) prepare(ctx context.Context, opts []Option, dpar2Only bool, op 
 // prepareOpen is prepare without the closed check — the path jobs drained
 // after Close take (they were accepted before Close and must still run).
 func (e *Engine) prepareOpen(ctx context.Context, opts []Option, dpar2Only bool, op string) (context.Context, parafac2.Method, jobSpec, Config, error) {
-	js := e.newJobSpec()
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for _, o := range opts {
-		if o == nil {
-			continue
-		}
-		if err := o(&js); err != nil {
-			return ctx, nil, js, Config{}, err
-		}
-	}
-	m, err := parafac2.MustLookup(string(js.spec.Method))
+	m, js, err := e.resolve(opts)
 	if err != nil {
 		return ctx, nil, js, Config{}, err
 	}
@@ -417,6 +408,27 @@ func (e *Engine) prepareOpen(ctx context.Context, opts []Option, dpar2Only bool,
 	cfg.Pool = e.pool
 	cfg.Threads = e.pool.Workers()
 	return ctx, m, js, cfg, nil
+}
+
+// resolve applies per-call options over the base into a jobSpec, looks the
+// method up (canonicalizing its name) and checks every knob, so an invalid
+// request fails here, before any work starts.
+func (e *Engine) resolve(opts []Option) (parafac2.Method, jobSpec, error) {
+	js := e.newJobSpec()
+	for _, o := range opts {
+		if o != nil {
+			o(&js)
+		}
+	}
+	m, err := parafac2.MustLookup(string(js.spec.Method))
+	if err != nil {
+		return nil, jobSpec{}, err
+	}
+	js.spec.Method = MethodID(m.Name())
+	if err := js.spec.config(nil).CheckKnobs(); err != nil {
+		return nil, jobSpec{}, err
+	}
+	return m, js, nil
 }
 
 // Decompose runs one decomposition synchronously on the shared pool: the

@@ -60,7 +60,7 @@ func runFixture(t *testing.T, a *Analyzer, dir string) {
 	// stay external, i.e. trusted), so interprocedural fixture cases exercise
 	// the summary plumbing end to end.
 	lp := &LoadedPackage{Path: dir, Fset: fset, Files: files, Pkg: pkg, Info: info}
-	table := ComputeSummaries([]*LoadedPackage{lp}, nil)
+	table := ComputeSummaries([]*LoadedPackage{lp})
 
 	var diags []Diagnostic
 	a.Run(&Pass{

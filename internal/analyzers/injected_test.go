@@ -96,7 +96,7 @@ func Wrap(err error) error {
 	if len(pkgs) != 2 {
 		t.Fatalf("loaded %d packages, want 2", len(pkgs))
 	}
-	table := ComputeSummaries(pkgs, nil)
+	table := ComputeSummaries(pkgs)
 
 	ran := make(map[string]bool)
 	for _, n := range Names() {

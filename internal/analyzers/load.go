@@ -2,8 +2,6 @@ package analyzers
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"go/ast"
@@ -31,12 +29,6 @@ type LoadedPackage struct {
 	// dependencies alike); ComputeSummaries uses it to order packages
 	// bottom-up so callee summaries exist before their callers need them.
 	Imports []string
-	// Fingerprint is a content hash of the package's own sources plus the
-	// build-cache export paths of everything it imports. Export paths are
-	// content-addressed by the go build cache, so any change in a dependency
-	// — its own body included, transitively — moves its export path and with
-	// it this fingerprint. The summary store keys on it.
-	Fingerprint string
 }
 
 // listedPackage is the subset of `go list -json` output the loader needs.
@@ -102,7 +94,7 @@ func LoadPatterns(dir string, patterns ...string) ([]*LoadedPackage, error) {
 
 	var out []*LoadedPackage
 	for _, t := range targets {
-		lp, err := typeCheckListed(fset, t, lookup, exportFiles)
+		lp, err := typeCheckListed(fset, t, lookup)
 		if err != nil {
 			return nil, err
 		}
@@ -111,9 +103,7 @@ func LoadPatterns(dir string, patterns ...string) ([]*LoadedPackage, error) {
 	return out, nil
 }
 
-func typeCheckListed(fset *token.FileSet, t *listedPackage, lookup func(string) (io.ReadCloser, error), exportFiles map[string]string) (*LoadedPackage, error) {
-	h := sha256.New()
-	fmt.Fprintf(h, "pkg %s\n", t.ImportPath)
+func typeCheckListed(fset *token.FileSet, t *listedPackage, lookup func(string) (io.ReadCloser, error)) (*LoadedPackage, error) {
 	var files []*ast.File
 	for _, name := range t.GoFiles {
 		path := filepath.Join(t.Dir, name)
@@ -121,7 +111,6 @@ func typeCheckListed(fset *token.FileSet, t *listedPackage, lookup func(string) 
 		if err != nil {
 			return nil, fmt.Errorf("reading %s: %w", name, err)
 		}
-		fmt.Fprintf(h, "file %s %x\n", name, sha256.Sum256(src))
 		f, err := parser.ParseFile(fset, path, src, parser.ParseComments|parser.SkipObjectResolution)
 		if err != nil {
 			return nil, fmt.Errorf("parsing %s: %w", name, err)
@@ -130,9 +119,6 @@ func typeCheckListed(fset *token.FileSet, t *listedPackage, lookup func(string) 
 	}
 	imports := append([]string(nil), t.Imports...)
 	sort.Strings(imports)
-	for _, imp := range imports {
-		fmt.Fprintf(h, "import %s=%s\n", imp, exportFiles[imp])
-	}
 	info := NewInfo()
 	conf := types.Config{
 		Importer: importer.ForCompiler(fset, "gc", lookup),
@@ -143,13 +129,12 @@ func typeCheckListed(fset *token.FileSet, t *listedPackage, lookup func(string) 
 		return nil, fmt.Errorf("type-checking %s: %w", t.ImportPath, err)
 	}
 	return &LoadedPackage{
-		Path:        t.ImportPath,
-		Fset:        fset,
-		Files:       files,
-		Pkg:         pkg,
-		Info:        info,
-		Imports:     imports,
-		Fingerprint: hex.EncodeToString(h.Sum(nil)),
+		Path:    t.ImportPath,
+		Fset:    fset,
+		Files:   files,
+		Pkg:     pkg,
+		Info:    info,
+		Imports: imports,
 	}, nil
 }
 

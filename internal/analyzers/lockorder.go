@@ -39,8 +39,8 @@ func runLockOrder(pass *Pass) {
 	}
 
 	// Collect the global edge set. Per (from,to) pair keep the smallest
-	// (file,line) witness so reporting is deterministic regardless of how the
-	// summaries were produced (fresh or cached).
+	// (file,line) witness so reporting is deterministic regardless of map
+	// iteration order.
 	witness := map[lockPair]LockEdge{}
 	adj := map[string][]string{}
 	adjSeen := map[lockPair]bool{}
@@ -203,8 +203,8 @@ func cycleThrough(start string, inSCC map[string]bool, adj map[string][]string) 
 }
 
 // posForFileLine resolves a summary edge's file:line back to a token.Pos when
-// the file belongs to this pass's package (cached summaries carry file and
-// line, not positions — token.File.LineStart reconstructs one).
+// the file belongs to this pass's package (summaries carry file and line,
+// not positions — token.File.LineStart reconstructs one).
 func posForFileLine(pass *Pass, file string, line int) (token.Pos, bool) {
 	for _, f := range pass.Files {
 		tf := pass.Fset.File(f.Pos())

@@ -1,7 +1,6 @@
 package analyzers
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -31,36 +30,36 @@ type FuncSummary struct {
 	// PutsParams lists parameter indices the function returns to a
 	// compute.Arena (directly or via a callee) on some path: passing an
 	// owned buffer there transfers ownership out of the caller.
-	PutsParams []int `json:"puts,omitempty"`
+	PutsParams []int
 	// EscapesParams lists parameter indices the function stores, returns,
 	// sends, or otherwise lets outlive the call.
-	EscapesParams []int `json:"escapes,omitempty"`
+	EscapesParams []int
 	// ObservesCtx reports that the function's context parameter actually
 	// reaches a ctx method or a context-observing callee.
-	ObservesCtx bool `json:"ctx,omitempty"`
+	ObservesCtx bool
 	// MayBlock reports a possible blocking operation: channel send/receive,
 	// default-less select, blocking compute.Pool dispatch, WaitGroup.Wait,
 	// Cond.Wait, or a call to a callee that may block.
-	MayBlock bool `json:"blocks,omitempty"`
+	MayBlock bool
 	// CallsWGDone / ChanOps / SpawnsGo feed the goroleak join analysis.
-	CallsWGDone bool `json:"wgdone,omitempty"`
-	ChanOps     bool `json:"chan,omitempty"`
-	SpawnsGo    bool `json:"go,omitempty"`
+	CallsWGDone bool
+	ChanOps     bool
+	SpawnsGo    bool
 	// Acquires lists the canonical lock IDs the function may acquire
 	// anywhere inside (transitively through callees), regardless of whether
 	// it releases them before returning.
-	Acquires []string `json:"acquires,omitempty"`
+	Acquires []string
 	// OrderEdges records lock-acquisition ordering: To was acquired (or a
 	// callee acquiring To was called) at File:Line while From was held.
-	OrderEdges []LockEdge `json:"edges,omitempty"`
+	OrderEdges []LockEdge
 }
 
 // LockEdge is one acquisition-order observation for the lockorder analyzer.
 type LockEdge struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	File string `json:"file"`
-	Line int    `json:"line"`
+	From string
+	To   string
+	File string
+	Line int
 }
 
 // SummaryTable holds every computed summary, keyed by funcID, plus the set
@@ -100,41 +99,15 @@ func (t *SummaryTable) summaryForCall(info *types.Info, call *ast.CallExpr) *Fun
 	return t.lookup(calleeFunc(info, call))
 }
 
-// ComputeSummaries builds the module-wide summary table for pkgs. When store
-// is non-nil, per-package summaries whose dependency-chained fingerprint is
-// unchanged are reused from it and fresh results are recorded into it (the
-// caller persists the store).
-func ComputeSummaries(pkgs []*LoadedPackage, store *SummaryStore) *SummaryTable {
+// ComputeSummaries builds the module-wide summary table for pkgs.
+func ComputeSummaries(pkgs []*LoadedPackage) *SummaryTable {
 	paths := make([]string, 0, len(pkgs))
 	for _, p := range pkgs {
 		paths = append(paths, p.Path)
 	}
 	table := NewSummaryTable(paths)
-
-	chainKey := map[string]string{}
 	for _, lp := range topoOrder(pkgs) {
-		// The cache key chains the package fingerprint with its target deps'
-		// keys: any body change anywhere below invalidates this entry even
-		// if export data (API surface) happened to stay put.
-		h := fmt.Sprintf("v1|%s", lp.Fingerprint)
-		deps := append([]string(nil), lp.Imports...)
-		sort.Strings(deps)
-		for _, d := range deps {
-			if k, ok := chainKey[d]; ok {
-				h += "|" + d + "=" + k
-			}
-		}
-		key := hashString(h)
-		chainKey[lp.Path] = key
-
-		if cached := store.get(lp.Path, key); cached != nil {
-			for id, s := range cached {
-				table.Funcs[id] = s
-			}
-			continue
-		}
-		fresh := computePackageSummaries(lp, table)
-		store.put(lp.Path, key, fresh)
+		computePackageSummaries(lp, table)
 	}
 	return table
 }
@@ -173,10 +146,9 @@ func topoOrder(pkgs []*LoadedPackage) []*LoadedPackage {
 }
 
 // computePackageSummaries runs the intra-package SCC fixpoint, writing every
-// summary into table and returning the package's own slice of it.
-func computePackageSummaries(lp *LoadedPackage, table *SummaryTable) map[string]*FuncSummary {
+// summary into table.
+func computePackageSummaries(lp *LoadedPackage, table *SummaryTable) {
 	g := buildCallGraph(lp)
-	own := map[string]*FuncSummary{}
 	for _, comp := range g.sccs() {
 		for changed, rounds := true, 0; changed && rounds < 64; rounds++ {
 			changed = false
@@ -184,18 +156,11 @@ func computePackageSummaries(lp *LoadedPackage, table *SummaryTable) map[string]
 				s := computeFuncSummary(lp, n.decl, table)
 				if !summariesEqual(table.Funcs[n.id], s) {
 					table.Funcs[n.id] = s
-					own[n.id] = s
 					changed = true
 				}
 			}
 		}
-		for _, n := range comp {
-			if _, ok := own[n.id]; !ok {
-				own[n.id] = table.Funcs[n.id]
-			}
-		}
 	}
-	return own
 }
 
 func summariesEqual(a, b *FuncSummary) bool {

@@ -147,21 +147,38 @@ func TestAdversarialHeaderNoHugeAlloc(t *testing.T) {
 		"tensor overflow product": append([]byte(tensorMagic), u64(1, 1, 1<<32, 1<<32)...),
 		"result huge rank":        append([]byte(resultMagic), u64(2, 0, 1, 4, 1<<31, 8)...),
 		"result huge K":           append([]byte(resultMagic), u64(2, 0, 1<<31, 4, 3)...),
+		// DPC2 stream checkpoints: the config, stream and RNG words, then
+		// the compressed shape J, K, I_1..I_K (see parafac2/checkpoint.go).
+		"checkpoint huge K": append([]byte("DPC2"),
+			u64(1, 3, 5, 0, 1, 0, 1, 0, 0, 0, 1<<31, 8, 1, 2, 3, 4, 0, 0, 12, 1<<31)...),
+		"checkpoint huge slice height": append([]byte("DPC2"),
+			u64(1, 3, 5, 0, 1, 0, 1, 0, 0, 0, 1, 8, 1, 2, 3, 4, 0, 0, 12, 1, 1<<31)...),
+		"checkpoint huge rank": append([]byte("DPC2"),
+			u64(1, 1<<31, 5, 0, 1, 0, 1, 0, 0, 0, 1, 8, 1, 2, 3, 4, 0, 0, 1<<31, 1, 1<<31)...),
 	}
 	for name, payload := range cases {
 		t.Run(name, func(t *testing.T) {
 			done := make(chan error, 1)
 			go func() {
 				var err error
-				if bytes.HasPrefix(payload, []byte(tensorMagic)) {
+				switch {
+				case bytes.HasPrefix(payload, []byte(tensorMagic)):
 					_, err = ReadTensor(bytes.NewReader(payload))
-				} else {
+				case bytes.HasPrefix(payload, []byte(resultMagic)):
 					_, err = ReadResult(bytes.NewReader(payload))
+				default:
+					_, err = parafac2.RestoreStream(bytes.NewReader(payload), parafac2.Config{})
 				}
 				done <- err
 			}()
 			select {
 			case err := <-done:
+				if bytes.HasPrefix(payload, []byte("DPC2")) {
+					if !errors.Is(err, parafac2.ErrCheckpoint) {
+						t.Fatalf("%s: want ErrCheckpoint, got %v", name, err)
+					}
+					return
+				}
 				mustCorrupt(t, err, name)
 			case <-time.After(10 * time.Second):
 				t.Fatal("reader hung (or thrashed allocating) on adversarial header")

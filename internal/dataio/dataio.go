@@ -6,7 +6,8 @@
 // memory bandwidth, stays stable across Go versions, and is easy to parse
 // from other languages.
 //
-// Layout (all integers little-endian uint64, all floats IEEE-754 binary64):
+// Layout, in internal/state's encoding (little-endian 64-bit words; floats
+// as IEEE-754 bit patterns; see state.Encoder):
 //
 //	"DPT2" | version=1 | K | J | I_1..I_K | slice_1 .. slice_K     (tensor)
 //	"DPF2" | version=2 | qform | K | J | R | I_1..I_K |
@@ -30,11 +31,9 @@ package dataio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"os"
 
 	"repro/internal/mat"
@@ -53,12 +52,6 @@ const (
 
 	qformDense    = 0
 	qformFactored = 1
-
-	// maxDim guards against corrupt headers allocating absurd buffers.
-	maxDim = 1 << 32
-	// maxElems bounds any single matrix's element count, keeping the
-	// rows-times-cols product far from integer overflow.
-	maxElems = 1 << 40
 )
 
 // CorruptError reports a payload that could not be decoded: truncated,
@@ -92,62 +85,41 @@ func corruptf(format string, args ...any) error {
 func WriteTensor(w io.Writer, t *tensor.Irregular) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sw := state.NewSumWriter(bw)
-	if _, err := sw.Write([]byte(tensorMagic)); err != nil {
-		return err
-	}
-	header := []uint64{tensorVersion, uint64(t.K()), uint64(t.J)}
+	enc := state.NewEncoder(sw)
+	enc.Bytes([]byte(tensorMagic))
+	enc.U64(tensorVersion)
+	enc.U64(uint64(t.K()))
+	enc.U64(uint64(t.J))
 	for _, s := range t.Slices {
-		header = append(header, uint64(s.Rows))
-	}
-	if err := writeUints(sw, header); err != nil {
-		return err
+		enc.U64(uint64(s.Rows))
 	}
 	for _, s := range t.Slices {
-		if err := writeFloats(sw, s.Data); err != nil {
-			return err
-		}
+		enc.Floats(s.Data)
 	}
-	if err := sw.WriteTrailer(); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return finish(enc, sw, bw)
 }
 
 // ReadTensor deserializes a tensor written by WriteTensor, verifying the
 // checksum trailer when present (legacy files without one are accepted).
 // Decode failures are reported as *CorruptError.
 func ReadTensor(r io.Reader) (*tensor.Irregular, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	sr := state.NewSumReader(br)
-	if err := expectMagic(sr, tensorMagic); err != nil {
-		return nil, err
+	sr := state.NewSumReader(bufio.NewReaderSize(r, 1<<20))
+	dec := state.NewDecoder(sr)
+	dec.Magic(tensorMagic)
+	if v := dec.U64(); dec.Err() == nil && v != tensorVersion {
+		return nil, corruptf("tensor: unsupported version %d", v)
 	}
-	head, err := readUints(sr, 3)
-	if err != nil {
+	k, j := dec.Dim(), dec.Dim()
+	rows := dec.Dims(k)
+	if err := dec.Err(); err != nil {
 		return nil, corrupt("tensor header", err)
-	}
-	if head[0] != tensorVersion {
-		return nil, corruptf("tensor: unsupported version %d", head[0])
-	}
-	k, j := head[1], head[2]
-	if k == 0 || j == 0 || k > maxDim || j > maxDim {
-		return nil, corruptf("tensor header (K=%d, J=%d)", k, j)
-	}
-	rows, err := readUints(sr, int(k))
-	if err != nil {
-		return nil, corrupt("tensor shape table", err)
 	}
 	slices := make([]*mat.Dense, k)
 	for i := range slices {
-		ik := rows[i]
-		if ik == 0 || ik > maxDim || ik > maxElems/j {
-			return nil, corruptf("tensor slice height %d", ik)
-		}
-		data, err := readFloatsAlloc(sr, ik*j)
-		if err != nil {
-			return nil, corrupt("tensor slice payload", err)
-		}
-		slices[i] = mat.NewFromData(int(ik), int(j), data)
+		slices[i] = decodeMatrix(dec, rows[i], j)
+	}
+	if err := dec.Err(); err != nil {
+		return nil, corrupt("tensor slice payload", err)
 	}
 	if err := verifyTrailer(sr, "tensor"); err != nil {
 		return nil, err
@@ -185,12 +157,8 @@ func LoadTensor(path string) (*tensor.Irregular, error) {
 func WriteResult(w io.Writer, res *parafac2.Result) error {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	sw := state.NewSumWriter(bw)
-	if _, err := sw.Write([]byte(resultMagic)); err != nil {
-		return err
-	}
+	enc := state.NewEncoder(sw)
 	k := res.K()
-	r := res.H.Rows
-	j := res.V.Rows
 	a, z, p, factored := res.FactoredQ()
 	if !res.Factored() {
 		factored = false // dense cache present: write the eager form
@@ -199,51 +167,30 @@ func WriteResult(w io.Writer, res *parafac2.Result) error {
 	if factored {
 		qform = qformFactored
 	}
-	header := []uint64{resultVersion, qform, uint64(k), uint64(j), uint64(r)}
+	enc.Bytes([]byte(resultMagic))
+	for _, v := range []uint64{resultVersion, qform, uint64(k), uint64(res.V.Rows), uint64(res.H.Rows)} {
+		enc.U64(v)
+	}
 	for i := 0; i < k; i++ {
-		header = append(header, uint64(res.SliceRows(i)))
+		enc.U64(uint64(res.SliceRows(i)))
 	}
-	if err := writeUints(sw, header); err != nil {
-		return err
-	}
-	if err := writeFloats(sw, res.H.Data); err != nil {
-		return err
-	}
-	if err := writeFloats(sw, res.V.Data); err != nil {
-		return err
-	}
+	enc.Floats(res.H.Data)
+	enc.Floats(res.V.Data)
 	for _, s := range res.S {
-		if err := writeFloats(sw, s); err != nil {
-			return err
-		}
+		enc.Floats(s)
 	}
 	if factored {
-		for _, m := range z {
-			if err := writeFloats(sw, m.Data); err != nil {
-				return err
-			}
-		}
-		for _, m := range p {
-			if err := writeFloats(sw, m.Data); err != nil {
-				return err
-			}
-		}
-		for _, m := range a {
-			if err := writeFloats(sw, m.Data); err != nil {
-				return err
+		for _, ms := range [][]*mat.Dense{z, p, a} {
+			for _, m := range ms {
+				enc.Floats(m.Data)
 			}
 		}
 	} else {
 		for i := 0; i < k; i++ {
-			if err := writeFloats(sw, res.Qk(i).Data); err != nil {
-				return err
-			}
+			enc.Floats(res.Qk(i).Data)
 		}
 	}
-	if err := sw.WriteTrailer(); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return finish(enc, sw, bw)
 }
 
 // ReadResult deserializes factor matrices written by WriteResult, verifying
@@ -254,107 +201,56 @@ func WriteResult(w io.Writer, res *parafac2.Result) error {
 // exactly like the result it was saved from. Decode failures are reported as
 // *CorruptError.
 func ReadResult(r io.Reader) (*parafac2.Result, error) {
-	br := bufio.NewReaderSize(r, 1<<20)
-	sr := state.NewSumReader(br)
-	if err := expectMagic(sr, resultMagic); err != nil {
-		return nil, err
-	}
-	ver, err := readUints(sr, 1)
-	if err != nil {
-		return nil, corrupt("result header", err)
-	}
+	sr := state.NewSumReader(bufio.NewReaderSize(r, 1<<20))
+	dec := state.NewDecoder(sr)
+	dec.Magic(resultMagic)
 	qform := uint64(qformDense)
-	switch ver[0] {
-	case 1:
-		// Pre-factored layout: no qform field, dense payload.
-	case resultVersion:
-		qf, err := readUints(sr, 1)
-		if err != nil {
-			return nil, corrupt("result header", err)
-		}
-		qform = qf[0]
-		if qform != qformDense && qform != qformFactored {
+	switch ver := dec.U64(); {
+	case dec.Err() != nil, ver == 1:
+		// Version 1 is the pre-factored layout: no qform field, dense
+		// payload.
+	case ver == resultVersion:
+		qform = dec.U64()
+		if dec.Err() == nil && qform != qformDense && qform != qformFactored {
 			return nil, corruptf("result: unknown Q form %d", qform)
 		}
 	default:
-		return nil, corruptf("result: unsupported version %d", ver[0])
+		return nil, corruptf("result: unsupported version %d", ver)
 	}
-	head, err := readUints(sr, 3)
-	if err != nil {
+	k, j, rank := dec.Dim(), dec.Dim(), dec.Dim()
+	rows := dec.Dims(k)
+	if err := dec.Err(); err != nil {
 		return nil, corrupt("result header", err)
 	}
-	k, j, rank := head[0], head[1], head[2]
-	if k == 0 || j == 0 || rank == 0 || k > maxDim || j > maxDim || rank > maxDim ||
-		rank > maxElems/rank || j > maxElems/rank {
-		return nil, corruptf("result header (K=%d, J=%d, R=%d)", k, j, rank)
-	}
-	rows, err := readUints(sr, int(k))
-	if err != nil {
-		return nil, corrupt("result shape table", err)
-	}
-	for _, ik := range rows {
-		if ik == 0 || ik > maxDim || ik > maxElems/rank {
-			return nil, corruptf("result Q height %d", ik)
-		}
-	}
 	res := &parafac2.Result{}
-	hdata, err := readFloatsAlloc(sr, rank*rank)
-	if err != nil {
-		return nil, corrupt("result H payload", err)
-	}
-	res.H = mat.NewFromData(int(rank), int(rank), hdata)
-	vdata, err := readFloatsAlloc(sr, j*rank)
-	if err != nil {
-		return nil, corrupt("result V payload", err)
-	}
-	res.V = mat.NewFromData(int(j), int(rank), vdata)
+	res.H = decodeMatrix(dec, rank, rank)
+	res.V = decodeMatrix(dec, j, rank)
 	res.S = make([][]float64, k)
 	for i := range res.S {
-		s, err := readFloatsAlloc(sr, rank)
-		if err != nil {
-			return nil, corrupt("result S payload", err)
-		}
-		res.S[i] = s
+		res.S[i] = dec.Floats(1, rank)
 	}
-	readBlocks := func(what string, heights func(i int) uint64) ([]*mat.Dense, error) {
+	blocks := func(heights func(i int) int) []*mat.Dense {
 		ms := make([]*mat.Dense, k)
 		for i := range ms {
-			h := heights(i)
-			data, err := readFloatsAlloc(sr, h*rank)
-			if err != nil {
-				return nil, corrupt(what, err)
-			}
-			ms[i] = mat.NewFromData(int(h), int(rank), data)
+			ms[i] = decodeMatrix(dec, heights(i), rank)
 		}
-		return ms, nil
+		return ms
 	}
+	square := func(int) int { return rank }
+	sliceRows := func(i int) int { return rows[i] }
 	if qform == qformFactored {
-		z, err := readBlocks("result Z payload", func(int) uint64 { return rank })
-		if err != nil {
-			return nil, err
-		}
-		p, err := readBlocks("result P payload", func(int) uint64 { return rank })
-		if err != nil {
-			return nil, err
-		}
-		a, err := readBlocks("result A payload", func(i int) uint64 { return rows[i] })
-		if err != nil {
-			return nil, err
-		}
-		if err := verifyTrailer(sr, "result"); err != nil {
-			return nil, err
-		}
-		res.SetFactoredQ(a, z, p)
-		return res, nil
+		z := blocks(square)
+		p := blocks(square)
+		res.SetFactoredQ(blocks(sliceRows), z, p)
+	} else {
+		res.SetQ(blocks(sliceRows))
 	}
-	q, err := readBlocks("result Q payload", func(i int) uint64 { return rows[i] })
-	if err != nil {
-		return nil, err
+	if err := dec.Err(); err != nil {
+		return nil, corrupt("result payload", err)
 	}
 	if err := verifyTrailer(sr, "result"); err != nil {
 		return nil, err
 	}
-	res.SetQ(q)
 	return res, nil
 }
 
@@ -399,7 +295,26 @@ func WriteMatrixCSV(w io.Writer, m *mat.Dense) error {
 	return bw.Flush()
 }
 
-// --- low-level helpers -----------------------------------------------------
+// finish closes an encoded payload: the encoder's first error, else the
+// checksum trailer, then the flush.
+func finish(enc *state.Encoder, sw *state.SumWriter, bw *bufio.Writer) error {
+	if err := enc.Err(); err != nil {
+		return err
+	}
+	if err := sw.WriteTrailer(); err != nil {
+		return err
+	}
+	return bw.Flush()
+}
+
+// decodeMatrix reads a rows×cols block, or returns nil once dec has failed.
+func decodeMatrix(dec *state.Decoder, rows, cols int) *mat.Dense {
+	data := dec.Floats(rows, cols)
+	if data == nil {
+		return nil
+	}
+	return mat.NewFromData(rows, cols, data)
+}
 
 // verifyTrailer checks the checksum trailer that follows the payload.
 // A cleanly absent trailer (state.ErrNoTrailer) means a legacy pre-checksum
@@ -411,86 +326,4 @@ func verifyTrailer(sr *state.SumReader, what string) error {
 	default:
 		return corrupt(what+" checksum", err)
 	}
-}
-
-func expectMagic(r io.Reader, magic string) error {
-	buf := make([]byte, len(magic))
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return corrupt("magic", err)
-	}
-	if string(buf) != magic {
-		return corruptf("magic %q (want %q)", buf, magic)
-	}
-	return nil
-}
-
-func writeUints(w io.Writer, vals []uint64) error {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[i*8:], v)
-	}
-	_, err := w.Write(buf)
-	return err
-}
-
-// uintChunk bounds per-step allocation when reading integer tables whose
-// length comes from an untrusted header.
-const uintChunk = 1 << 13
-
-// readUints reads n little-endian uint64s, allocating incrementally so a
-// huge claimed n against a truncated stream fails after at most one chunk of
-// over-allocation instead of reserving n words up front.
-func readUints(r io.Reader, n int) ([]uint64, error) {
-	out := make([]uint64, 0, min(n, uintChunk))
-	buf := make([]byte, 8*min(n, uintChunk))
-	for len(out) < n {
-		cnt := min(n-len(out), uintChunk)
-		if _, err := io.ReadFull(r, buf[:cnt*8]); err != nil {
-			return nil, fmt.Errorf("short read: %w", err)
-		}
-		for i := 0; i < cnt; i++ {
-			out = append(out, binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-	}
-	return out, nil
-}
-
-const floatChunk = 1 << 16
-
-func writeFloats(w io.Writer, vals []float64) error {
-	buf := make([]byte, 8*min(len(vals), floatChunk))
-	for off := 0; off < len(vals); off += floatChunk {
-		end := min(off+floatChunk, len(vals))
-		n := end - off
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(vals[off+i]))
-		}
-		if _, err := w.Write(buf[:n*8]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readFloatsAlloc reads n little-endian float64s into a freshly allocated
-// slice. Like readUints it allocates as data actually arrives, so an
-// adversarial header claiming billions of elements against a short stream
-// costs at most ~2× the bytes genuinely present (append doubling) plus one
-// chunk, not 8·n bytes up front.
-func readFloatsAlloc(r io.Reader, n uint64) ([]float64, error) {
-	if n > maxElems {
-		return nil, fmt.Errorf("element count %d exceeds limit", n)
-	}
-	out := make([]float64, 0, min(int(n), floatChunk))
-	buf := make([]byte, 8*min(int(n), floatChunk))
-	for uint64(len(out)) < n {
-		cnt := min(int(n-uint64(len(out))), floatChunk)
-		if _, err := io.ReadFull(r, buf[:cnt*8]); err != nil {
-			return nil, fmt.Errorf("short read: %w", err)
-		}
-		for i := 0; i < cnt; i++ {
-			out = append(out, math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:])))
-		}
-	}
-	return out, nil
 }

@@ -3,6 +3,8 @@ package parafac2
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"os"
 	"testing"
@@ -214,6 +216,65 @@ func TestRestoreStreamRejectsCorrupt(t *testing.T) {
 			t.Fatalf("bit flip at %d went undetected", i)
 		}
 	}
+}
+
+// resealCheckpoint recomputes the sha256 trailer of an edited checkpoint, so
+// the edit reaches RestoreStream's own checks instead of the checksum.
+func resealCheckpoint(b []byte) {
+	payload := len(b) - state.TrailerSize
+	sum := sha256.Sum256(b[:payload])
+	copy(b[payload+len("DXS1"):], sum[:])
+}
+
+// TestRestoreStreamRejectsOutOfRangeKnobs: a checkpoint whose stored
+// configuration CheckKnobs rejects — here a PowerIters word patched to
+// 1<<40 under a valid trailer — fails with ErrCheckpoint instead of
+// restoring a stream whose next absorb would never finish.
+func TestRestoreStreamRejectsOutOfRangeKnobs(t *testing.T) {
+	g := rng.New(96)
+	s, err := NewStreamingDPar2Ctx(context.Background(), synthPARAFAC2(g, []int{30, 40}, 12, 3, 0.02), smallConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid := checkpointBytes(t, s)
+	// magic, version, then Rank, MaxIters, Tol, Seed, Oversample, PowerIters.
+	const powerItersAt = len(checkpointMagic) + 6*8
+	if got := binary.LittleEndian.Uint64(valid[powerItersAt:]); got != uint64(s.cfg.PowerIters) {
+		t.Fatalf("PowerIters word reads %d, want %d: layout moved", got, s.cfg.PowerIters)
+	}
+	mut := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint64(mut[powerItersAt:], 1<<40)
+	resealCheckpoint(mut)
+	if _, err := RestoreStream(bytes.NewReader(mut), smallConfig(3)); !errors.Is(err, ErrCheckpoint) {
+		t.Fatalf("PowerIters 1<<40: want ErrCheckpoint, got %v", err)
+	}
+	resealCheckpoint(valid)
+	if _, err := RestoreStream(bytes.NewReader(valid), smallConfig(3)); err != nil {
+		t.Fatalf("resealed pristine checkpoint rejected: %v", err)
+	}
+}
+
+// FuzzRestoreStream mutates a valid checkpoint: RestoreStream must never
+// panic, and every rejection must be ErrCheckpoint.
+func FuzzRestoreStream(f *testing.F) {
+	g := rng.New(98)
+	s, err := NewStreamingDPar2Ctx(context.Background(), synthPARAFAC2(g, []int{12, 15}, 8, 2, 0.02), smallConfig(2))
+	if err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Checkpoint(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add([]byte(checkpointMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if _, err := RestoreStream(bytes.NewReader(data), smallConfig(2)); err != nil && !errors.Is(err, ErrCheckpoint) {
+			t.Fatalf("untyped decode error %T: %v", err, err)
+		}
+	})
 }
 
 // TestCheckpointAtomicFileRoundtrip: the documented pairing with

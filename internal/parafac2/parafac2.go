@@ -46,6 +46,7 @@ import (
 	"repro/internal/lapack"
 	"repro/internal/mat"
 	"repro/internal/rng"
+	"repro/internal/state"
 	"repro/internal/tensor"
 )
 
@@ -137,9 +138,44 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxPowerIters caps Config.PowerIters. Each power iteration adds two
+// products over a whole slice (or shard) to its stage-1 sketch, and a
+// sketch is not cancellable part-way through. One or two iterations already
+// capture the dominant subspace to working precision (the defaults use 1;
+// 0, 1 and 2 are the values in use), so the cap leaves generous headroom
+// while keeping any one sketch's uncancellable work bounded.
+const MaxPowerIters = 8
+
+// CheckKnobs is the one range check on Config's deterministic knobs: Rank
+// and MaxIters must be positive, Tol and Ridge finite and nonnegative,
+// Oversample in [0, state.MaxDim] (a wider sketch than any matrix
+// dimension only selects the exact SVD, and near MaxInt Rank+Oversample
+// would overflow), and PowerIters in [0, MaxPowerIters]. It runs
+// before any work wherever knobs enter: repro's Spec validation and option
+// resolution (every Engine call and every HTTP request), the entry points
+// that take a tensor, and RestoreStream on a checkpoint's stored
+// configuration.
+func (c Config) CheckKnobs() error {
+	switch {
+	case c.Rank <= 0:
+		return fmt.Errorf("parafac2: Rank %d: must be positive", c.Rank)
+	case c.MaxIters <= 0:
+		return fmt.Errorf("parafac2: MaxIters %d: must be positive", c.MaxIters)
+	case !(c.Tol >= 0) || math.IsInf(c.Tol, 1):
+		return fmt.Errorf("parafac2: Tol %g: must be finite and >= 0", c.Tol)
+	case c.Oversample < 0 || c.Oversample > state.MaxDim:
+		return fmt.Errorf("parafac2: Oversample %d: must be in [0, %d]", c.Oversample, state.MaxDim)
+	case c.PowerIters < 0 || c.PowerIters > MaxPowerIters:
+		return fmt.Errorf("parafac2: PowerIters %d: must be in [0, %d]", c.PowerIters, MaxPowerIters)
+	case !(c.Ridge >= 0) || math.IsInf(c.Ridge, 1):
+		return fmt.Errorf("parafac2: Ridge %g: must be finite and >= 0", c.Ridge)
+	}
+	return nil
+}
+
 func (c Config) validate(t *tensor.Irregular) error {
-	if c.Rank <= 0 {
-		return fmt.Errorf("parafac2: rank must be positive, got %d", c.Rank)
+	if err := c.CheckKnobs(); err != nil {
+		return err
 	}
 	if c.Rank > t.J {
 		return fmt.Errorf("parafac2: rank %d exceeds column count %d", c.Rank, t.J)
@@ -148,9 +184,6 @@ func (c Config) validate(t *tensor.Irregular) error {
 		if c.Rank > s.Rows {
 			return fmt.Errorf("parafac2: rank %d exceeds rows %d of slice %d", c.Rank, s.Rows, k)
 		}
-	}
-	if c.MaxIters <= 0 {
-		return fmt.Errorf("parafac2: MaxIters must be positive, got %d", c.MaxIters)
 	}
 	return nil
 }

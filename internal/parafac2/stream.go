@@ -276,6 +276,15 @@ func (s *StreamingDPar2) Clone() *StreamingDPar2 {
 	}
 }
 
+// Config returns the deterministic knobs the stream runs under — the ones
+// Checkpoint stores — with the runtime bindings (Threads, Pool, Progress)
+// zeroed.
+func (s *StreamingDPar2) Config() Config {
+	cfg := s.cfg
+	cfg.Threads, cfg.Pool, cfg.Progress = 0, nil, nil
+	return cfg
+}
+
 // Result returns the current factorization (covering every absorbed slice).
 func (s *StreamingDPar2) Result() *Result { return s.result }
 

@@ -16,7 +16,6 @@ import (
 
 	"repro"
 	"repro/internal/dataio"
-	"repro/internal/state"
 )
 
 // Defaults for Config's optional knobs.
@@ -32,9 +31,9 @@ type Config struct {
 	Engine *repro.Engine
 
 	// StateDir roots the server's durable session state: stream checkpoints
-	// (and their spec sidecars) live in its "streams" subdirectory, written
-	// after create and after every absorb, and every checkpoint found there
-	// is resumed when the server starts. Empty = sessions are memory-only.
+	// live in its "streams" subdirectory, written after create and after
+	// every absorb, and every checkpoint found there is resumed when the
+	// server starts. Empty = sessions are memory-only.
 	StateDir string
 
 	// MaxBodyBytes caps every request body (default DefaultMaxBodyBytes);
@@ -62,13 +61,6 @@ type Server struct {
 	jobs    map[string]*jobRec
 	streams map[string]*streamRec
 	seq     uint64
-}
-
-// streamMeta is the sidecar persisted next to each stream checkpoint so a
-// restarted server can echo the session's resolved Spec (the checkpoint
-// itself carries the knobs in binary, but not in a form the service reads).
-type streamMeta struct {
-	Spec repro.Spec `json:"spec"`
 }
 
 // New builds a Server over cfg.Engine and, when cfg.StateDir is set, resumes
@@ -164,18 +156,18 @@ func (s *Server) Close() error {
 
 func (s *Server) streamDir() string { return filepath.Join(s.stateDir, "streams") }
 
-// streamPaths returns the absolute checkpoint and sidecar paths for a
-// session id ("" paths when the server has no state dir). Absolute, so the
-// Engine's own stateDir rooting never re-resolves them.
-func (s *Server) streamPaths(id string) (ckpt, meta string, err error) {
+// streamPath returns the absolute checkpoint path for a session id ("" when
+// the server has no state dir). Absolute, so the Engine's own stateDir
+// rooting never re-resolves it.
+func (s *Server) streamPath(id string) (string, error) {
 	if s.stateDir == "" {
-		return "", "", nil
+		return "", nil
 	}
 	dir, err := filepath.Abs(s.streamDir())
 	if err != nil {
-		return "", "", fmt.Errorf("service: resolve state dir: %w", err)
+		return "", fmt.Errorf("service: resolve state dir: %w", err)
 	}
-	return filepath.Join(dir, id+".ckpt"), filepath.Join(dir, id+".json"), nil
+	return filepath.Join(dir, id+".ckpt"), nil
 }
 
 // resumeStreams restores every checkpoint under the state dir at startup.
@@ -195,7 +187,7 @@ func (s *Server) resumeStreams() error {
 		if !validStreamID(id) {
 			return fmt.Errorf("service: checkpoint %q is not a valid stream id", p)
 		}
-		ckpt, metaPath, err := s.streamPaths(id)
+		ckpt, err := s.streamPath(id)
 		if err != nil {
 			return err
 		}
@@ -203,13 +195,7 @@ func (s *Server) resumeStreams() error {
 		if err != nil {
 			return fmt.Errorf("service: resume stream %s: %w", id, err)
 		}
-		var meta streamMeta
-		if raw, err := os.ReadFile(metaPath); err == nil {
-			// Sidecar is best-effort display metadata; a missing or corrupt
-			// one leaves the Spec zero without affecting the session itself.
-			_ = json.Unmarshal(raw, &meta)
-		}
-		s.streams[id] = newStreamRec(id, meta.Spec, st, true, ckpt)
+		s.streams[id] = newStreamRec(id, st, true, ckpt)
 	}
 	return nil
 }
@@ -658,13 +644,13 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 			"stream_id %q: need 1-64 chars of [A-Za-z0-9_-]", id))
 		return
 	}
-	ckpt, metaPath, err := s.streamPaths(id)
+	ckpt, err := s.streamPath(id)
 	if err != nil {
 		writeError(w, err)
 		return
 	}
 
-	rec := newStreamRec(id, spec, nil, false, ckpt)
+	rec := newStreamRec(id, nil, false, ckpt)
 	rec.sem <- struct{}{} // construction in progress; absorb/status queue behind it
 	s.mu.Lock()
 	if _, exists := s.streams[id]; exists {
@@ -693,17 +679,9 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rec.st = st
-	if metaPath != "" {
-		err = state.WriteFileAtomic(metaPath, func(w io.Writer) error {
-			return json.NewEncoder(w).Encode(streamMeta{Spec: spec})
-		})
-		if err == nil {
-			err = s.checkpointLocked(rec, st)
-		}
-		if err != nil {
-			fail(err)
-			return
-		}
+	if err := s.checkpointLocked(rec, st); err != nil {
+		fail(err)
+		return
 	}
 	view := rec.infoView()
 	release(rec)

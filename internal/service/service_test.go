@@ -366,6 +366,42 @@ func TestStreamResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestResumedStreamSpecFromCheckpoint: a stream checkpointed by the Engine
+// alone — no file beside the checkpoint — resumes through New with the Spec
+// it was created under, read back from the checkpoint itself.
+func TestResumedStreamSpecFromCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	eng := repro.NewEngine(repro.WithEngineThreads(2))
+	defer eng.Close()
+	opts := []repro.Option{repro.WithRank(4), repro.WithSeed(11), repro.WithMaxIters(7),
+		repro.WithTolerance(1e-9), repro.WithOversample(3), repro.WithPowerIters(2),
+		repro.WithShardRows(4096), repro.WithRidge(1e-6), repro.WithNonnegativeS()}
+	want, err := eng.ResolveSpec(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := eng.NewStream(ctx, testTensor(31), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SaveStream(filepath.Join(dir, "streams", "x.ckpt"), st); err != nil {
+		t.Fatal(err)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, "streams")); err != nil || len(ents) != 1 {
+		t.Fatalf("streams dir holds %d entries (err %v), want just the checkpoint", len(ents), err)
+	}
+
+	ts := newTestServer(t, Config{StateDir: dir}, repro.WithEngineThreads(2))
+	info, err := ts.client.StreamInfo(ctx, "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !info.Resumed || info.Spec != want {
+		t.Fatalf("resumed stream reports resumed=%v spec %+v, want %+v", info.Resumed, info.Spec, want)
+	}
+}
+
 // TestFailedCheckpointLeavesStreamUnchanged: an absorb whose checkpoint
 // fails is answered with an error and leaves the session at the last
 // acknowledged state, so retrying it absorbs the batch exactly once —

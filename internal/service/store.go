@@ -135,9 +135,8 @@ func (j *jobRec) statusView() JobStatus {
 // (not a mutex) because the holder blocks in AbsorbCtx on the shared pool:
 // waiters must stay cancellable, and nothing may sleep on a lock.
 type streamRec struct {
-	id   string
-	sem  chan struct{}
-	spec repro.Spec
+	id  string
+	sem chan struct{}
 
 	st       *repro.StreamingDPar2
 	absorbs  int64
@@ -145,11 +144,10 @@ type streamRec struct {
 	ckptPath string // absolute; "" when the server has no state dir
 }
 
-func newStreamRec(id string, spec repro.Spec, st *repro.StreamingDPar2, resumed bool, ckptPath string) *streamRec {
+func newStreamRec(id string, st *repro.StreamingDPar2, resumed bool, ckptPath string) *streamRec {
 	return &streamRec{
 		id:       id,
 		sem:      make(chan struct{}, 1),
-		spec:     spec,
 		st:       st,
 		resumed:  resumed,
 		ckptPath: ckptPath,
@@ -161,7 +159,7 @@ func (sr *streamRec) infoView() StreamInfo {
 	res := sr.st.Result()
 	return StreamInfo{
 		StreamID: sr.id,
-		Spec:     sr.spec,
+		Spec:     repro.StreamSpec(sr.st),
 		K:        sr.st.K(),
 		Absorbs:  sr.absorbs,
 		Resumed:  sr.resumed,

@@ -180,7 +180,7 @@ type StreamInfo struct {
 	Absorbs int64 `json:"absorbs"`
 	// Resumed reports the session was restored from a checkpoint when this
 	// server started. Spec echoes the resolved Spec the session was created
-	// with; it survives restarts through the checkpoint's sidecar metadata.
+	// with; the checkpoint stores it, so it survives restarts.
 	Resumed bool       `json:"resumed"`
 	Durable bool       `json:"durable"` // checkpointed to the state dir
 	Meta    ResultMeta `json:"meta"`    // current factors' metadata

@@ -1,7 +1,7 @@
 // Package state is the durable-state layer under every on-disk artifact the
 // repository produces: tensors and factorizations (internal/dataio), stream
 // checkpoints (internal/parafac2), and the Engine's content-addressed result
-// cache. It provides three primitives:
+// cache. It provides four primitives:
 //
 //   - WriteFileAtomic: crash-safe file replacement (write a temp file in the
 //     destination directory, fsync, rename over the target, fsync the
@@ -17,6 +17,12 @@
 //   - Cache: a content-addressed result cache on disk — entries keyed by a
 //     caller-derived sha256, persisted atomically, LRU-bounded on total
 //     payload bytes, with hit/miss counters.
+//
+//   - Encoder / Decoder: the one codec every persisted format is written
+//     in — little-endian 64-bit words (integers, IEEE-754 float bit
+//     patterns, booleans) and chunked float arrays, with sticky errors and
+//     the header limits (MaxDim, MaxElems) that keep a hostile header from
+//     reserving huge buffers.
 //
 // The package is intentionally stdlib-only and imports nothing from the rest
 // of the repository, so every layer (dataio, parafac2, the Engine) can build

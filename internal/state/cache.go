@@ -45,19 +45,12 @@ type cacheEntry struct {
 // concatenation.
 func Key(parts ...[]byte) string {
 	h := sha256.New()
-	var n [8]byte
+	enc := NewEncoder(h)
 	for _, p := range parts {
-		putUint64(n[:], uint64(len(p)))
-		h.Write(n[:])
-		h.Write(p)
+		enc.U64(uint64(len(p)))
+		enc.Bytes(p)
 	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-func putUint64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
 
 // OpenCache opens (creating if needed) a cache rooted at dir, bounded to

@@ -1,10 +1,6 @@
 package repro
 
-import (
-	"fmt"
-
-	"repro/internal/parafac2"
-)
+import "repro/internal/parafac2"
 
 // MethodID names a registered decomposition algorithm for WithMethod. The
 // four algorithms of the paper ship registered; Methods lists everything the
@@ -44,78 +40,48 @@ type jobSpec struct {
 
 // Option configures one decomposition request (Engine.Decompose, a submitted
 // Job, Engine.Compress, Engine.NewStream). Options apply in order over the
-// Engine's base Config; a later option wins. An invalid option surfaces as an
-// error from the call it was passed to, before any work starts — the
-// per-call half of the repository's validation rule. (EngineOptions, which
-// configure NewEngine itself, panic on invalid values instead: a
-// misconfigured engine is a programming error, not a request to fail.)
-type Option func(*jobSpec) error
+// Engine's base Config; a later option wins. The resolved request is
+// validated as a whole (method name and knob ranges, see
+// parafac2.Config.CheckKnobs): an invalid value surfaces as an error from
+// the call it was passed to, before any work starts — the per-call half of
+// the repository's validation rule. (EngineOptions, which configure
+// NewEngine itself, panic on invalid values instead: a misconfigured engine
+// is a programming error, not a request to fail.)
+type Option func(*jobSpec)
 
 // WithMethod selects the algorithm (default MethodDPar2). The name is
-// resolved against the registry at run time, so aliases the CLI accepts
-// ("rdals", "parafac2-als") work too.
+// resolved against the registry, so aliases the CLI accepts ("rdals",
+// "parafac2-als") work too.
 func WithMethod(m MethodID) Option {
-	return func(j *jobSpec) error {
-		if _, err := parafac2.MustLookup(string(m)); err != nil {
-			return err
-		}
-		j.spec.Method = m
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.Method = m }
 }
 
-// WithRank sets the target rank R.
+// WithRank sets the target rank R (positive).
 func WithRank(r int) Option {
-	return func(j *jobSpec) error {
-		if r <= 0 {
-			return fmt.Errorf("repro: WithRank(%d): rank must be positive", r)
-		}
-		j.spec.Rank = r
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.Rank = r }
 }
 
-// WithMaxIters bounds the ALS iterations (the paper uses 32).
+// WithMaxIters bounds the ALS iterations (positive; the paper uses 32).
 func WithMaxIters(n int) Option {
-	return func(j *jobSpec) error {
-		if n <= 0 {
-			return fmt.Errorf("repro: WithMaxIters(%d): must be positive", n)
-		}
-		j.spec.MaxIters = n
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.MaxIters = n }
 }
 
-// WithTolerance sets the relative convergence tolerance (0 runs MaxIters
-// iterations unconditionally).
+// WithTolerance sets the relative convergence tolerance (finite, >= 0; 0
+// runs MaxIters iterations unconditionally).
 func WithTolerance(tol float64) Option {
-	return func(j *jobSpec) error {
-		if tol < 0 {
-			return fmt.Errorf("repro: WithTolerance(%g): must be >= 0", tol)
-		}
-		j.spec.Tol = tol
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.Tol = tol }
 }
 
 // WithSeed sets the seed driving factor initialization and randomized
 // sketches. Two runs with identical options and tensor are bit-identical.
 func WithSeed(seed uint64) Option {
-	return func(j *jobSpec) error {
-		j.spec.Seed = seed
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.Seed = seed }
 }
 
-// WithOversample sets the randomized-SVD oversampling parameter (DPar2 only).
+// WithOversample sets the randomized-SVD oversampling parameter (0 to 2³²;
+// DPar2 only).
 func WithOversample(p int) Option {
-	return func(j *jobSpec) error {
-		if p < 0 {
-			return fmt.Errorf("repro: WithOversample(%d): must be >= 0", p)
-		}
-		j.spec.Oversample = p
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.Oversample = p }
 }
 
 // WithShardRows sets the stage-1 sharding threshold (DPar2 only): slices
@@ -128,40 +94,24 @@ func WithOversample(p int) Option {
 // scratch by O(n·(rank+oversample)) and lets one tall slice use the whole
 // pool.
 func WithShardRows(n int) Option {
-	return func(j *jobSpec) error {
-		j.spec.ShardRows = n
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.ShardRows = n }
 }
 
-// WithPowerIters sets the randomized-SVD power-iteration count (DPar2 only).
+// WithPowerIters sets the randomized-SVD power-iteration count (0 to
+// parafac2.MaxPowerIters; DPar2 only).
 func WithPowerIters(q int) Option {
-	return func(j *jobSpec) error {
-		if q < 0 {
-			return fmt.Errorf("repro: WithPowerIters(%d): must be >= 0", q)
-		}
-		j.spec.PowerIters = q
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.PowerIters = q }
 }
 
-// WithRidge adds λ·I to the Gram matrices of the normal-equation solves.
+// WithRidge adds λ·I to the Gram matrices of the normal-equation solves
+// (finite, >= 0).
 func WithRidge(lambda float64) Option {
-	return func(j *jobSpec) error {
-		if lambda < 0 {
-			return fmt.Errorf("repro: WithRidge(%g): must be >= 0", lambda)
-		}
-		j.spec.Ridge = lambda
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.Ridge = lambda }
 }
 
 // WithNonnegativeS constrains the S_k weights to be nonnegative.
 func WithNonnegativeS() Option {
-	return func(j *jobSpec) error {
-		j.spec.NonnegativeS = true
-		return nil
-	}
+	return func(j *jobSpec) { j.spec.NonnegativeS = true }
 }
 
 // WithProgress registers a per-iteration callback, the one observation hook
@@ -171,8 +121,5 @@ func WithNonnegativeS() Option {
 // it is not an error). Called from the decomposition goroutine. A call with
 // a callback bypasses the result cache, so the callback always runs.
 func WithProgress(fn func(iter int, measure float64) bool) Option {
-	return func(j *jobSpec) error {
-		j.progress = fn
-		return nil
-	}
+	return func(j *jobSpec) { j.progress = fn }
 }

@@ -11,9 +11,6 @@
 #
 # Environment:
 #   REPROLINT_JSON=1            one JSON object per finding (machine-readable)
-#   REPROLINT_SUMMARIES=path    persistent interprocedural summary store
-#                               (default .reprolint-summaries.json; CI caches
-#                               it keyed on the tree's export-data hashes)
 #   REPROLINT_BUDGET_SECONDS=N  wall-clock budget for the reprolint run
 #                               (default 120)
 #
@@ -56,7 +53,7 @@ echo "lint: building cmd/reprolint"
 go build -o /tmp/reprolint.$$ ./cmd/reprolint
 trap 'rm -f /tmp/reprolint.$$' EXIT
 
-flags="-summaries ${REPROLINT_SUMMARIES:-.reprolint-summaries.json}"
+flags=""
 if [ "${REPROLINT_JSON:-0}" = "1" ]; then
     flags="$flags -json"
 fi

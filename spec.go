@@ -1,10 +1,6 @@
 package repro
 
-import (
-	"fmt"
-
-	"repro/internal/parafac2"
-)
+import "repro/internal/parafac2"
 
 // Spec is the canonical, serializable description of one decomposition
 // request: the algorithm plus the nine deterministic knobs that fully
@@ -75,32 +71,14 @@ func specFromConfig(m MethodID, cfg Config) Spec {
 	}
 }
 
-// Validate checks every knob the way the corresponding per-call option
-// would, plus that Method names a registered algorithm. A Spec accepted by
+// Validate checks that Method names a registered algorithm and that every
+// knob lies in its domain (parafac2.Config.CheckKnobs). A Spec accepted by
 // Validate is accepted by WithSpec.
 func (s Spec) Validate() error {
 	if _, err := parafac2.MustLookup(string(s.Method)); err != nil {
 		return err
 	}
-	if s.Rank <= 0 {
-		return fmt.Errorf("repro: Spec.Rank %d: rank must be positive", s.Rank)
-	}
-	if s.MaxIters <= 0 {
-		return fmt.Errorf("repro: Spec.MaxIters %d: must be positive", s.MaxIters)
-	}
-	if s.Tol < 0 {
-		return fmt.Errorf("repro: Spec.Tol %g: must be >= 0", s.Tol)
-	}
-	if s.Oversample < 0 {
-		return fmt.Errorf("repro: Spec.Oversample %d: must be >= 0", s.Oversample)
-	}
-	if s.PowerIters < 0 {
-		return fmt.Errorf("repro: Spec.PowerIters %d: must be >= 0", s.PowerIters)
-	}
-	if s.Ridge < 0 {
-		return fmt.Errorf("repro: Spec.Ridge %g: must be >= 0", s.Ridge)
-	}
-	return nil
+	return s.config(nil).CheckKnobs()
 }
 
 // shardRowsThreshold resolves the ShardRows convention (0 = default,
@@ -131,17 +109,11 @@ func (s Spec) config(progress func(iter int, measure float64) bool) Config {
 
 // WithSpec replaces every deterministic knob at once with a canonical Spec —
 // the option the HTTP front end executes resolved requests through. A
-// Progress callback is untouched; combine freely with WithProgress. The
-// Spec is validated eagerly: an invalid field surfaces as an error from the
-// call WithSpec was passed to, like any per-call option.
+// Progress callback is untouched; combine freely with WithProgress. Like
+// every option, an invalid Spec surfaces as an error from the call WithSpec
+// was passed to.
 func WithSpec(s Spec) Option {
-	return func(j *jobSpec) error {
-		if err := s.Validate(); err != nil {
-			return err
-		}
-		j.spec = s
-		return nil
-	}
+	return func(j *jobSpec) { j.spec = s }
 }
 
 // ResolveSpec compiles per-call options over the Engine's base configuration
@@ -151,22 +123,13 @@ func WithSpec(s Spec) Option {
 // so equal workloads resolve to equal Specs. ResolveSpec is pure: it neither
 // runs anything nor touches the pool, and works on a closed Engine.
 func (e *Engine) ResolveSpec(opts ...Option) (Spec, error) {
-	js := e.newJobSpec()
-	for _, o := range opts {
-		if o == nil {
-			continue
-		}
-		if err := o(&js); err != nil {
-			return Spec{}, err
-		}
-	}
-	m, err := parafac2.MustLookup(string(js.spec.Method))
-	if err != nil {
-		return Spec{}, err
-	}
-	js.spec.Method = MethodID(m.Name())
-	if err := js.spec.Validate(); err != nil {
-		return Spec{}, err
-	}
-	return js.spec, nil
+	_, js, err := e.resolve(opts)
+	return js.spec, err
+}
+
+// StreamSpec reports the Spec a stream runs under: MethodDPar2 plus the
+// deterministic knobs it was created with, which a checkpoint carries across
+// SaveStream/ResumeStream.
+func StreamSpec(s *StreamingDPar2) Spec {
+	return specFromConfig(MethodDPar2, s.Config())
 }

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"math"
 	"testing"
+	"time"
 
 	"repro/internal/dataio"
+	"repro/internal/parafac2"
 )
 
 // TestResolveSpecDefaults: an optionless resolve yields the documented
@@ -64,15 +68,54 @@ func TestResolveSpecFoldsOptions(t *testing.T) {
 }
 
 // TestResolveSpecErrors: invalid options and unknown methods surface as
-// errors, like the calls they would have been passed to.
+// errors, like the calls they would have been passed to. That includes a
+// power-iteration count past parafac2.MaxPowerIters and a non-finite
+// tolerance or ridge, which every resolution — the HTTP path's too —
+// rejects.
 func TestResolveSpecErrors(t *testing.T) {
 	eng := NewEngine(WithEngineThreads(1))
 	defer eng.Close()
-	if _, err := eng.ResolveSpec(WithRank(-1)); err == nil {
-		t.Fatal("expected error for negative rank")
+	for name, opt := range map[string]Option{
+		"negative rank":     WithRank(-1),
+		"unknown method":    WithMethod("no-such-method"),
+		"power_iters 1<<40": WithPowerIters(1 << 40),
+		"power_iters max+1": WithPowerIters(parafac2.MaxPowerIters + 1),
+		"ridge +Inf":        WithRidge(math.Inf(1)),
+		"ridge NaN":         WithRidge(math.NaN()),
+		"tolerance +Inf":    WithTolerance(math.Inf(1)),
+		"tolerance NaN":     WithTolerance(math.NaN()),
+		"oversample 1<<62":  WithOversample(1 << 62),
+		"spec power_iters":  WithSpec(Spec{Method: MethodDPar2, Rank: 3, MaxIters: 4, PowerIters: 1 << 40}),
+	} {
+		if _, err := eng.ResolveSpec(opt); err == nil {
+			t.Errorf("%s: ResolveSpec accepted it", name)
+		}
 	}
-	if _, err := eng.ResolveSpec(WithMethod("no-such-method")); err == nil {
-		t.Fatal("expected error for unknown method")
+	if _, err := eng.ResolveSpec(WithPowerIters(parafac2.MaxPowerIters)); err != nil {
+		t.Fatalf("power_iters at the cap rejected: %v", err)
+	}
+}
+
+// TestDecomposeRejectsUnboundedPowerIters: a Decompose carrying a
+// power-iteration count past the cap fails before any work, instead of
+// holding a worker in stage-1 sketches that no deadline can interrupt.
+func TestDecomposeRejectsUnboundedPowerIters(t *testing.T) {
+	eng := NewEngine(WithEngineThreads(1))
+	defer eng.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Decompose(ctx, engineTestTensor(3), WithRank(5), WithPowerIters(1<<40))
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("err = %v, want a validation error", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Decompose with power_iters 1<<40 still running 5s after a 200ms deadline")
 	}
 }
 
@@ -89,7 +132,10 @@ func TestSpecValidate(t *testing.T) {
 		func(s *Spec) { s.Tol = -1 },
 		func(s *Spec) { s.Oversample = -1 },
 		func(s *Spec) { s.PowerIters = -1 },
+		func(s *Spec) { s.PowerIters = parafac2.MaxPowerIters + 1 },
 		func(s *Spec) { s.Ridge = -1 },
+		func(s *Spec) { s.Ridge = math.Inf(1) },
+		func(s *Spec) { s.Tol = math.NaN() },
 	}
 	for i, mutate := range cases {
 		s := DefaultSpec()

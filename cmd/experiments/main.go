@@ -63,7 +63,7 @@ func main() {
 	// One long-lived pool for every experiment in the run (the Fig. 11c
 	// thread sweep overrides it per measurement — pool width is what it
 	// measures).
-	pool := compute.NewPoolFromThreads(*threads)
+	pool := compute.NewPool(*threads)
 	defer pool.Close()
 	cfg.Pool = pool
 

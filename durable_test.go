@@ -2,6 +2,8 @@ package repro
 
 import (
 	"context"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -131,6 +133,25 @@ func TestEngineResultCacheHit(t *testing.T) {
 	}
 	if got := cm.calls.Load() - before; got != 2 {
 		t.Fatalf("rank change should have missed the cache (%d total calls)", got)
+	}
+}
+
+// TestEngineNonFiniteNotCached: a tensor with one NaN entry fails with
+// ErrNonFinite on every call. Only successes are cached, so the second call
+// is no cache hit and fails the same way.
+func TestEngineNonFiniteNotCached(t *testing.T) {
+	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	defer eng.Close()
+	ten := engineTestTensor(12)
+	ten.Slices[1].Data[3] = math.NaN()
+	for call := 1; call <= 2; call++ {
+		res, err := eng.Decompose(context.Background(), ten)
+		if !errors.Is(err, ErrNonFinite) || res != nil {
+			t.Fatalf("call %d: err %v (result returned: %v), want ErrNonFinite", call, err, res != nil)
+		}
+	}
+	if hits := eng.Stats().Tenant("").CacheHits; hits != 0 {
+		t.Fatalf("cache hits = %d, want 0", hits)
 	}
 }
 

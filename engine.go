@@ -18,6 +18,13 @@ import (
 // Engine method called after Close.
 var ErrEngineClosed = errors.New("repro: engine is closed")
 
+// ErrNonFinite is returned, wrapped with the iteration number, by any
+// decomposition, stream create or absorb whose convergence measure turns
+// NaN or ±Inf (non-finite input, or diverging factors); an absorbed batch
+// holding a non-finite value is rejected with it before any work. No
+// non-finite result is ever returned or cached.
+var ErrNonFinite = parafac2.ErrNonFinite
+
 // ErrQuotaExceeded is the sentinel every per-tenant quota rejection matches
 // via errors.Is; the concrete error delivered on the Submit result channel
 // is a *QuotaError carrying the tenant. See WithTenantQuota.
@@ -302,10 +309,10 @@ func NewEngine(opts ...EngineOption) *Engine {
 	case s.pool != nil:
 		e.pool = s.pool
 	case s.threadsSet:
-		e.pool = compute.NewPoolFromThreads(s.threads)
+		e.pool = compute.NewPool(s.threads)
 		e.ownPool = true
 	default:
-		e.pool = compute.NewPoolFromThreads(s.base.Threads)
+		e.pool = compute.NewPool(s.base.Threads)
 		e.ownPool = true
 	}
 	// The Engine's pool is the single parallelism knob from here on.
@@ -332,9 +339,9 @@ func NewEngine(opts ...EngineOption) *Engine {
 // section as each job transition.
 func (e *Engine) Stats() EngineStatsSnapshot { return e.sched.Stats() }
 
-// Pool exposes the Engine's shared pool (e.g. for repro.Fitness-style
-// helpers or direct Config users during migration). The Engine retains
-// ownership unless the pool came from WithEnginePool; after Close an
+// Pool exposes the Engine's shared pool (e.g. to share it with further
+// Engines through WithEnginePool, or for direct Config users). The Engine
+// retains ownership unless the pool came from WithEnginePool; after Close an
 // Engine-owned pool runs submitted work inline on the caller (serial).
 func (e *Engine) Pool() *Pool { return e.pool }
 
@@ -519,8 +526,7 @@ func (e *Engine) NewStream(ctx context.Context, initial *Irregular, opts ...Opti
 	return parafac2.NewStreamingDPar2Ctx(ctx, initial, cfg)
 }
 
-// Fitness evaluates a result against a tensor on the Engine's pool (the
-// package-level Fitness uses a process-wide default pool instead). The value
+// Fitness evaluates a result against a tensor on the Engine's pool. The value
 // is always the FitnessTrue quantity — use it to tell the true fit from the
 // compressed-space estimate a streaming refresh or DecomposeCompressed left
 // in Result.Fitness (Result.FitnessKind distinguishes the two). Factored

@@ -45,7 +45,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("bootstrap: K=%2d  fitness(all seen)=%.4f  (%v)\n",
-		stream.K(), fitnessOverSeen(full, stream), time.Since(start).Round(time.Millisecond))
+		stream.K(), fitnessOverSeen(eng, full, stream), time.Since(start).Round(time.Millisecond))
 
 	// Absorb the rest in batches of 6, as if they arrived over time. Each
 	// absorb warm-starts from the previous factors and runs at most
@@ -72,7 +72,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("absorb 6 : K=%2d  fitness(all seen)=%.4f  (%v, %d warm iters)\n",
-			stream.K(), fitnessOverSeen(full, stream),
+			stream.K(), fitnessOverSeen(eng, full, stream),
 			time.Since(batchStart).Round(time.Millisecond), stream.Result().Iters)
 		if stream.K() == 30 {
 			if err := eng.SaveStream(ckpt, stream); err != nil {
@@ -100,8 +100,7 @@ func main() {
 
 	// The refresh reports a compressed-space fitness (exact against the
 	// compressed approximation); FitnessKind tells it apart from the true
-	// fitness eng.Decompose reports. Materialize() opts back into eager
-	// dense Q_k when repeated slice access is coming.
+	// fitness eng.Decompose reports.
 	res := stream.Result()
 	fmt.Printf("\nstream result: fitness %.4f (kind %q), K=%d, Q factored=%v\n",
 		res.Fitness, res.FitnessKind, res.K(), res.Factored())
@@ -116,13 +115,13 @@ func main() {
 	fmt.Printf("\nfrom-scratch on all 48 slices: fitness %.4f in %v\n",
 		batch.Fitness, batch.TotalTime.Round(time.Millisecond))
 	fmt.Printf("streaming final:               fitness %.4f (compressed state %.2f MB)\n",
-		fitnessOverSeen(full, stream), float64(stream.Compressed().SizeBytes())/(1<<20))
+		fitnessOverSeen(eng, full, stream), float64(stream.Compressed().SizeBytes())/(1<<20))
 }
 
-func fitnessOverSeen(full *repro.Irregular, s *repro.StreamingDPar2) float64 {
+func fitnessOverSeen(eng *repro.Engine, full *repro.Irregular, s *repro.StreamingDPar2) float64 {
 	seen, err := repro.NewIrregular(full.Slices[:s.K()])
 	if err != nil {
 		log.Fatal(err)
 	}
-	return repro.Fitness(seen, s.Result())
+	return eng.Fitness(seen, s.Result())
 }

@@ -21,11 +21,13 @@
 // width-1 + N (each submitter is its own extra lane).
 //
 // A nil *Pool is valid everywhere and means "run serially"; so does a pool of
-// width 1. parafac2.Config.Threads is the single source of truth for pool
-// width: decomposition entry points build a transient pool of that width when
-// Config.Pool is nil, and callers that want to share one pool across many
-// decompositions (servers, rank sweeps, streaming) set Config.Pool
-// explicitly. There is no package-global parallelism knob.
+// width 1. There is one clamping rule, applied by NewPool: a width <= 0
+// means serial, any positive width is taken verbatim. parafac2.Config.Threads
+// is the single source of truth for pool width: decomposition entry points
+// build a transient pool of that width when Config.Pool is nil, and callers
+// that want to share one pool across many decompositions (servers, rank
+// sweeps, streaming) set Config.Pool explicitly. There is no package-global
+// parallelism knob and no process-wide default pool.
 //
 // Pool additionally implements mat.Runner, so it can be handed directly to
 // the blocked matrix kernels (MulInto, TMulInto, ...) of internal/mat.
@@ -40,11 +42,7 @@
 // process-wide arena for call sites without a natural owner.
 package compute
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Pool is a fixed-width worker pool. The zero value is not usable; call
 // NewPool. A nil *Pool runs everything serially on the calling goroutine.
@@ -55,15 +53,14 @@ type Pool struct {
 	closed atomic.Bool
 }
 
-// NewPool returns a pool of width n (n <= 0 means runtime.GOMAXPROCS(0) —
-// the natural default for a pool sized explicitly). Widths derived from a
-// thread count must go through WidthFromThreads/NewPoolFromThreads instead,
-// where <= 0 means serial. A single submitter runs at most w tasks
-// concurrently, counting itself. Call Close when done to release the worker
-// goroutines; a pool is cheap enough to hold for the life of the process.
+// NewPool returns a pool of width n under the one clamping rule: n <= 0
+// means serial (width 1), any positive n is the width verbatim. A single
+// submitter runs at most n tasks concurrently, counting itself. Call Close
+// when done to release the worker goroutines; a pool is cheap enough to hold
+// for the life of the process.
 func NewPool(n int) *Pool {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
+	if n < 1 {
+		n = 1
 	}
 	p := &Pool{width: n}
 	if n > 1 {
@@ -76,42 +73,6 @@ func NewPool(n int) *Pool {
 	}
 	return p
 }
-
-// WidthFromThreads maps a Config-style thread count to a pool width under
-// the repository's single clamping rule: threads <= 0 means serial (width 1),
-// any positive value is the width verbatim. This is the ONLY place the
-// "Threads <= 0 is serial" convention is interpreted; NewPool's own n <= 0 =
-// GOMAXPROCS default applies exclusively to pools a caller sizes explicitly,
-// never to widths derived from a thread count. Every layer that turns a
-// Config.Threads (or a -threads flag) into a pool must go through this
-// helper or NewPoolFromThreads.
-func WidthFromThreads(threads int) int {
-	if threads < 1 {
-		return 1
-	}
-	return threads
-}
-
-// NewPoolFromThreads builds a pool from a Config-style thread count under the
-// WidthFromThreads rule (threads <= 0 → a serial width-1 pool, never
-// GOMAXPROCS). Close it when done.
-func NewPoolFromThreads(threads int) *Pool {
-	return NewPool(WidthFromThreads(threads))
-}
-
-// Default returns a process-wide pool of width GOMAXPROCS, created on first
-// use and never closed. It serves entry points that have no configured pool
-// (e.g. the exported Fitness helper); decomposition loops should use the
-// pool derived from Config instead.
-func Default() *Pool {
-	defaultOnce.Do(func() { defaultPool = NewPool(0) })
-	return defaultPool
-}
-
-var (
-	defaultOnce sync.Once
-	defaultPool *Pool
-)
 
 func (p *Pool) worker() {
 	for {

@@ -185,16 +185,13 @@ func TestArenaConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestWidthFromThreadsClampRule(t *testing.T) {
-	// The single rule: threads <= 0 is serial, positive is verbatim.
-	for threads, want := range map[int]int{-5: 1, 0: 1, 1: 1, 2: 2, 16: 16} {
-		if got := WidthFromThreads(threads); got != want {
-			t.Fatalf("WidthFromThreads(%d) = %d, want %d", threads, got, want)
+func TestNewPoolClampRule(t *testing.T) {
+	// The single rule: a width <= 0 is serial, positive is verbatim.
+	for n, want := range map[int]int{-5: 1, 0: 1, 1: 1, 2: 2, 16: 16} {
+		p := NewPool(n)
+		if got := p.Workers(); got != want {
+			t.Fatalf("NewPool(%d) width %d, want %d", n, got, want)
 		}
-	}
-	p := NewPoolFromThreads(0)
-	defer p.Close()
-	if p.Workers() != 1 {
-		t.Fatalf("NewPoolFromThreads(0) width %d, want serial (1)", p.Workers())
+		p.Close()
 	}
 }

@@ -160,9 +160,6 @@ func WriteResult(w io.Writer, res *parafac2.Result) error {
 	enc := state.NewEncoder(sw)
 	k := res.K()
 	a, z, p, factored := res.FactoredQ()
-	if !res.Factored() {
-		factored = false // dense cache present: write the eager form
-	}
 	qform := uint64(qformDense)
 	if factored {
 		qform = qformFactored

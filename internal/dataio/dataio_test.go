@@ -128,7 +128,7 @@ func TestResultRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored factors must reconstruct as well as the originals.
-	if got := parafac2.Fitness(ten, back); math.Abs(got-res.Fitness) > 1e-12 {
+	if got := parafac2.FitnessWith(ten, back, nil); math.Abs(got-res.Fitness) > 1e-12 {
 		t.Fatalf("restored fitness %v != %v", got, res.Fitness)
 	}
 }
@@ -218,7 +218,6 @@ func TestReadResultV1BackCompat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Materialize()
 
 	// Hand-craft the v1 layout: magic | 1 | K | J | R | I_1..I_K | H | V |
 	// S | dense Q_1..Q_K.

@@ -3,14 +3,16 @@ package lapack
 import "repro/internal/mat"
 
 // BatchWorkspace owns the scratch for FactorBatch: one slab backing the
-// working and rotation columns of every problem in the batch, plus the
-// per-problem permutation/norm scratch and convergence masks. Reusing a
-// BatchWorkspace across calls makes steady-state FactorBatch allocation-free
-// apart from the Runner's own scheduling overhead (one parallel region per
-// call). A BatchWorkspace is not safe for concurrent use by multiple
-// FactorBatch calls.
+// working and rotation columns of every problem in the batch, one slab of
+// their column headers, plus the per-problem permutation/norm scratch and
+// convergence masks. Its allocation count is independent of the batch size,
+// and reusing a BatchWorkspace across calls makes steady-state FactorBatch
+// allocation-free apart from the Runner's own scheduling overhead (one
+// parallel region per call). A BatchWorkspace is not safe for concurrent use
+// by multiple FactorBatch calls.
 type BatchWorkspace struct {
 	buf   []float64
+	cols  [][]float64   // every problem's column headers, two per column
 	wcols [][][]float64 // wcols[p][j]: working column j of problem p
 	vcols [][][]float64 // vcols[p][j]: rotation column j of problem p
 	perm  []int
@@ -36,6 +38,7 @@ func (ws *BatchWorkspace) reserve(as []*mat.Dense) {
 	if cap(ws.perm) < permNeed {
 		ws.perm = make([]int, permNeed)
 		ws.sig = make([]float64, permNeed)
+		ws.cols = make([][]float64, 2*permNeed)
 	}
 	ws.perm = ws.perm[:permNeed]
 	ws.sig = ws.sig[:permNeed]
@@ -54,12 +57,8 @@ func (ws *BatchWorkspace) reserve(as []*mat.Dense) {
 	off, poff := 0, 0
 	for p, a := range as {
 		m, n := a.Rows, a.Cols
-		if cap(ws.wcols[p]) < n {
-			ws.wcols[p] = make([][]float64, n)
-			ws.vcols[p] = make([][]float64, n)
-		}
-		ws.wcols[p] = ws.wcols[p][:n]
-		ws.vcols[p] = ws.vcols[p][:n]
+		ws.wcols[p] = ws.cols[2*poff : 2*poff+n : 2*poff+n]
+		ws.vcols[p] = ws.cols[2*poff+n : 2*(poff+n) : 2*(poff+n)]
 		for j := 0; j < n; j++ {
 			ws.wcols[p][j] = ws.buf[off+j*m : off+(j+1)*m]
 			ws.vcols[p][j] = ws.buf[off+n*m+j*n : off+n*m+(j+1)*n]

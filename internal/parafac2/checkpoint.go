@@ -63,7 +63,7 @@ func (s *StreamingDPar2) Checkpoint(w io.Writer) error {
 	if res != nil {
 		var ok bool
 		a, z, p, ok = res.FactoredQ()
-		if !ok || !res.Factored() {
+		if !ok {
 			return fmt.Errorf("parafac2: checkpoint requires a factored stream result")
 		}
 		if len(a) > len(c.A) {

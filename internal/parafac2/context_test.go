@@ -238,7 +238,7 @@ func TestCancelledRefreshRecoverable(t *testing.T) {
 	if s.Result().K() != 6 {
 		t.Fatalf("recovered result covers %d slices, want 6", s.Result().K())
 	}
-	if fit := Fitness(full, s.Result()); fit < 0.95 {
+	if fit := FitnessWith(full, s.Result(), nil); fit < 0.95 {
 		t.Fatalf("recovered fitness %v", fit)
 	}
 }

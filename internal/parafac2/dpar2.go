@@ -255,7 +255,7 @@ func DPar2Ctx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, er
 	}
 	res.PreprocessTime = preprocess
 	res.TotalTime = time.Since(start)
-	res.Fitness = fitnessWith(t, res, pool)
+	res.Fitness = FitnessWith(t, res, pool)
 	res.FitnessKind = FitnessTrue
 	return res, nil
 }
@@ -304,10 +304,6 @@ func (w *warmStart) compatible(comp *Compressed) bool {
 
 // dpar2Iterate is the iteration phase of Algorithm 3, optionally warm-started.
 func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmStart) (*Result, error) {
-	iterStart := time.Now()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	pool, done := cfg.runtimePool()
 	defer done()
 	arena := compute.Shared()
@@ -355,13 +351,7 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 
 	res := &Result{S: s, PreprocessedBytes: comp.SizeBytes()}
 
-	prev := -1.0
-	for it := 0; it < cfg.MaxIters; it++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		res.Iters = it + 1
-
+	last, err := iterate(ctx, cfg, res, func(it int) (float64, error) {
 		// DᵀV is shared by the Q_k update and Lemma 1.
 		comp.D.TMulInto(dtv, v, pool)
 
@@ -415,7 +405,7 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 			arena.Put(t2)
 		})
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return 0, err
 		}
 
 		// --- One CP-ALS sweep via Lemmas 1-3 --------------------------
@@ -436,7 +426,7 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 		// Lemma 3: G⁽³⁾(k,r) = H(:,r)ᵀ T_k E DᵀV(:,r), recomputed with
 		// the fresh V.
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return 0, err
 		}
 		comp.D.TMulInto(dtv, v, pool)
 		lemma3Into(g3, tf, comp.E, dtv, h, pool, arena)
@@ -449,19 +439,9 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 		// --- Compressed convergence check (Section III-E) -------------
 		// e = Σ_k ‖P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ − H S_k Vᵀ‖_F², computed on R×R
 		// Gram matrices only.
-		cur := compressedError2(tf, comp.E, dtv, v, h, s, arena)
-		if cfg.Progress != nil && !cfg.Progress(res.Iters, cur) {
-			prev = cur
-			break
-		}
-		if prev >= 0 && relChange(prev, cur) < cfg.Tol {
-			prev = cur
-			break
-		}
-		prev = cur
-	}
-
-	if err := ctx.Err(); err != nil {
+		return compressedError2(tf, comp.E, dtv, v, h, s, arena), nil
+	})
+	if err != nil {
 		return nil, err
 	}
 
@@ -474,21 +454,20 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 	// history.
 	res.H, res.V = h, v
 	res.SetFactoredQ(append([]*mat.Dense(nil), comp.A...), z, p)
-	// Compressed-space fitness: prev is the final convergence measure
+	// Compressed-space fitness: last is the final convergence measure
 	// Σ_k ‖Q_kᵀX̃_k − H S_k Vᵀ‖², which equals the full compressed error
 	// Σ_k ‖X̃_k − Q_k H S_k Vᵀ‖² because Z_k and P_k are square orthogonal
 	// (so Q_kᵀ loses nothing of X̃_k). ‖X̃‖² = Σ_k ‖F⁽ᵏ⁾E‖² by the
 	// orthonormality of A_k and D. Callers with the original tensor at hand
 	// (DPar2Ctx) overwrite this with the true fitness.
-	if prev >= 0 {
+	if res.Iters > 0 {
 		if n := comp.Norm2(); n > 0 {
-			res.Fitness = 1 - prev/n
+			res.Fitness = 1 - last/n
 		} else {
 			res.Fitness = 1
 		}
 		res.FitnessKind = FitnessCompressed
 	}
-	res.IterTime = time.Since(iterStart)
 	return res, nil
 }
 

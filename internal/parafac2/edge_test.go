@@ -2,6 +2,7 @@ package parafac2
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -262,38 +263,80 @@ func TestRidgeStabilizes(t *testing.T) {
 	}
 }
 
+// TestProgressCallback pins the iteration loop's contract on every
+// registered method: a callback returning false at iteration 5 stops the run
+// there after exactly the calls for iterations 1-5; Tol = 0 runs exactly
+// MaxIters iterations; and a context cancelled from inside the callback,
+// mid-run or at the last iteration, returns the unwrapped ctx.Err().
 func TestProgressCallback(t *testing.T) {
 	g := rng.New(32)
 	ten := synthPARAFAC2(g, []int{30, 40}, 10, 2, 0.1)
-	cfg := smallConfig(2)
-	cfg.MaxIters = 20
-	cfg.Tol = 0 // disable tol stopping; the callback drives termination
-	var calls []int
-	cfg.Progress = func(iter int, measure float64) bool {
-		calls = append(calls, iter)
-		if measure < 0 {
-			t.Errorf("negative convergence measure %v", measure)
+	for _, name := range MethodNames() {
+		m, _ := Lookup(name)
+		t.Run(name, func(t *testing.T) {
+			cfg := smallConfig(2)
+			cfg.MaxIters = 20
+			cfg.Tol = 0 // no tol stop: the callback or MaxIters ends the run
+			var calls []int
+			cfg.Progress = func(iter int, measure float64) bool {
+				calls = append(calls, iter)
+				if measure < 0 {
+					t.Errorf("negative convergence measure %v", measure)
+				}
+				return iter < 5
+			}
+			res, err := m.Decompose(context.Background(), ten, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Iters != 5 || len(calls) != 5 {
+				t.Fatalf("ran %d iterations with callback calls %v, want 5 and 1-5", res.Iters, calls)
+			}
+			for i, c := range calls {
+				if c != i+1 {
+					t.Fatalf("callback iteration sequence wrong: %v", calls)
+				}
+			}
+
+			cfg.Progress = nil
+			cfg.MaxIters = 7
+			if res, err = m.Decompose(context.Background(), ten, cfg); err != nil {
+				t.Fatal(err)
+			}
+			if res.Iters != cfg.MaxIters {
+				t.Fatalf("Tol = 0 ran %d iterations, want MaxIters = %d", res.Iters, cfg.MaxIters)
+			}
+
+			for _, at := range []int{3, cfg.MaxIters} {
+				ctx, cancel := context.WithCancel(context.Background())
+				cfg.Progress = func(iter int, _ float64) bool {
+					if iter == at {
+						cancel()
+					}
+					return true
+				}
+				res, err := m.Decompose(ctx, ten, cfg)
+				cancel()
+				if err != context.Canceled || res != nil {
+					t.Fatalf("cancel inside the callback at iteration %d: err %v (result returned: %v), want the unwrapped context.Canceled", at, err, res != nil)
+				}
+			}
+		})
+	}
+}
+
+// TestNonFiniteInputIsTypedError: one NaN or +Inf entry makes every
+// registered method fail with ErrNonFinite instead of returning NaN factors.
+func TestNonFiniteInputIsTypedError(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, name := range MethodNames() {
+			m, _ := Lookup(name)
+			ten := synthPARAFAC2(rng.New(33), []int{30, 40, 35}, 10, 2, 0.1)
+			ten.Slices[1].Data[7] = bad
+			res, err := m.Decompose(context.Background(), ten, smallConfig(2))
+			if !errors.Is(err, ErrNonFinite) || res != nil {
+				t.Fatalf("%s on a tensor holding %v: err %v (result returned: %v), want ErrNonFinite", name, bad, err, res != nil)
+			}
 		}
-		return iter < 5 // stop after 5 iterations
-	}
-	res, err := DPar2Ctx(context.Background(), ten, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters != 5 {
-		t.Fatalf("ran %d iterations, want 5 (callback-stopped)", res.Iters)
-	}
-	for i, c := range calls {
-		if c != i+1 {
-			t.Fatalf("callback iteration sequence wrong: %v", calls)
-		}
-	}
-	// ALS path honors the callback too.
-	calls = nil
-	if _, err := ALSCtx(context.Background(), ten, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 5 {
-		t.Fatalf("ALS made %d callback calls, want 5", len(calls))
 	}
 }

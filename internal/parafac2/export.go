@@ -12,17 +12,9 @@ import (
 // The threads parameter follows Config.Threads semantics (<= 1 means
 // serial); each call builds a transient pool of that width.
 
-// lemmaPool builds the transient pool for one lemma helper call.
-func lemmaPool(threads int) *compute.Pool {
-	if threads < 1 {
-		threads = 1
-	}
-	return compute.NewPool(threads)
-}
-
 // LemmaG1 computes G⁽¹⁾ = Y(1)(W ⊙ V) from the factored slices (Lemma 1).
 func LemmaG1(tf []*mat.Dense, w *mat.Dense, e []float64, dtv *mat.Dense, threads int) *mat.Dense {
-	pool := lemmaPool(threads)
+	pool := compute.NewPool(threads)
 	defer pool.Close()
 	out := mat.New(dtv.Cols, dtv.Cols)
 	lemma1Into(out, tf, w, e, dtv, pool, compute.Shared())
@@ -31,7 +23,7 @@ func LemmaG1(tf []*mat.Dense, w *mat.Dense, e []float64, dtv *mat.Dense, threads
 
 // LemmaG2 computes G⁽²⁾ = Y(2)(W ⊙ H) from the factored slices (Lemma 2).
 func LemmaG2(tf []*mat.Dense, w, d *mat.Dense, e []float64, h *mat.Dense, threads int) *mat.Dense {
-	pool := lemmaPool(threads)
+	pool := compute.NewPool(threads)
 	defer pool.Close()
 	out := mat.New(d.Rows, h.Cols)
 	lemma2Into(out, tf, w, d, e, h, pool, compute.Shared())
@@ -40,7 +32,7 @@ func LemmaG2(tf []*mat.Dense, w, d *mat.Dense, e []float64, h *mat.Dense, thread
 
 // LemmaG3 computes G⁽³⁾ = Y(3)(V ⊙ H) from the factored slices (Lemma 3).
 func LemmaG3(tf []*mat.Dense, e []float64, dtv, h *mat.Dense, threads int) *mat.Dense {
-	pool := lemmaPool(threads)
+	pool := compute.NewPool(threads)
 	defer pool.Close()
 	out := mat.New(len(tf), h.Cols)
 	lemma3Into(out, tf, e, dtv, h, pool, compute.Shared())

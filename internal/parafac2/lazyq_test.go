@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/tensor"
 )
@@ -71,17 +72,29 @@ func TestLazyQMatchesEagerAcrossPoolWidths(t *testing.T) {
 		}
 	}
 
-	// Materialize caches the same bits and flips the result to dense.
-	res := ref.Materialize()
+	// A dense result built over Qk serves the same bits and is not factored.
+	res := denseCopy(ref)
 	if res.Factored() {
-		t.Fatal("Materialize left the result factored")
+		t.Fatal("dense copy reports a factored Q")
 	}
-	a, z, p, _ := res.FactoredQ()
+	a, z, p, _ := ref.FactoredQ()
 	for k := 0; k < res.K(); k++ {
 		if !res.Qk(k).EqualApprox(a[k].Mul(z[k]).MulT(p[k]), 0) {
 			t.Fatalf("materialized Qk(%d) not bit-identical", k)
 		}
 	}
+}
+
+// denseCopy returns r's factors with Q materialized into dense slices
+// through Qk.
+func denseCopy(r *Result) *Result {
+	q := make([]*mat.Dense, r.K())
+	for k := range q {
+		q[k] = r.Qk(k)
+	}
+	d := &Result{H: r.H, V: r.V, S: r.S}
+	d.SetQ(q)
+	return d
 }
 
 // TestFitnessAgreesLazyVsMaterialized: the factored fitness path (no dense
@@ -99,8 +112,8 @@ func TestFitnessAgreesLazyVsMaterialized(t *testing.T) {
 	if res.FitnessKind != FitnessTrue {
 		t.Fatalf("DPar2 FitnessKind = %v, want true", res.FitnessKind)
 	}
-	lazy := Fitness(ten, res)
-	dense := Fitness(ten, res.Materialize())
+	lazy := FitnessWith(ten, res, nil)
+	dense := FitnessWith(ten, denseCopy(res), nil)
 	if d := lazy - dense; d > 1e-12 || d < -1e-12 {
 		t.Fatalf("factored fitness %v vs dense fitness %v", lazy, dense)
 	}
@@ -152,10 +165,10 @@ func TestAbsorbPerformsNoPerOldSliceWork(t *testing.T) {
 
 		// Sanity: the hook does observe real materializations.
 		qMaterializeHook = func(int, int) { atomic.AddInt64(&count, 1) }
-		st.Result().Materialize()
+		denseCopy(st.Result())
 		qMaterializeHook = nil
 		if got := atomic.LoadInt64(&count); got != int64(st.K()) {
-			t.Fatalf("K=%d: Materialize observed %d materializations, want %d", k, got, st.K())
+			t.Fatalf("K=%d: materializing every Qk observed %d materializations, want %d", k, got, st.K())
 		}
 	}
 }

@@ -11,6 +11,26 @@
 // with S_k diagonal and H, V shared across slices. All methods minimize
 // Σ_k ‖X_k − Q_k H S_k Vᵀ‖_F² by alternating least squares.
 //
+// # One loop
+//
+// Every method is the same alternating loop: a Q_k update, one CP-ALS
+// sweep for H, V and W, then a convergence measure. One function, iterate,
+// runs it for all four: it checks the context before every iteration and
+// after the last, counts Result.Iters, calls Config.Progress once per
+// iteration, stops when the measure's relative change falls below
+// Config.Tol, and records Result.IterTime. DPar2 supplies the Lemma 1-3
+// body on the compressed slices. The three baselines share one
+// PARAFAC2-ALS body: RD-ALS iterates on the reduced slices X_k U_c (still
+// measuring convergence against X), and SPARTan accumulates the mode-1
+// MTTKRP slice by slice; the registered method alone selects either.
+//
+// A NaN or ±Inf convergence measure ends the run with ErrNonFinite, wrapped
+// with the iteration number, before Progress sees it. That one check covers
+// non-finite input and diverging factors for every method, on every path
+// that iterates (a decomposition, a stream create, an absorb refresh), so no
+// non-finite result is ever returned. AppendCtx also rejects a non-finite
+// slice up front, leaving the compressed representation unchanged.
+//
 // # Lazy factored Q
 //
 // DPar2 results keep Q in factored form, Q_k = A_k Z_k P_kᵀ, where A_k is the
@@ -19,11 +39,9 @@
 // ReconstructSlice), never by the iteration itself. That makes a streaming
 // Absorb touch only the new slices — no O(Σ_k I_k·R) pass over the history —
 // and is what keeps absorb latency independent of the slices already seen.
-// Callers that want the old eager dense slices call Result.Materialize once;
-// until then each accessor call recomputes its slice (cheap relative to any
-// use of the I_k×R output). Accessors are safe for concurrent use on an
-// otherwise-unmodified Result; Materialize is not safe to run concurrently
-// with them.
+// Each accessor call recomputes its slice (cheap relative to any use of the
+// I_k×R output). Accessors are safe for concurrent use on an
+// otherwise-unmodified Result.
 //
 // # Fitness kinds
 //
@@ -33,8 +51,8 @@
 // the tensor in hand), while FitnessCompressed is the compressed-space
 // estimate 1 − e/‖X̃‖² that DPar2FromCompressedCtx and streaming refreshes
 // report (exact against the compressed approximation X̃, off from the true
-// fitness only by the one-time compression error). Use Fitness/FitnessWith
-// to re-evaluate a result against a tensor when the true value is needed.
+// fitness only by the one-time compression error). Use FitnessWith to
+// re-evaluate a result against a tensor when the true value is needed.
 package parafac2
 
 import (
@@ -205,15 +223,15 @@ func (c Config) ShardRowsThreshold() int {
 }
 
 // runtimePool resolves the compute pool for one decomposition call: the
-// caller-provided Config.Pool, or a transient pool of width Threads (clamped
-// by the single compute.WidthFromThreads rule: Threads <= 0 means serial).
-// done must be called when the decomposition returns (it closes the pool only
-// if this call owns it).
+// caller-provided Config.Pool, or a transient pool of width Threads
+// (compute.NewPool's rule: Threads <= 0 means serial). done must be called
+// when the decomposition returns (it closes the pool only if this call owns
+// it).
 func (c Config) runtimePool() (pool *compute.Pool, done func()) {
 	if c.Pool != nil {
 		return c.Pool, func() {}
 	}
-	p := compute.NewPoolFromThreads(c.Threads)
+	p := compute.NewPool(c.Threads)
 	return p, p.Close
 }
 
@@ -251,9 +269,9 @@ type Result struct {
 	// S holds the diagonal of each S_k (row k of W in the paper).
 	S [][]float64
 
-	// q caches the dense column-orthonormal Q_k (I_k × R). For DPar2 it
-	// stays nil until Materialize: Q lives in factored form in fq and the
-	// accessors materialize slices on demand.
+	// q holds the baselines' dense column-orthonormal Q_k (I_k × R). For
+	// DPar2 it is nil: Q lives in factored form in fq and the accessors
+	// materialize slices on demand.
 	q []*mat.Dense
 	// fq is the factored form Q_k = A_k Z_k P_kᵀ (DPar2 results only).
 	fq *factoredQ
@@ -342,9 +360,8 @@ func (r *Result) SliceRows(k int) int {
 }
 
 // Qk returns the column-orthonormal Q_k (I_k × R). Dense results (the
-// baselines, or after Materialize) return the stored matrix, which the caller
-// must not modify; factored results materialize a fresh matrix per call —
-// call Materialize first when many repeated accesses are coming.
+// baselines) return the stored matrix, which the caller must not modify;
+// factored results materialize a fresh matrix per call.
 func (r *Result) Qk(k int) *mat.Dense {
 	if r.q != nil {
 		return r.q[k]
@@ -352,24 +369,8 @@ func (r *Result) Qk(k int) *mat.Dense {
 	return r.fq.qk(k)
 }
 
-// Materialize eagerly caches the dense Q_k for every slice — the pre-lazy
-// behavior, for callers that will access the slices repeatedly. It is
-// idempotent and returns r for chaining. Not safe to run concurrently with
-// the accessors.
-func (r *Result) Materialize() *Result {
-	if r.q != nil || r.fq == nil {
-		return r
-	}
-	q := make([]*mat.Dense, len(r.fq.a))
-	compute.Default().ParallelFor(len(q), func(k int) {
-		q[k] = r.fq.qk(k)
-	})
-	r.q = q
-	return r
-}
-
-// Factored reports whether Q is still held in factored form (no dense cache).
-func (r *Result) Factored() bool { return r.q == nil && r.fq != nil }
+// Factored reports whether Q is held in factored form (DPar2 results).
+func (r *Result) Factored() bool { return r.fq != nil }
 
 // FactoredQ exposes the factored form (A_k, Z_k, P_k with Q_k = A_k Z_k P_kᵀ)
 // when the result holds one — serialization uses it to persist the compact
@@ -433,25 +434,15 @@ func (r *Result) ReconstructSlice(k int) *mat.Dense {
 	return r.q[k].Mul(hs).MulT(r.V)
 }
 
-// Fitness computes 1 − Σ_k‖X_k − X̂_k‖_F² / Σ_k‖X_k‖_F² of a factorization
-// against the tensor it was computed from. Fitness close to 1 means the
-// model approximates the data well (Section IV-A of the paper).
-func Fitness(t *tensor.Irregular, r *Result) float64 {
-	return fitnessWith(t, r, compute.Default())
-}
-
-// FitnessWith is Fitness on a caller-provided pool (the Engine's shared pool
-// instead of the process-wide default). A nil pool evaluates serially.
+// FitnessWith computes 1 − Σ_k‖X_k − X̂_k‖_F² / Σ_k‖X_k‖_F² of a
+// factorization against the tensor it was computed from, on pool (nil
+// evaluates serially). Fitness close to 1 means the model approximates the
+// data well (Section IV-A of the paper). Slice reconstructions run in
+// parallel in arena scratch (see reconstructionError2) and per-slice errors
+// are reduced in slice order, so the value is deterministic for any pool
+// width. Factored results reconstruct through the small factors
+// (factoredError2) without ever materializing a dense Q_k.
 func FitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
-	return fitnessWith(t, r, pool)
-}
-
-// fitnessWith evaluates the fitness with slice reconstructions parallelized
-// over pool and materialized in arena scratch (see reconstructionError2).
-// Per-slice errors are reduced in slice order, so the result is
-// deterministic for any pool width. Factored results reconstruct through the
-// small factors (factoredError2) without ever materializing a dense Q_k.
-func fitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
 	var errSum float64
 	if r.Factored() {
 		errSum = factoredError2(t, r.fq, r.H, r.V, r.S, pool)
@@ -567,14 +558,4 @@ func projectW(w *mat.Dense, cfg Config) {
 			w.Data[i] = 0
 		}
 	}
-}
-
-func relChange(prev, cur float64) float64 {
-	if prev == 0 {
-		if cur == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(prev-cur) / math.Abs(prev)
 }

@@ -3,6 +3,7 @@ package parafac2
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/compute"
 	"repro/internal/mat"
@@ -65,6 +66,11 @@ func (c *Compressed) AppendCtx(ctx context.Context, g *rng.RNG, newSlices []*mat
 		}
 		if s.Rows < r {
 			return fmt.Errorf("parafac2: appended slice %d has %d rows < rank %d", i, s.Rows, r)
+		}
+		for _, x := range s.Data {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("%w: appended slice %d holds %v", ErrNonFinite, i, x)
+			}
 		}
 	}
 	opts := rsvd.Options{Oversample: cfg.Oversample, PowerIters: cfg.PowerIters}

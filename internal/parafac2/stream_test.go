@@ -2,6 +2,7 @@ package parafac2
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sync/atomic"
 	"testing"
@@ -126,7 +127,7 @@ func TestStreamingDPar2TracksBatches(t *testing.T) {
 		t.Fatalf("K=%d want 8", s.K())
 	}
 	// The streamed factorization should fit the *entire* tensor well.
-	fit := Fitness(full, s.Result())
+	fit := FitnessWith(full, s.Result(), nil)
 	if fit < 0.95 {
 		t.Fatalf("streaming fitness %v over all 8 slices", fit)
 	}
@@ -152,7 +153,7 @@ func TestStreamingComparableToBatch(t *testing.T) {
 	if err := s.AbsorbCtx(context.Background(), full.Slices[3:]); err != nil {
 		t.Fatal(err)
 	}
-	streamFit := Fitness(full, s.Result())
+	streamFit := FitnessWith(full, s.Result(), nil)
 	if streamFit < batch.Fitness-0.03 {
 		t.Fatalf("streaming fitness %v far below batch %v", streamFit, batch.Fitness)
 	}
@@ -193,7 +194,7 @@ func TestAbsorbWarmStartBoundsIterations(t *testing.T) {
 	if s.Result().K() != 8 {
 		t.Fatalf("result covers %d slices, want 8", s.Result().K())
 	}
-	if fit := Fitness(full, s.Result()); fit < 0.95 {
+	if fit := FitnessWith(full, s.Result(), nil); fit < 0.95 {
 		t.Fatalf("warm-started streaming fitness %v over all slices", fit)
 	}
 }
@@ -244,7 +245,7 @@ func TestCompressedFitnessEstimatePopulated(t *testing.T) {
 	if res.Fitness == 0 {
 		t.Fatal("Result.Fitness left unpopulated by DPar2FromCompressedCtx")
 	}
-	truth := Fitness(ten, res)
+	truth := FitnessWith(ten, res, nil)
 	if diff := math.Abs(res.Fitness - truth); diff > 1e-6 {
 		t.Fatalf("compressed-space fitness %v vs true fitness %v (diff %v) on lossless data",
 			res.Fitness, truth, diff)
@@ -396,6 +397,87 @@ func TestAppendAllocsBoundedInK(t *testing.T) {
 	if a64 > a8*1.3+16 {
 		t.Fatalf("AppendCtx allocations grew with K: %d slices -> %.0f allocs, %d slices -> %.0f allocs",
 			8, a8, 64, a64)
+	}
+}
+
+// TestAbsorbAllocsBoundedInK: a serial absorb (append plus warm-started
+// refresh) allocates the same at K=64 as at K=8, up to arena jitter. Every
+// per-slice array of the refresh — FactorBatch's column headers included —
+// lives on a slab, so nothing scales with the slices already absorbed.
+func TestAbsorbAllocsBoundedInK(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not deterministic under -race: sync.Pool drops arena scratch at random")
+	}
+	cfg := smallConfig(3)
+	cfg.Threads = 0 // serial: allocation counts are exact
+	cfg.Tol = 0     // every refresh runs exactly RefreshIters iterations
+
+	measure := func(k int) float64 {
+		g := rng.New(uint64(90 + k))
+		rows := make([]int, k)
+		for i := range rows {
+			rows[i] = 25 + 5*(i%4)
+		}
+		st, err := NewStreamingDPar2Ctx(context.Background(), synthPARAFAC2(g, rows, 12, 3, 0.02), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch := synthPARAFAC2(g, []int{30, 35}, 12, 3, 0.02).Slices
+
+		const runs = 8
+		forks := make([]*StreamingDPar2, runs+1) // AllocsPerRun calls f runs+1 times
+		for i := range forks {
+			forks[i] = st.Clone()
+		}
+		idx := 0
+		return testing.AllocsPerRun(runs, func() {
+			s := forks[idx]
+			idx++
+			if err := s.AbsorbCtx(context.Background(), batch); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+
+	a8, a64 := measure(8), measure(64)
+	t.Logf("serial absorb allocations: K=8 %.0f, K=64 %.0f", a8, a64)
+	if a64 > a8+4 {
+		t.Fatalf("AbsorbCtx allocations grew with K: 8 slices -> %.0f allocs, 64 slices -> %.0f allocs", a8, a64)
+	}
+}
+
+// TestAbsorbRejectsNonFiniteBatch: a batch holding a NaN is an append-phase
+// ErrNonFinite that leaves the stream (K, RNG, compressed state) unchanged,
+// so the next clean absorb is bit-identical to a stream that never saw it.
+func TestAbsorbRejectsNonFiniteBatch(t *testing.T) {
+	g := rng.New(74)
+	full := synthPARAFAC2(g, []int{40, 48, 36, 52, 44, 41}, 14, 3, 0.02)
+	cfg := smallConfig(3)
+	cfg.MaxIters = 20
+	ctx := context.Background()
+	st, err := NewStreamingDPar2Ctx(ctx, tensor.MustIrregular(full.Slices[:4]), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := st.Clone()
+
+	bad := []*mat.Dense{full.Slices[4].Clone(), full.Slices[5]}
+	bad[0].Data[11] = math.NaN()
+	if err := st.AbsorbCtx(ctx, bad); !errors.Is(err, ErrNonFinite) {
+		t.Fatalf("absorbing a NaN batch: %v, want ErrNonFinite", err)
+	}
+	if st.K() != 4 {
+		t.Fatalf("rejected batch moved K to %d, want 4", st.K())
+	}
+
+	for _, s := range []*StreamingDPar2{st, ref} {
+		if err := s.AbsorbCtx(ctx, full.Slices[4:6]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compressedEqualBits(t, st.Compressed(), ref.Compressed())
+	if !st.Result().H.EqualApprox(ref.Result().H, 0) || !st.Result().V.EqualApprox(ref.Result().V, 0) {
+		t.Fatal("absorb after a rejected batch diverged from a stream that never saw it")
 	}
 }
 

@@ -246,6 +246,8 @@ func errBodyFor(err error) ErrorBody {
 		return ErrorBody{Code: CodeBodyTooLarge, Status: http.StatusRequestEntityTooLarge, Message: err.Error()}
 	case errors.As(err, &ce):
 		return ErrorBody{Code: CodeCorruptInput, Status: http.StatusBadRequest, Message: err.Error()}
+	case errors.Is(err, repro.ErrNonFinite):
+		return ErrorBody{Code: CodeBadRequest, Status: http.StatusBadRequest, Message: err.Error()}
 	case errors.Is(err, context.DeadlineExceeded):
 		return ErrorBody{Code: CodeDeadlineExceeded, Status: http.StatusGatewayTimeout, Message: err.Error()}
 	case errors.Is(err, context.Canceled):

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -472,6 +473,89 @@ func TestFailedCheckpointLeavesStreamUnchanged(t *testing.T) {
 	}
 	if want := resultBytes(t, st.Result()); !bytes.Equal(served, want) {
 		t.Fatal("retried absorb differs from a stream that absorbed the batch once")
+	}
+}
+
+// TestDecomposeNonFiniteIs400: a tensor holding a NaN decomposes to a 400
+// bad_request with a JSON error body, not a 200 whose body failed to encode.
+func TestDecomposeNonFiniteIs400(t *testing.T) {
+	ctx := context.Background()
+	ts := newTestServer(t, Config{}, repro.WithEngineThreads(2))
+	ten := testTensor(43)
+	ten.Slices[2].Data[5] = math.NaN()
+	info, err := ts.client.UploadTensor(ctx, ten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(DecomposeRequest{TensorID: info.TensorID, Spec: SpecRequest{Rank: intp(5), MaxIters: intp(8)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.hs.URL+"/v1/decompose", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er ErrorResponse
+	decErr := json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || decErr != nil ||
+		er.Error.Code != CodeBadRequest || !strings.Contains(er.Error.Message, "non-finite") {
+		t.Fatalf("decompose of a NaN tensor: status %d, body %+v (decode error %v), want 400 %s",
+			resp.StatusCode, er, decErr, CodeBadRequest)
+	}
+}
+
+// TestAbsorbNonFiniteIs400: an absorb of a NaN batch is a 400 that leaves
+// the durable session as it was, so the next clean absorb is bit-identical
+// to a stream that never saw the bad batch.
+func TestAbsorbNonFiniteIs400(t *testing.T) {
+	ctx := context.Background()
+	ts := newTestServer(t, Config{StateDir: t.TempDir()}, repro.WithEngineThreads(2))
+	ten := testTensor(45)
+	info, err := ts.client.UploadTensor(ctx, ten)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.client.CreateStream(ctx, StreamCreateRequest{
+		StreamID: "sess", TensorID: info.TensorID,
+		Spec: SpecRequest{Rank: intp(5), Seed: u64p(7), MaxIters: intp(8), Tol: f64p(0)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	batch := repro.LowRankTensor(repro.NewRNG(44), []int{40, 35}, 30, 5, 0.02)
+	bad := repro.LowRankTensor(repro.NewRNG(44), []int{40, 35}, 30, 5, 0.02)
+	bad.Slices[0].Data[9] = math.NaN()
+	_, err = ts.client.Absorb(ctx, "sess", bad)
+	var ae *APIError
+	if !errors.As(err, &ae) || ae.Body.Status != http.StatusBadRequest || ae.Body.Code != CodeBadRequest {
+		t.Fatalf("absorb of a NaN batch: err = %v, want a 400 %s", err, CodeBadRequest)
+	}
+	got, err := ts.client.StreamInfo(ctx, "sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.K != ten.K() || got.Absorbs != 0 {
+		t.Fatalf("rejected absorb moved the session to K=%d absorbs=%d, want K=%d absorbs=0",
+			got.K, got.Absorbs, ten.K())
+	}
+
+	if _, err := ts.client.Absorb(ctx, "sess", batch); err != nil {
+		t.Fatal(err)
+	}
+	served, err := ts.client.StreamResultBytes(ctx, "sess")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := ts.eng.NewStream(ctx, ten,
+		repro.WithRank(5), repro.WithSeed(7), repro.WithMaxIters(8), repro.WithTolerance(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.AbsorbCtx(ctx, batch.Slices); err != nil {
+		t.Fatal(err)
+	}
+	if want := resultBytes(t, st.Result()); !bytes.Equal(served, want) {
+		t.Fatal("clean absorb after a rejected batch differs from a stream that never saw it")
 	}
 }
 

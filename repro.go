@@ -108,8 +108,8 @@
 //
 // The Engine's pool is the single parallelism knob: size it with
 // WithEngineThreads (thread counts <= 0 mean serial — the one clamping rule,
-// applied by compute.WidthFromThreads everywhere a thread count becomes a
-// pool) or hand an existing pool to WithEnginePool. Every parallel phase
+// applied by compute.NewPool everywhere a thread count becomes a pool) or
+// hand an existing pool to WithEnginePool. Every parallel phase
 // (slice compression, the ALS iteration kernels, fitness evaluation) of
 // every call runs on that pool. The pool contributes at most width-1 worker
 // goroutines; each submitting goroutine participates in its own work, so N
@@ -134,18 +134,25 @@
 // DPar2 results hold Q in factored form (Q_k = A_k Z_k P_kᵀ, with A_k the
 // compressed basis and Z_k, P_k tiny R×R matrices): the dense I_k×R slices
 // are materialized lazily by Result.Qk, Uk, UkRows, and ReconstructSlice, and
-// never by the solver itself. Call Result.Materialize once to cache every
-// dense slice when repeated access is coming (the pre-lazy behavior);
-// serialization (internal/dataio) round-trips the factored form without
-// materializing.
+// never by the solver itself; serialization (internal/dataio) round-trips
+// the factored form without materializing.
 //
 // Result.FitnessKind says what Result.Fitness was measured against:
 // FitnessTrue is the fitness against the input tensor (Engine.Decompose and
-// the package Fitness helpers always produce this kind), FitnessCompressed
+// Engine.Fitness always produce this kind), FitnessCompressed
 // is the compressed-space estimate that Engine.DecomposeCompressed and
 // streaming refreshes report — exact against the compressed approximation,
 // off from the true value only by the one-time compression error. Re-evaluate
-// with Engine.Fitness (or Fitness) when the true value is needed.
+// with Engine.Fitness when the true value is needed.
+//
+// # Non-finite values
+//
+// A NaN or ±Inf anywhere in the input, or factors that diverge, end the run
+// with an error matching ErrNonFinite (wrapped with the iteration number)
+// instead of a result: every method checks its convergence measure each
+// iteration, and StreamingDPar2.AbsorbCtx rejects a batch holding a
+// non-finite value before absorbing it. Such a run is never cached or
+// checkpointed, and over HTTP it is a 400 bad_request.
 //
 // # Streaming absorbs
 //
@@ -230,7 +237,7 @@ type Config = parafac2.Config
 // Result is the output of a PARAFAC2 decomposition: factors H, V, S_k, Q_k
 // plus fitness, iteration count, and a timing/footprint breakdown. DPar2
 // results keep Q_k in lazy factored form — see the package-doc section on
-// lazy factored Q, and Result.Qk/Uk/UkRows/Materialize.
+// lazy factored Q, and Result.Qk/Uk/UkRows.
 type Result = parafac2.Result
 
 // FitnessKind tags what Result.Fitness was measured against (see the
@@ -276,12 +283,6 @@ func NewMatrix(rows, cols int) *Matrix { return mat.New(rows, cols) }
 func NewMatrixFromData(rows, cols int, data []float64) *Matrix {
 	return mat.NewFromData(rows, cols, data)
 }
-
-// Fitness evaluates 1 − Σ‖X_k−X̂_k‖²/Σ‖X_k‖² of a result against a tensor —
-// always the FitnessTrue quantity, whatever kind Result.Fitness carries.
-// Factored results are evaluated through their small factors without
-// materializing any dense Q_k.
-func Fitness(t *Irregular, r *Result) float64 { return parafac2.Fitness(t, r) }
 
 // SliceResiduals returns ‖X_k − X̂_k‖/‖X_k‖ per slice — elevated residuals
 // flag slices the shared factors cannot explain (fault detection, one of

@@ -31,7 +31,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	if res.V.Rows != 30 || res.V.Cols != 5 {
 		t.Fatalf("V shape %dx%d", res.V.Rows, res.V.Cols)
 	}
-	if got := Fitness(ten, res); got != res.Fitness {
+	if got := eng.Fitness(ten, res); got != res.Fitness {
 		t.Fatalf("Fitness helper %v != result %v", got, res.Fitness)
 	}
 }
@@ -84,7 +84,7 @@ func TestPublicCompressedWorkflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fit := Fitness(ten, res); fit < 0.9 {
+	if fit := eng.Fitness(ten, res); fit < 0.9 {
 		t.Fatalf("compressed-workflow fitness %v", fit)
 	}
 }

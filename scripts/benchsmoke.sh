@@ -14,9 +14,12 @@
 #     after the PR-1 arena work; the guard allows headroom to ~150);
 #   - allocations per absorbed batch regress above the absorb budget on
 #     either BenchmarkAbsorb variant (~950 measured when the lazy factored-Q
-#     absorb landed; the budget allows headroom to 1500 — and because the
-#     K=8 and K=64 variants absorb the identical batch, a K-dependent
-#     allocation leak trips the same budget long before it ships);
+#     absorb landed; the budget allows headroom to 1500);
+#   - BenchmarkAbsorb/K64 allocates more than absorb_k_growth (32) above
+#     BenchmarkAbsorb/K8: both variants absorb the identical batch, so any
+#     allocation that grows with the slices already absorbed shows up as a
+#     gap (a 2-per-slice leak reads ~112 here, far inside the absolute
+#     budget, which is why the gap is gated on its own);
 #   - BenchmarkDPar2's reported fitness drops below 0.95 (BENCH_1.json
 #     recorded 0.9559; a vanishing fitness means the workload silently
 #     changed);
@@ -55,11 +58,14 @@ batch_budget="${4:-8}"
 cachehit_budget="${5:-300}"
 cachems_budget="${6:-25}"
 svc_budget="${7:-250}"
+# Largest allowed BenchmarkAbsorb K64 − K8 allocs/op gap. Both variants absorb
+# the same batch; the slack covers arena and sync.Pool jitter only.
+absorb_k_growth=32
 out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit)$' -benchtime 2x -benchmem .)
 $(go test -run '^$' -bench '^BenchmarkServiceDecomposeRoundTrip$' -benchtime 2x -benchmem ./internal/service/)"
 echo "$out"
 
-echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" '
+echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" -v absorb_k_growth="$absorb_k_growth" '
 function metric(name,   i) {
     # value of a named benchmark metric on the current line, or "" if absent
     for (i = 2; i <= NF; i++) if ($i == name) return $(i - 1)
@@ -107,6 +113,7 @@ $1 ~ /^BenchmarkAbsorb\// {
     name = $1; sub(/-[0-9]+$/, "", name); sub(/^BenchmarkAbsorb\//, "", name)
     seen["BenchmarkAbsorb/" name] = 1
     allocs = require(metric("allocs/op"), "allocs/op")
+    absorb[name] = allocs
     printf "benchsmoke: %s %.0f allocs per absorbed batch (budget %d)\n", $1, allocs, absorb_budget
     gatejson("allocs-per-absorb", "BenchmarkAbsorb/" name, allocs, absorb_budget, allocs <= absorb_budget)
     if (allocs > absorb_budget) {
@@ -181,5 +188,12 @@ END {
         }
     }
     if (missing) exit 2
+    growth = absorb["K64"] - absorb["K8"]
+    printf "benchsmoke: BenchmarkAbsorb K64 - K8 = %.0f allocs (budget %d)\n", growth, absorb_k_growth
+    gatejson("absorb-k-growth", "BenchmarkAbsorb/K64", growth, absorb_k_growth, growth <= absorb_k_growth)
+    if (growth > absorb_k_growth) {
+        printf "benchsmoke: FAIL — absorb allocations grow with K: K64 allocates %.0f more than K8 (budget %d)\n", growth, absorb_k_growth > "/dev/stderr"
+        bad = 1
+    }
     if (bad) exit 1
 }'

@@ -132,12 +132,6 @@ type Ticket[T any] struct {
 	stop     func() bool // deregisters the cancel watcher; nil if none
 }
 
-// Tenant returns the tenant the ticket was admitted under.
-func (t *Ticket[T]) Tenant() string { return t.tenant }
-
-// Priority returns the ticket's priority class.
-func (t *Ticket[T]) Priority() int { return t.priority }
-
 // Queue is the scheduler. Create with New; all methods are safe for
 // concurrent use.
 type Queue[T any] struct {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/types"
+	"slices"
 )
 
 // AnalyzerArenaPair checks, intraprocedurally on the CFG, that every scratch
@@ -131,16 +132,7 @@ func analyzeArenaFunc(pass *Pass, body *ast.BlockStmt) {
 		}
 	}
 
-	// Forward dataflow to fixpoint.
 	type stateMap map[*types.Var]absState
-	in := make([]stateMap, len(g.nodes))
-	clone := func(m stateMap) stateMap {
-		c := make(stateMap, len(m))
-		for k, v := range m {
-			c[k] = v
-		}
-		return c
-	}
 	var doublePuts []Diagnostic
 	leakExit := map[*types.Var]ast.Node{} // first exit node that leaks the var
 	reassigned := map[*types.Var]bool{}
@@ -197,7 +189,7 @@ func analyzeArenaFunc(pass *Pass, body *ast.BlockStmt) {
 					// Capture by a closure transfers ownership out of this
 					// analysis' scope.
 					for v := range tracked {
-						if funcLitUses(pass.Info, e, v) && st[v] == absOwned || funcLitUses(pass.Info, e, v) && st[v] == absMaybe {
+						if (st[v] == absOwned || st[v] == absMaybe) && mentionsVar(pass.Info, e.Body, v) {
 							st[v] = absEscaped
 						}
 					}
@@ -232,10 +224,9 @@ func analyzeArenaFunc(pass *Pass, body *ast.BlockStmt) {
 				}
 			}
 			// x stored somewhere, aliased, or overwritten: escapes / ends.
-			for i, rhs := range s.Rhs {
+			for _, rhs := range s.Rhs {
 				if v := identVar(pass.Info, rhs); v != nil && tracked[v] != nil {
 					// Aliasing (y := x) or storing (s.f = x, m[k] = x).
-					_ = i
 					if st[v] == absOwned || st[v] == absMaybe {
 						st[v] = absEscaped
 					}
@@ -285,36 +276,17 @@ func analyzeArenaFunc(pass *Pass, body *ast.BlockStmt) {
 		return st
 	}
 
-	merge := func(dst, src stateMap) (stateMap, bool) {
-		if dst == nil {
-			return clone(src), true
-		}
-		changed := false
-		for v := range tracked {
-			m := mergeAbs(dst[v], src[v])
-			if m != dst[v] {
-				dst[v] = m
-				changed = true
+	in := forwardMay(g, func(n *cfgNode, st stateMap) stateMap { return transfer(n, st, false) },
+		func(dst, src stateMap) bool {
+			changed := false
+			for v := range tracked {
+				if m := mergeAbs(dst[v], src[v]); m != dst[v] {
+					dst[v] = m
+					changed = true
+				}
 			}
-		}
-		return dst, changed
-	}
-
-	// Worklist iteration.
-	work := []*cfgNode{g.entry}
-	in[g.entry.index] = stateMap{}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := transfer(n, clone(in[n.index]), false)
-		for _, s := range n.succs {
-			m, changed := merge(in[s.index], out)
-			in[s.index] = m
-			if changed {
-				work = append(work, s)
-			}
-		}
-	}
+			return changed
+		})
 
 	// Reporting pass: re-run transfers with recording on, now that incoming
 	// states are stable, and check exits.
@@ -322,7 +294,7 @@ func analyzeArenaFunc(pass *Pass, body *ast.BlockStmt) {
 		if in[n.index] == nil {
 			continue // unreachable
 		}
-		out := transfer(n, clone(in[n.index]), true)
+		out := transfer(n, in[n.index], true)
 		if n.exit {
 			for v, av := range tracked {
 				if deferPut[v] {
@@ -387,7 +359,7 @@ func forSummaryArgs(pass *Pass, call *ast.CallExpr, tracked map[*types.Var]*aren
 		if v == nil || tracked[v] == nil {
 			continue
 		}
-		if pi := calleeParamIndex(sig, ai); pi >= 0 && intsContain(idxs, pi) {
+		if pi := calleeParamIndex(sig, ai); pi >= 0 && slices.Contains(idxs, pi) {
 			fn(v)
 		}
 	}
@@ -422,10 +394,12 @@ func varObj(info *types.Info, id *ast.Ident) *types.Var {
 	return v
 }
 
-func funcLitUses(info *types.Info, lit *ast.FuncLit, v *types.Var) bool {
+// mentionsVar reports whether n references v anywhere, nested function
+// literals included.
+func mentionsVar(info *types.Info, n ast.Node, v *types.Var) bool {
 	used := false
-	ast.Inspect(lit.Body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
+	ast.Inspect(n, func(x ast.Node) bool {
+		if id, ok := x.(*ast.Ident); ok && info.Uses[id] == v {
 			used = true
 		}
 		return !used

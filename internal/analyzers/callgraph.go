@@ -88,55 +88,70 @@ func buildCallGraph(lp *LoadedPackage) *callGraph {
 // sccs returns the graph's strongly connected components in reverse
 // topological order (callees before callers), so a single pass over the
 // result with a fixpoint inside each component reaches the global fixpoint.
-// Tarjan's algorithm emits components in exactly that order.
+// Calls that leave the package are not part of this pass.
 func (g *callGraph) sccs() [][]*cgNode {
+	local := func(id string) []string {
+		var out []string
+		for _, c := range g.nodes[id].callees {
+			if g.nodes[c] != nil {
+				out = append(out, c)
+			}
+		}
+		return out
+	}
+	var out [][]*cgNode
+	for _, ids := range tarjan(g.order, local) {
+		comp := make([]*cgNode, len(ids))
+		for i, id := range ids {
+			comp[i] = g.nodes[id]
+		}
+		out = append(out, comp)
+	}
+	return out
+}
+
+// tarjan returns the strongly connected components of the graph reachable
+// from roots (visited in order) along succs. Tarjan's algorithm emits every
+// component after all the components it reaches; each lists its members in
+// stack-pop order. Both the call graph and the lock-order graph use it.
+func tarjan(roots []string, succs func(string) []string) [][]string {
 	index := map[string]int{}
 	lowlink := map[string]int{}
 	onStack := map[string]bool{}
 	var stack []string
-	var out [][]*cgNode
-	next := 0
+	var out [][]string
 
-	var strongconnect func(id string)
-	strongconnect = func(id string) {
-		index[id] = next
-		lowlink[id] = next
-		next++
-		stack = append(stack, id)
-		onStack[id] = true
-
-		for _, c := range g.nodes[id].callees {
-			if _, external := g.nodes[c]; !external {
-				continue // cross-package or unresolved: not part of this SCC pass
-			}
-			if _, visited := index[c]; !visited {
-				strongconnect(c)
-				if lowlink[c] < lowlink[id] {
-					lowlink[id] = lowlink[c]
-				}
-			} else if onStack[c] && index[c] < lowlink[id] {
-				lowlink[id] = index[c]
+	var strongconnect func(u string)
+	strongconnect = func(u string) {
+		index[u] = len(index)
+		lowlink[u] = index[u]
+		stack = append(stack, u)
+		onStack[u] = true
+		for _, v := range succs(u) {
+			if _, visited := index[v]; !visited {
+				strongconnect(v)
+				lowlink[u] = min(lowlink[u], lowlink[v])
+			} else if onStack[v] {
+				lowlink[u] = min(lowlink[u], index[v])
 			}
 		}
-
-		if lowlink[id] == index[id] {
-			var comp []*cgNode
+		if lowlink[u] == index[u] {
+			var comp []string
 			for {
 				top := stack[len(stack)-1]
 				stack = stack[:len(stack)-1]
 				onStack[top] = false
-				comp = append(comp, g.nodes[top])
-				if top == id {
+				comp = append(comp, top)
+				if top == u {
 					break
 				}
 			}
 			out = append(out, comp)
 		}
 	}
-
-	for _, id := range g.order {
-		if _, visited := index[id]; !visited {
-			strongconnect(id)
+	for _, u := range roots {
+		if _, visited := index[u]; !visited {
+			strongconnect(u)
 		}
 	}
 	return out

@@ -3,13 +3,25 @@ package analyzers
 import (
 	"go/ast"
 	"go/token"
+	"maps"
 )
 
-// A minimal intraprocedural control-flow graph over the AST, shared by the
-// arenapair and lockhold dataflow analyses. Each atomic statement becomes one
-// node; structured statements (if/for/range/switch/select) are lowered to
-// edges. Function literals are NOT descended into — each FuncLit body is
-// analyzed as its own function by the callers.
+// The analysis core shared by the flow-sensitive analyzers:
+//
+//   - this file's CFG and its one solver, forwardMay (a forward may-analysis
+//     to a fixpoint; each analysis then makes its own reporting pass), used
+//     by arenapair and the held-lock pass;
+//   - the held-lock pass, heldLocks plus the per-node lockStep (lockhold.go),
+//     whose entries carry a lock's object for sync.NewCond bindings and its
+//     lockID for lock-order edges: lockhold and lockEdgesForBody read it;
+//   - blockingOp and chanOp (lockhold.go), the one blocking-op model, which
+//     the summary layer, lockhold and goroleak call;
+//   - tarjan (callgraph.go), the SCC routine of the call and lock graphs.
+//
+// The CFG makes each atomic statement one node; structured statements
+// (if/for/range/switch/select) are lowered to edges. Function literals are
+// NOT descended into — each FuncLit body is analyzed as its own function by
+// the callers.
 //
 // The builder is conservative where precision is not needed:
 //
@@ -173,10 +185,10 @@ func (b *cfgBuilder) stmt(s ast.Stmt, preds []*cfgNode) []*cfgNode {
 		return b.rangeStmt(st, "", preds)
 
 	case *ast.SwitchStmt:
-		return b.switchLike(s, st.Init, st.Tag != nil, stmtBodies(st.Body), "", preds)
+		return b.switchLike(s, st.Init, stmtBodies(st.Body), "", preds)
 
 	case *ast.TypeSwitchStmt:
-		return b.switchLike(s, st.Init, true, stmtBodies(st.Body), "", preds)
+		return b.switchLike(s, st.Init, stmtBodies(st.Body), "", preds)
 
 	case *ast.SelectStmt:
 		return b.selectStmt(st, "", preds)
@@ -221,9 +233,9 @@ func (b *cfgBuilder) labeled(st *ast.LabeledStmt, preds []*cfgNode) []*cfgNode {
 	case *ast.RangeStmt:
 		return b.rangeStmt(inner, label, preds)
 	case *ast.SwitchStmt:
-		return b.switchLike(inner, inner.Init, inner.Tag != nil, stmtBodies(inner.Body), label, preds)
+		return b.switchLike(inner, inner.Init, stmtBodies(inner.Body), label, preds)
 	case *ast.TypeSwitchStmt:
-		return b.switchLike(inner, inner.Init, true, stmtBodies(inner.Body), label, preds)
+		return b.switchLike(inner, inner.Init, stmtBodies(inner.Body), label, preds)
 	case *ast.SelectStmt:
 		return b.selectStmt(inner, label, preds)
 	default:
@@ -318,8 +330,8 @@ func (b *cfgBuilder) rangeStmt(st *ast.RangeStmt, label string, preds []*cfgNode
 }
 
 // switchLike lowers switch and type-switch: every clause body starts at the
-// head; a tag-less switch with no default can fall through the head.
-func (b *cfgBuilder) switchLike(s ast.Stmt, init ast.Stmt, _ bool, bodies [][]ast.Stmt, label string, preds []*cfgNode) []*cfgNode {
+// head, and the head also flows straight to the join (no clause matched).
+func (b *cfgBuilder) switchLike(s ast.Stmt, init ast.Stmt, bodies [][]ast.Stmt, label string, preds []*cfgNode) []*cfgNode {
 	if init != nil {
 		preds = b.stmt(init, preds)
 	}
@@ -411,10 +423,35 @@ func allExitsReach(g *cfg, hit func(*cfgNode) bool) bool {
 	return true
 }
 
+// forwardMay solves a forward may-analysis over g and returns every node's
+// fixpoint entry state, nil where no path reaches the node. The entry node
+// starts from the empty state; step maps a private copy of a node's entry
+// state to its exit state; join folds an exit state into a successor's entry
+// state and reports whether that grew.
+func forwardMay[S ~map[K]V, K comparable, V any](g *cfg, step func(*cfgNode, S) S, join func(dst, src S) bool) []S {
+	in := make([]S, len(g.nodes))
+	in[g.entry.index] = S{}
+	work := []*cfgNode{g.entry}
+	for len(work) > 0 {
+		n := work[len(work)-1]
+		work = work[:len(work)-1]
+		out := step(n, maps.Clone(in[n.index]))
+		for _, s := range n.succs {
+			if in[s.index] == nil {
+				in[s.index] = maps.Clone(out)
+			} else if !join(in[s.index], out) {
+				continue
+			}
+			work = append(work, s)
+		}
+	}
+	return in
+}
+
 // forEachFunc invokes fn for every function body in the file set of a pass:
-// declarations and, when deep is true, each function literal as an
-// independent unit (the literal's body is then excluded from its parent's
-// walk by the caller using skipFuncLits).
+// declarations and each function literal, every one as an independent unit
+// (callers exclude a literal's body from its parent's walk with
+// inspectSkippingFuncLits).
 func forEachFunc(files []*ast.File, fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {

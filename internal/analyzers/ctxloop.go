@@ -30,11 +30,7 @@ var AnalyzerCtxLoop = &Analyzer{
 
 func runCtxLoop(pass *Pass) {
 	forEachFunc(pass.Files, func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
-		sig := funcSignature(pass.Info, decl, lit)
-		if sig == nil {
-			return
-		}
-		ctxVar := ctxParamVar(pass.Info, decl, lit, sig)
+		ctxVar := ctxParamVar(pass.Info, decl, lit)
 		if ctxVar == nil {
 			return
 		}
@@ -44,7 +40,8 @@ func runCtxLoop(pass *Pass) {
 		// callees that provably ignore it is the same broken promise one call
 		// deeper.
 		if decl != nil && decl.Name.IsExported() && strings.HasSuffix(decl.Name.Name, "Ctx") {
-			if !bodyMentionsVar(pass.Info, body, ctxVar) {
+			// A closure that captures ctx and checks it counts as a use.
+			if !mentionsVar(pass.Info, body, ctxVar) {
 				pass.Reportf("ctxloop", decl.Name.Pos(),
 					"exported %s takes a context.Context but never uses it: a ...Ctx entry point must deliver the cancellation it advertises (check ctx.Err() or pass ctx down)",
 					decl.Name.Name)
@@ -61,15 +58,14 @@ func runCtxLoop(pass *Pass) {
 		}
 
 		// Rule 1: heavy loops must observe ctx per iteration.
-		checkLoops(pass, body, ctxVar, nil)
+		checkLoops(pass, body, ctxVar)
 	})
 }
 
 // checkLoops walks the statement tree (skipping FuncLits, which get their own
-// forEachFunc visit) and flags heavy loops that never mention ctx.
-// enclosing tracks loop nesting only to avoid double-reporting: when an outer
-// loop is already flagged, its inner loops are not re-flagged.
-func checkLoops(pass *Pass, n ast.Node, ctxVar *types.Var, _ []ast.Stmt) {
+// forEachFunc visit) and flags heavy loops that never observe ctx. When an
+// outer loop is flagged, its inner loops are not re-flagged.
+func checkLoops(pass *Pass, n ast.Node, ctxVar *types.Var) {
 	inspectSkippingFuncLits(n, func(x ast.Node) bool {
 		var body *ast.BlockStmt
 		switch l := x.(type) {
@@ -90,7 +86,6 @@ func checkLoops(pass *Pass, n ast.Node, ctxVar *types.Var, _ []ast.Stmt) {
 			"loop dispatches heavy work but never observes ctx: check ctx.Err() (or pass ctx to a callee that honors it) each iteration so cancellation takes effect between sweeps")
 		return false // inner loops of a flagged loop share the fix
 	})
-	_ = ctxVar
 }
 
 // loopIsHeavy reports whether the loop body dispatches heavy work: a blocking
@@ -110,7 +105,7 @@ func loopIsHeavy(info *types.Info, summaries *SummaryTable, body *ast.BlockStmt)
 		if !ok {
 			return true
 		}
-		if isMethodOn(info, call, "compute", "Pool", "Do", "ParallelFor", "ParallelRanges", "RunPartitioned") {
+		if isPoolDispatch(info, call) {
 			heavy = true
 			return false
 		}
@@ -129,27 +124,10 @@ func loopIsHeavy(info *types.Info, summaries *SummaryTable, body *ast.BlockStmt)
 	return heavy
 }
 
-// funcSignature resolves the signature of a FuncDecl or FuncLit.
-func funcSignature(info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit) *types.Signature {
-	if decl != nil {
-		f, _ := info.Defs[decl.Name].(*types.Func)
-		if f == nil {
-			return nil
-		}
-		sig, _ := f.Type().(*types.Signature)
-		return sig
-	}
-	if lit != nil {
-		sig, _ := info.TypeOf(lit).(*types.Signature)
-		return sig
-	}
-	return nil
-}
-
 // ctxParamVar returns the *types.Var of the (first) context.Context parameter
 // as declared in the function's parameter list, or nil. Blank ("_") contexts
 // return nil — the function explicitly discards cancellation.
-func ctxParamVar(info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit, sig *types.Signature) *types.Var {
+func ctxParamVar(info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit) *types.Var {
 	var ftype *ast.FuncType
 	if decl != nil {
 		ftype = decl.Type
@@ -169,20 +147,5 @@ func ctxParamVar(info *types.Info, decl *ast.FuncDecl, lit *ast.FuncLit, sig *ty
 			}
 		}
 	}
-	_ = sig
 	return nil
-}
-
-// bodyMentionsVar reports whether body references v anywhere, including
-// inside nested FuncLits — a closure that captures ctx and checks it (e.g.
-// the per-range worker) counts as observing the context.
-func bodyMentionsVar(info *types.Info, body ast.Node, v *types.Var) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -111,38 +110,17 @@ func scanLitEvidence(pass *Pass, lit *ast.FuncLit) litJoinEvidence {
 	var ev litJoinEvidence
 
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
+		if chanOp(info, n) {
+			ev.chanOps = true
+		}
 		switch e := n.(type) {
 		case *ast.GoStmt:
 			return false // a nested spawn is its own goroutine, not our join
-		case *ast.SendStmt:
-			ev.chanOps = true
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				ev.chanOps = true
-			}
-		case *ast.SelectStmt:
-			for _, cl := range e.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok && cc.Comm != nil {
-					ev.chanOps = true
-				}
-			}
-		case *ast.RangeStmt:
-			if t := info.TypeOf(e.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					ev.chanOps = true
-				}
-			}
 		case *ast.Ident:
 			if v, ok := info.Uses[e].(*types.Var); ok && isContextType(v.Type()) {
 				ev.ctxBounded = true
 			}
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
-				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin && id.Name == "close" {
-					ev.chanOps = true
-					return true
-				}
-			}
 			if callSignalsDone(pass, e) {
 				ev.wgDone = true
 			}

@@ -3,7 +3,11 @@ package analyzers
 import (
 	"fmt"
 	"go/ast"
+	"go/token"
 	"go/types"
+	"maps"
+	"slices"
+	"strings"
 )
 
 // AnalyzerLockHold forbids holding a sync.Mutex / sync.RWMutex across a
@@ -11,9 +15,10 @@ import (
 // lock-then-defer-unlock pattern, which keeps the lock to function exit), the
 // following are flagged:
 //
-//   - a channel send or receive (the pre-admission-control Engine.Submit
-//     deadlock shape: holding e.mu while sending to a full queue channel
-//     stalls every other Submit AND the worker that would drain it);
+//   - a channel send or receive, ranging over a channel included (the
+//     pre-admission-control Engine.Submit deadlock shape: holding e.mu while
+//     sending to a full queue channel stalls every other Submit AND the
+//     worker that would drain it);
 //   - a select with no default clause (its chosen communication blocks);
 //   - a blocking compute.Pool dispatch (Do, ParallelFor, ParallelRanges,
 //     RunPartitioned) — these park until workers finish, and workers may need
@@ -27,10 +32,11 @@ import (
 //     block (a channel wait, pool dispatch, or WaitGroup.Wait hidden behind
 //     any depth of helpers).
 //
-// The analysis is a may-hold dataflow over the CFG: a lock held on any path
-// into a blocking node is reported. Unlock/RUnlock clears the lock on that
-// path; a deferred Unlock deliberately does not (the lock really is held for
-// the remainder of the function body).
+// The analysis is the held-lock pass (heldLocks) over the CFG: a lock held
+// on any path into a blocking node is reported. Unlock/RUnlock clears the
+// lock on that path; a deferred Unlock deliberately does not (the lock really
+// is held for the remainder of the function body). What blocks is the
+// blocking-op model's answer (blockingOp), shared with the summary layer.
 var AnalyzerLockHold = &Analyzer{
 	Name: "lockhold",
 	Doc:  "no mutex held across channel operations, blocking pool dispatches, WaitGroup.Wait, or foreign cond.Wait",
@@ -44,7 +50,16 @@ type condBindings map[types.Object]types.Object
 func runLockHold(pass *Pass) {
 	binds := collectCondBindings(pass)
 	forEachFunc(pass.Files, func(_ *ast.FuncDecl, _ *ast.FuncLit, body *ast.BlockStmt) {
-		analyzeLockFunc(pass, body, binds)
+		g, in := heldLocks(pass.Info, pass.Pkg.Path(), body)
+		if g == nil {
+			return
+		}
+		reported := map[ast.Node]bool{}
+		for _, n := range g.nodes {
+			if len(in[n.index]) > 0 {
+				checkBlocking(pass, n, in[n.index], binds, reported)
+			}
+		}
 	})
 }
 
@@ -89,114 +104,170 @@ func collectCondBindings(pass *Pass) condBindings {
 	return binds
 }
 
-// heldSet is the may-hold state: canonical receiver string -> lock object
-// (object may be nil when the receiver is not a simple ident/selector chain).
-type heldSet map[string]types.Object
-
-func (h heldSet) clone() heldSet {
-	c := make(heldSet, len(h))
-	for k, v := range h {
-		c[k] = v
-	}
-	return c
+// heldLock is one lock in the may-hold set: its object, which sync.NewCond
+// bindings name, and its canonical lockID, which lock-order edges name.
+type heldLock struct {
+	obj types.Object
+	id  string
 }
 
-func analyzeLockFunc(pass *Pass, body *ast.BlockStmt, binds condBindings) {
-	// Pre-scan: skip functions with no Lock call at all.
+// heldSet is the may-hold state, keyed by the receiver's spelling (exprKey).
+type heldSet map[string]heldLock
+
+// heldLocks is the held-lock pass: it solves the may-hold set at the entry
+// of every node of body's CFG. Nested function literals are separate bodies.
+// A body that takes no lock, or uses goto, yields a nil graph.
+func heldLocks(info *types.Info, pkgPath string, body *ast.BlockStmt) (*cfg, []heldSet) {
 	locks := false
 	inspectSkippingFuncLits(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isMutexCall(pass.Info, call, "Lock", "RLock") {
+		if call, ok := n.(*ast.CallExpr); ok && isMutexCall(info, call, "Lock", "RLock") {
 			locks = true
 		}
 		return !locks
 	})
 	if !locks {
-		return
+		return nil, nil
 	}
-
 	g := buildCFG(body)
 	if g.hasGoto {
-		return
+		return nil, nil
 	}
+	step := func(n *cfgNode, held heldSet) heldSet { return lockStep(info, pkgPath, n, held, nil) }
+	return g, forwardMay(g, step, func(dst, src heldSet) bool {
+		grew := false
+		for k, l := range src {
+			if _, ok := dst[k]; !ok {
+				dst[k] = l
+				grew = true
+			}
+		}
+		return grew
+	})
+}
 
-	in := make([]heldSet, len(g.nodes))
-	reported := map[ast.Node]bool{}
-
-	transfer := func(n *cfgNode, held heldSet, record bool) heldSet {
-		// A defer's call runs at function exit, not here: it neither blocks
-		// now nor (crucially) releases a lock now — `defer mu.Unlock()`
-		// keeps mu held for the remainder of the body.
-		if _, isDefer := n.stmt.(*ast.DeferStmt); isDefer {
-			return held
-		}
-		// 1. Blocking-op checks against the incoming held set.
-		if len(held) > 0 && record {
-			checkBlocking(pass, n, held, binds, reported)
-		}
-		// 2. Lock/Unlock effects.
-		for _, part := range n.nodeParts() {
-			inspectSkippingFuncLits(part, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				recv := mutexRecvExpr(call)
-				if recv == nil {
-					return true
-				}
-				key := exprKey(recv)
-				switch {
-				case isMutexCall(pass.Info, call, "Lock", "RLock"):
-					held[key] = exprObject(pass.Info, recv)
-				case isMutexCall(pass.Info, call, "Unlock", "RUnlock"):
-					delete(held, key)
-				}
-				return true
-			})
-		}
+// lockStep applies node n's Lock and Unlock calls to held, in source order,
+// and returns it. A defer node has no effect: its call runs at
+// function exit, so `defer mu.Unlock()` keeps mu held for the rest of the
+// body. visit, when non-nil, sees each acquisition (with the acquired lockID)
+// and each non-mutex call (with ""), together with the locks held just
+// before it.
+func lockStep(info *types.Info, pkgPath string, n *cfgNode, held heldSet, visit func(call *ast.CallExpr, acquired string, held heldSet)) heldSet {
+	if _, isDefer := n.stmt.(*ast.DeferStmt); isDefer {
 		return held
 	}
+	for _, part := range n.nodeParts() {
+		inspectSkippingFuncLits(part, func(x ast.Node) bool {
+			call, ok := x.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			recv := mutexRecvExpr(call)
+			switch {
+			case isMutexCall(info, call, "Lock", "RLock"):
+				if recv != nil {
+					l := heldLock{obj: exprObject(info, recv), id: lockID(info, pkgPath, recv)}
+					if visit != nil {
+						visit(call, l.id, held)
+					}
+					held[exprKey(recv)] = l
+				}
+			case isMutexCall(info, call, "Unlock", "RUnlock"):
+				if recv != nil {
+					delete(held, exprKey(recv))
+				}
+			case visit != nil:
+				visit(call, "", held)
+			}
+			return true
+		})
+	}
+	return held
+}
 
-	merge := func(dst, src heldSet) (heldSet, bool) {
-		if dst == nil {
-			return src.clone(), true
+// blockingOp names the operation at n that may park the goroutine, or
+// returns "" when n cannot block by itself. The summary layer (MayBlock) and
+// lockhold share it; calls into module functions are left to their
+// summaries.
+func blockingOp(info *types.Info, n ast.Node) string {
+	switch e := n.(type) {
+	case *ast.SendStmt:
+		return "channel send"
+	case *ast.UnaryExpr:
+		if e.Op == token.ARROW {
+			return "channel receive"
 		}
-		changed := false
-		for k, v := range src {
-			if _, ok := dst[k]; !ok {
-				dst[k] = v
-				changed = true
+	case *ast.RangeStmt:
+		if rangesOverChan(info, e) {
+			return "channel receive"
+		}
+	case *ast.SelectStmt:
+		for _, cl := range e.Body.List {
+			if cl.(*ast.CommClause).Comm == nil {
+				return "" // a default clause never waits
 			}
 		}
-		return dst, changed
+		return "select with no default clause"
+	case *ast.CallExpr:
+		switch {
+		case isPoolDispatch(info, e):
+			return "blocking compute.Pool dispatch"
+		case isSyncMethod(info, e, "WaitGroup", "Wait"):
+			return "sync.WaitGroup.Wait"
+		case isSyncMethod(info, e, "Cond", "Wait"):
+			return "sync.Cond.Wait"
+		}
 	}
+	return ""
+}
 
-	work := []*cfgNode{g.entry}
-	in[g.entry.index] = heldSet{}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := transfer(n, in[n.index].clone(), false)
-		for _, s := range n.succs {
-			m, changed := merge(in[s.index], out)
-			in[s.index] = m
-			if changed {
-				work = append(work, s)
+// chanOp reports whether n communicates on a channel: a send, a receive, a
+// range over a channel, a select with a communication clause, or a call of
+// the close builtin. The summary layer (ChanOps) and goroleak share it.
+func chanOp(info *types.Info, n ast.Node) bool {
+	switch e := n.(type) {
+	case *ast.SendStmt:
+		return true
+	case *ast.UnaryExpr:
+		return e.Op == token.ARROW
+	case *ast.RangeStmt:
+		return rangesOverChan(info, e)
+	case *ast.SelectStmt:
+		for _, cl := range e.Body.List {
+			if cl.(*ast.CommClause).Comm != nil {
+				return true
 			}
 		}
-	}
-
-	// Reporting pass over stable states.
-	for _, n := range g.nodes {
-		if in[n.index] == nil {
-			continue
+	case *ast.CallExpr:
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
+			_, isBuiltin := info.Uses[id].(*types.Builtin)
+			return isBuiltin && id.Name == "close"
 		}
-		transfer(n, in[n.index].clone(), true)
 	}
+	return false
+}
+
+func rangesOverChan(info *types.Info, r *ast.RangeStmt) bool {
+	t := info.TypeOf(r.X)
+	if t == nil {
+		return false
+	}
+	_, isChan := t.Underlying().(*types.Chan)
+	return isChan
+}
+
+// isPoolDispatch reports a compute.Pool call that parks until its workers
+// finish.
+func isPoolDispatch(info *types.Info, call *ast.CallExpr) bool {
+	return isMethodOn(info, call, "compute", "Pool", "Do", "ParallelFor", "ParallelRanges", "RunPartitioned")
 }
 
 // checkBlocking reports blocking operations at node n given the held set.
 func checkBlocking(pass *Pass, n *cfgNode, held heldSet, binds condBindings, reported map[ast.Node]bool) {
+	// A deferred call runs at function exit, and a communication clause
+	// blocks as part of its select, which the select's head accounts for.
+	if _, isDefer := n.stmt.(*ast.DeferStmt); isDefer || n.isComm {
+		return
+	}
 	report := func(at ast.Node, what string) {
 		if reported[at] {
 			return
@@ -204,52 +275,27 @@ func checkBlocking(pass *Pass, n *cfgNode, held heldSet, binds condBindings, rep
 		reported[at] = true
 		pass.Reportf("lockhold", at.Pos(),
 			"%s while holding %s: blocking with a mutex held stalls every contender (release the lock first, or restructure so the blocking op happens outside the critical section)",
-			what, heldNames(held))
+			what, strings.Join(slices.Sorted(maps.Keys(held)), ", "))
 	}
 
-	// Select heads: the select itself blocks unless it has a default clause.
-	if sel, ok := n.stmt.(*ast.SelectStmt); ok {
-		hasDefault := false
-		for _, cl := range sel.Body.List {
-			if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
-		if !hasDefault {
-			report(sel, "select with no default clause")
-		}
-		return
+	// The statement's own operation: a send, a default-less select, or a
+	// range over a channel (whose head receives on every iteration).
+	if op := blockingOp(pass.Info, n.stmt); op != "" {
+		report(n.stmt, op)
 	}
-	// Communication clauses were accounted for at the select head.
-	if n.isComm {
-		return
-	}
-
-	// Channel send statement.
-	if snd, ok := n.stmt.(*ast.SendStmt); ok {
-		report(snd, "channel send")
-	}
-
 	for _, part := range n.nodeParts() {
 		inspectSkippingFuncLits(part, func(x ast.Node) bool {
-			switch e := x.(type) {
-			case *ast.UnaryExpr:
-				if e.Op.String() == "<-" {
-					report(e, "channel receive")
-				}
-			case *ast.CallExpr:
-				if isMethodOn(pass.Info, e, "compute", "Pool", "Do", "ParallelFor", "ParallelRanges", "RunPartitioned") {
-					report(e, "blocking compute.Pool dispatch")
-				}
-				if isSyncMethod(pass.Info, e, "WaitGroup", "Wait") {
-					report(e, "sync.WaitGroup.Wait")
-				}
-				if isSyncMethod(pass.Info, e, "Cond", "Wait") {
-					checkCondWait(pass, e, held, binds, report)
-				}
-				if cs := pass.Summaries.summaryForCall(pass.Info, e); cs != nil && cs.MayBlock {
-					if f := calleeFunc(pass.Info, e); f != nil {
-						report(e, fmt.Sprintf("call to %s, which may block (transitively, per its interprocedural summary)", f.Name()))
+			switch op := blockingOp(pass.Info, x); op {
+			case "":
+			case "sync.Cond.Wait":
+				checkCondWait(pass, x.(*ast.CallExpr), held, binds, report)
+			default:
+				report(x, op)
+			}
+			if call, ok := x.(*ast.CallExpr); ok {
+				if cs := pass.Summaries.summaryForCall(pass.Info, call); cs != nil && cs.MayBlock {
+					if f := calleeFunc(pass.Info, call); f != nil {
+						report(call, fmt.Sprintf("call to %s, which may block (transitively, per its interprocedural summary)", f.Name()))
 					}
 				}
 			}
@@ -272,8 +318,8 @@ func checkCondWait(pass *Pass, call *ast.CallExpr, held heldSet, binds condBindi
 		report(call, "sync.Cond.Wait on a condition variable with no visible sync.NewCond binding")
 		return
 	}
-	for _, obj := range held {
-		if obj != nil && obj == lockObj {
+	for _, l := range held {
+		if l.obj != nil && l.obj == lockObj {
 			return // Waiting on the lock we hold: the one correct pattern.
 		}
 	}
@@ -295,28 +341,10 @@ func isSyncMethodAny(info *types.Info, call *ast.CallExpr, typeNames, names []st
 		return false
 	}
 	named := recvNamed(f)
-	if named == nil {
+	if named == nil || named.Obj().Pkg() == nil || named.Obj().Pkg().Path() != "sync" {
 		return false
 	}
-	tp := named.Obj().Pkg()
-	if tp == nil || tp.Path() != "sync" {
-		return false
-	}
-	typeOK := false
-	for _, t := range typeNames {
-		if named.Obj().Name() == t {
-			typeOK = true
-		}
-	}
-	if !typeOK {
-		return false
-	}
-	for _, m := range names {
-		if f.Name() == m {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(typeNames, named.Obj().Name()) && slices.Contains(names, f.Name())
 }
 
 // mutexRecvExpr extracts the receiver expression of a method call
@@ -363,26 +391,4 @@ func exprObject(info *types.Info, e ast.Expr) types.Object {
 		return exprObject(info, x.X)
 	}
 	return nil
-}
-
-// heldNames renders the held set deterministically for messages.
-func heldNames(held heldSet) string {
-	keys := make([]string, 0, len(held))
-	for k := range held {
-		keys = append(keys, k)
-	}
-	// Insertion-order independence: simple sort.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	out := ""
-	for i, k := range keys {
-		if i > 0 {
-			out += ", "
-		}
-		out += k
-	}
-	return out
 }

@@ -66,61 +66,13 @@ func runLockOrder(pass *Pass) {
 	}
 	sort.Strings(nodes)
 
-	for _, scc := range lockSCCs(nodes, adj) {
+	for _, scc := range tarjan(nodes, func(u string) []string { return adj[u] }) {
 		if len(scc) < 2 {
 			continue // self-edges are never emitted, so a singleton is acyclic
 		}
+		sort.Strings(scc)
 		reportLockCycle(pass, scc, adj, witness)
 	}
-}
-
-// lockSCCs is Tarjan over the lock-ID graph, deterministic via sorted inputs.
-func lockSCCs(nodes []string, adj map[string][]string) [][]string {
-	index := map[string]int{}
-	lowlink := map[string]int{}
-	onStack := map[string]bool{}
-	var stack []string
-	var out [][]string
-	next := 0
-
-	var strongconnect func(u string)
-	strongconnect = func(u string) {
-		index[u] = next
-		lowlink[u] = next
-		next++
-		stack = append(stack, u)
-		onStack[u] = true
-		for _, v := range adj[u] {
-			if _, visited := index[v]; !visited {
-				strongconnect(v)
-				if lowlink[v] < lowlink[u] {
-					lowlink[u] = lowlink[v]
-				}
-			} else if onStack[v] && index[v] < lowlink[u] {
-				lowlink[u] = index[v]
-			}
-		}
-		if lowlink[u] == index[u] {
-			var comp []string
-			for {
-				top := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[top] = false
-				comp = append(comp, top)
-				if top == u {
-					break
-				}
-			}
-			sort.Strings(comp)
-			out = append(out, comp)
-		}
-	}
-	for _, n := range nodes {
-		if _, visited := index[n]; !visited {
-			strongconnect(n)
-		}
-	}
-	return out
 }
 
 // reportLockCycle reconstructs one concrete cycle through the SCC's smallest

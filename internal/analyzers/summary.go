@@ -4,6 +4,8 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -171,44 +173,8 @@ func summariesEqual(a, b *FuncSummary) bool {
 		a.CallsWGDone != b.CallsWGDone || a.ChanOps != b.ChanOps || a.SpawnsGo != b.SpawnsGo {
 		return false
 	}
-	return intsEqual(a.PutsParams, b.PutsParams) && intsEqual(a.EscapesParams, b.EscapesParams) &&
-		stringsEqual(a.Acquires, b.Acquires) && edgesEqual(a.OrderEdges, b.OrderEdges)
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func stringsEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func edgesEqual(a, b []LockEdge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.PutsParams, b.PutsParams) && slices.Equal(a.EscapesParams, b.EscapesParams) &&
+		slices.Equal(a.Acquires, b.Acquires) && slices.Equal(a.OrderEdges, b.OrderEdges)
 }
 
 // ---- per-function summary computation --------------------------------------
@@ -243,84 +209,44 @@ func computeFuncSummary(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTab
 	escapes := map[int]bool{}
 	acquires := map[string]bool{}
 
-	// Function literals that are the immediate operand of a go statement run
-	// on another goroutine: their effects belong to the spawned goroutine
-	// (goroleak inspects them directly), not to a call of this function.
+	// A go statement's call, and a function literal it spawns, run on
+	// another goroutine: their effects belong to the spawned goroutine
+	// (goroleak inspects them directly), not to a call of this function. The
+	// walk meets each go statement before its call and literal, so it marks
+	// them on the way.
+	goCalls := map[ast.Node]bool{}
 	spawnedLits := map[*ast.FuncLit]bool{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			if lit, ok := ast.Unparen(g.Call.Fun).(*ast.FuncLit); ok {
-				spawnedLits[lit] = true
-			}
+		if chanOp(info, n) {
+			s.ChanOps = true
 		}
-		return true
-	})
-
-	goCalls := map[*ast.CallExpr]bool{}
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if g, ok := n.(*ast.GoStmt); ok {
-			goCalls[g.Call] = true
+		blocks := blockingOp(info, n) != ""
+		if blocks && !goCalls[n] {
+			s.MayBlock = true
 		}
-		return true
-	})
-
-	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch e := n.(type) {
 		case *ast.FuncLit:
-			if spawnedLits[e] {
-				// Still record captured-param escapes: the goroutine may
-				// outlive the call frame.
-				for v, i := range paramIdx {
-					if funcLitUsesVar(info, e, v) {
-						escapes[i] = true
-					}
-				}
-				return false
-			}
-			// Non-spawned literals run (if at all) on behalf of this call;
-			// their effects aggregate, and captured params escape.
+			// A literal's captured params escape. A spawned literal's
+			// effects stay with its goroutine (which may outlive the call
+			// frame); any other literal runs, if at all, on behalf of this
+			// call, so its effects aggregate.
 			for v, i := range paramIdx {
-				if funcLitUsesVar(info, e, v) {
+				if mentionsVar(info, e.Body, v) {
 					escapes[i] = true
 				}
 			}
-			return true
+			return !spawnedLits[e]
 		case *ast.GoStmt:
 			s.SpawnsGo = true
-			return true
+			goCalls[e.Call] = true
+			if lit, ok := ast.Unparen(e.Call.Fun).(*ast.FuncLit); ok {
+				spawnedLits[lit] = true
+			}
 		case *ast.SendStmt:
-			s.ChanOps = true
-			s.MayBlock = true
 			if v := identVar(info, e.Value); v != nil {
 				if i, ok := paramIdx[v]; ok {
 					escapes[i] = true
 				}
-			}
-		case *ast.UnaryExpr:
-			if e.Op == token.ARROW {
-				s.ChanOps = true
-				s.MayBlock = true
-			}
-		case *ast.RangeStmt:
-			if tv, ok := info.Types[e.X]; ok {
-				if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-					s.ChanOps = true
-					s.MayBlock = true
-				}
-			}
-		case *ast.SelectStmt:
-			hasDefault := false
-			for _, cl := range e.Body.List {
-				if cc, ok := cl.(*ast.CommClause); ok {
-					if cc.Comm == nil {
-						hasDefault = true
-					} else {
-						s.ChanOps = true
-					}
-				}
-			}
-			if !hasDefault {
-				s.MayBlock = true
 			}
 		case *ast.ReturnStmt:
 			for _, r := range e.Results {
@@ -350,7 +276,9 @@ func computeFuncSummary(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTab
 				}
 			}
 		case *ast.CallExpr:
-			summarizeCall(lp, s, e, goCalls[e], paramIdx, puts, escapes, acquires, table)
+			if !blocks {
+				summarizeCall(lp, s, e, goCalls[e], paramIdx, puts, escapes, acquires, table)
+			}
 		}
 		return true
 	})
@@ -364,26 +292,24 @@ func computeFuncSummary(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTab
 		}
 	}
 
-	s.PutsParams = sortedInts(puts)
-	s.EscapesParams = sortedInts(escapes)
-	s.Acquires = sortedStrings(acquires)
+	s.PutsParams = slices.Sorted(maps.Keys(puts))
+	s.EscapesParams = slices.Sorted(maps.Keys(escapes))
+	s.Acquires = slices.Sorted(maps.Keys(acquires))
 	s.OrderEdges = lockOrderEdges(lp, decl, table)
 	return s
 }
 
-// summarizeCall folds one call expression into the summary under
-// construction. isGo marks the immediate call of a go statement, whose
-// blocking/joining effects belong to the spawned goroutine instead.
+// summarizeCall folds one call expression that is not itself a blocking op
+// into the summary under construction. isGo marks the immediate call of a go
+// statement, whose blocking/joining effects belong to the spawned goroutine
+// instead.
 func summarizeCall(lp *LoadedPackage, s *FuncSummary, call *ast.CallExpr, isGo bool,
 	paramIdx map[*types.Var]int, puts, escapes map[int]bool, acquires map[string]bool, table *SummaryTable) {
 	info := lp.Info
 
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "close":
-				s.ChanOps = true
-			case "append":
+			if id.Name == "append" {
 				for _, a := range call.Args[1:] {
 					if v := identVar(info, a); v != nil {
 						if i, ok := paramIdx[v]; ok {
@@ -409,16 +335,6 @@ func summarizeCall(lp *LoadedPackage, s *FuncSummary, call *ast.CallExpr, isGo b
 	case isMutexCall(info, call, "Lock", "RLock"):
 		if recv := mutexRecvExpr(call); recv != nil {
 			acquires[lockID(info, lp.Path, recv)] = true
-		}
-		return
-	case isMethodOn(info, call, "compute", "Pool", "Do", "ParallelFor", "ParallelRanges", "RunPartitioned"):
-		if !isGo {
-			s.MayBlock = true
-		}
-		return
-	case isSyncMethod(info, call, "WaitGroup", "Wait"), isSyncMethod(info, call, "Cond", "Wait"):
-		if !isGo {
-			s.MayBlock = true
 		}
 		return
 	case isSyncMethod(info, call, "WaitGroup", "Done"):
@@ -467,10 +383,10 @@ func summarizeCall(lp *LoadedPackage, s *FuncSummary, call *ast.CallExpr, isGo b
 		if pi < 0 {
 			continue
 		}
-		if intsContain(cs.PutsParams, pi) {
+		if slices.Contains(cs.PutsParams, pi) {
 			puts[i] = true
 		}
-		if intsContain(cs.EscapesParams, pi) {
+		if slices.Contains(cs.EscapesParams, pi) {
 			escapes[i] = true
 		}
 	}
@@ -601,121 +517,42 @@ func lockOrderEdges(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTable) 
 	return edges
 }
 
-// lockEdgesForBody is the per-body dataflow behind lockOrderEdges.
+// lockEdgesForBody runs the held-lock pass over one body for
+// lockOrderEdges: every acquisition, and every call of a callee that
+// acquires, is ordered after each lock held there.
 func lockEdgesForBody(lp *LoadedPackage, body *ast.BlockStmt, table *SummaryTable, emit func(from, to string, at token.Pos)) {
-	info := lp.Info
-	locks := false
-	inspectSkippingFuncLits(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isMutexCall(info, call, "Lock", "RLock") {
-			locks = true
-		}
-		return !locks
-	})
-	if !locks {
+	g, in := heldLocks(lp.Info, lp.Path, body)
+	if g == nil {
 		return
-	}
-	g := buildCFG(body)
-	if g.hasGoto {
-		return
-	}
-
-	// held maps receiver-expression spelling → canonical lock ID, so the
-	// From side of every edge uses exactly the same identity the To side
-	// gets from lockID (cycles would otherwise never close).
-	type lockHeld map[string]string
-	clone := func(h lockHeld) lockHeld {
-		c := make(lockHeld, len(h))
-		for k, v := range h {
-			c[k] = v
-		}
-		return c
-	}
-	heldFroms := func(h lockHeld) []string {
-		ids := map[string]bool{}
-		for _, v := range h {
-			ids[v] = true
-		}
-		return sortedStrings(ids)
-	}
-
-	in := make([]lockHeld, len(g.nodes))
-	transfer := func(n *cfgNode, held lockHeld, record bool) lockHeld {
-		if _, isDefer := n.stmt.(*ast.DeferStmt); isDefer {
-			return held
-		}
-		for _, part := range n.nodeParts() {
-			inspectSkippingFuncLits(part, func(x ast.Node) bool {
-				call, ok := x.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch {
-				case isMutexCall(info, call, "Lock", "RLock"):
-					recv := mutexRecvExpr(call)
-					if recv == nil {
-						return true
-					}
-					id := lockID(info, lp.Path, recv)
-					if record {
-						for _, from := range heldFroms(held) {
-							emit(from, id, call.Pos())
-						}
-					}
-					held[exprKey(recv)] = id
-				case isMutexCall(info, call, "Unlock", "RUnlock"):
-					if recv := mutexRecvExpr(call); recv != nil {
-						delete(held, exprKey(recv))
-					}
-				default:
-					if record && len(held) > 0 {
-						if cs := table.summaryForCall(info, call); cs != nil && len(cs.Acquires) > 0 {
-							for _, from := range heldFroms(held) {
-								for _, to := range cs.Acquires {
-									emit(from, to, call.Pos())
-								}
-							}
-						}
-					}
-				}
-				return true
-			})
-		}
-		return held
-	}
-
-	merge := func(dst, src lockHeld) (lockHeld, bool) {
-		if dst == nil {
-			return clone(src), true
-		}
-		changed := false
-		for k, v := range src {
-			if _, ok := dst[k]; !ok {
-				dst[k] = v
-				changed = true
-			}
-		}
-		return dst, changed
-	}
-
-	work := []*cfgNode{g.entry}
-	in[g.entry.index] = lockHeld{}
-	for len(work) > 0 {
-		n := work[len(work)-1]
-		work = work[:len(work)-1]
-		out := transfer(n, clone(in[n.index]), false)
-		for _, su := range n.succs {
-			m, changed := merge(in[su.index], out)
-			in[su.index] = m
-			if changed {
-				work = append(work, su)
-			}
-		}
 	}
 	for _, n := range g.nodes {
 		if in[n.index] == nil {
 			continue
 		}
-		transfer(n, clone(in[n.index]), true)
+		lockStep(lp.Info, lp.Path, n, in[n.index], func(call *ast.CallExpr, acquired string, held heldSet) {
+			tos := []string{acquired}
+			if acquired == "" {
+				if len(held) == 0 {
+					return
+				}
+				cs := table.summaryForCall(lp.Info, call)
+				if cs == nil {
+					return
+				}
+				tos = cs.Acquires
+			}
+			// From and To are both canonical lockIDs, or cycles would never
+			// close.
+			froms := map[string]bool{}
+			for _, l := range held {
+				froms[l.id] = true
+			}
+			for _, from := range slices.Sorted(maps.Keys(froms)) {
+				for _, to := range tos {
+					emit(from, to, call.Pos())
+				}
+			}
+		})
 	}
 }
 
@@ -763,42 +600,4 @@ func lockID(info *types.Info, pkgPath string, recv ast.Expr) string {
 		return lockID(info, pkgPath, x.X)
 	}
 	return pkgPath + "." + exprKey(recv)
-}
-
-func sortedInts(m map[int]bool) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(m))
-	for i := range m {
-		out = append(out, i)
-	}
-	sort.Ints(out)
-	return out
-}
-
-func sortedStrings(m map[string]bool) []string {
-	if len(m) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(m))
-	for s := range m {
-		out = append(out, s)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func intsContain(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
-// funcLitUsesVar reports whether lit's body references v.
-func funcLitUsesVar(info *types.Info, lit *ast.FuncLit, v *types.Var) bool {
-	return funcLitUses(info, lit, v)
 }

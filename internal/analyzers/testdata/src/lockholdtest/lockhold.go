@@ -154,3 +154,23 @@ func (e *engine) suppressedSend(t task) {
 	defer e.mu.Unlock()
 	e.queue <- t //repro:allow(lockhold) queue is buffered to capacity n and n is bounded under this same lock, so the send never blocks
 }
+
+// rangeChanHoldingLock: ranging over a channel receives on every iteration,
+// so the loop head blocks under the lock just as a <- does.
+func (e *engine) rangeChanHoldingLock() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for t := range e.queue { // want `channel receive while holding e\.mu`
+		e.n += t.id
+	}
+}
+
+// suppressedRange: a justified drain under lock carries a directive.
+func (e *engine) suppressedRange() {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	//repro:allow(lockhold) the queue is closed before this drain runs, so the range never parks
+	for t := range e.queue {
+		e.n += t.id
+	}
+}

@@ -259,39 +259,6 @@ func SaveResult(path string, res *parafac2.Result) error {
 	})
 }
 
-// LoadResult reads a factorization from the named file.
-func LoadResult(path string) (*parafac2.Result, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadResult(f)
-}
-
-// WriteMatrixCSV writes m as comma-separated rows — the interchange format
-// cmd/dpar2 accepts back via -input.
-func WriteMatrixCSV(w io.Writer, m *mat.Dense) error {
-	bw := bufio.NewWriter(w)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for jj, v := range row {
-			if jj > 0 {
-				if err := bw.WriteByte(','); err != nil {
-					return err
-				}
-			}
-			if _, err := fmt.Fprintf(bw, "%.17g", v); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // finish closes an encoded payload: the encoder's first error, else the
 // checksum trailer, then the flush.
 func finish(enc *state.Encoder, sw *state.SumWriter, bw *bufio.Writer) error {

@@ -239,20 +239,6 @@ func TestSolveSPD(t *testing.T) {
 	}
 }
 
-func TestOrthonormalBasisTall(t *testing.T) {
-	g := rng.New(11)
-	a := mat.Gaussian(g, 40, 6)
-	q := OrthonormalBasis(a)
-	if !q.IsOrthonormalCols(1e-10) {
-		t.Fatal("basis not orthonormal")
-	}
-	// Column space preserved: a = q qᵀ a.
-	proj := q.Mul(q.TMul(a))
-	if !proj.EqualApprox(a, 1e-9) {
-		t.Fatal("basis does not span columns of a")
-	}
-}
-
 func TestQuickSVDReconstruct(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := rng.New(seed)

@@ -166,20 +166,3 @@ func QRFactor(a *mat.Dense) QR {
 	}
 	return QR{Q: q, R: r}
 }
-
-// OrthonormalBasis returns a column-orthonormal basis for the column space
-// of a, handling the wide case (m < n) by truncating to the first m columns'
-// span. Used by randomized SVD where a is the tall sketch Y.
-func OrthonormalBasis(a *mat.Dense) *mat.Dense {
-	if a.Rows >= a.Cols {
-		return QRFactor(a).Q
-	}
-	// Wide: basis has at most a.Rows columns. QR of the leading square block
-	// is not enough in general; use the transpose trick through SVD-free
-	// Gram-Schmidt on rows — but for our callers this path never triggers
-	// (sketches are tall). Fall back to QR of aᵀ's R factor anyway.
-	qr := QRFactor(a.T())
-	// aᵀ = Q R → a = Rᵀ Qᵀ; an orthonormal basis of a's columns is the
-	// Q factor of Rᵀ (a.Rows-by-a.Rows).
-	return QRFactor(qr.R.T()).Q
-}

@@ -7,8 +7,8 @@ package mat
 // accumulators) was benchmarked first and lost to the reference kernels on
 // this target: gc keeps only a handful of floating-point chains live before
 // it starts spilling tile accumulators to the stack, and the reference
-// kernels already compile their fused multiply-adds to FMA instructions, so
-// they sit close to the scalar FMA throughput wall. What wins instead —
+// kernels' separate multiply and add instructions (amd64 gc never fuses
+// them) already run close to the scalar throughput wall. What wins instead —
 // measured on the R×R ALS products and the tall I_k×(R+s) stage-1 products
 // alike — is a smaller register block that cuts memory traffic without
 // exceeding the register budget:

@@ -4,7 +4,6 @@ import (
 	"math"
 	"sort"
 
-	"repro/internal/mat"
 	"repro/internal/tensor"
 )
 
@@ -27,16 +26,6 @@ func SliceResiduals(t *tensor.Irregular, r *Result) []float64 {
 		out[k] = xk.FrobDist(r.ReconstructSlice(k)) / n
 	}
 	return out
-}
-
-// SliceFitness returns 1 − residual² per slice, the per-slice analogue of
-// the global fitness measure.
-func SliceFitness(t *tensor.Irregular, r *Result) []float64 {
-	res := SliceResiduals(t, r)
-	for i, v := range res {
-		res[i] = 1 - v*v
-	}
-	return res
 }
 
 // Anomaly flags one slice identified by residual analysis.
@@ -73,46 +62,6 @@ func DetectAnomalies(t *tensor.Irregular, r *Result, threshold float64) []Anomal
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Score > out[j].Score })
 	return out
-}
-
-// SortComponents reorders the R components of a result in place by
-// descending energy (the norm of the corresponding W column, i.e. how much
-// weight the component carries across slices). PARAFAC2 factors come out of
-// ALS in arbitrary component order; a canonical order makes results easier
-// to read and compare across runs.
-func (r *Result) SortComponents() {
-	rank := r.H.Cols
-	energy := make([]float64, rank)
-	for _, s := range r.S {
-		for c, v := range s {
-			energy[c] += v * v
-		}
-	}
-	order := make([]int, rank)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return energy[order[a]] > energy[order[b]] })
-
-	permCols := func(m *mat.Dense) *mat.Dense {
-		out := mat.New(m.Rows, m.Cols)
-		for newC, oldC := range order {
-			out.SetCol(newC, m.Col(oldC))
-		}
-		return out
-	}
-	// The component index r appears in the columns of H and V and the
-	// entries of S_k (the model is Σ_r Q_k H(:,r) S_k(r) V(:,r)ᵀ); the
-	// columns of Q_k pair with H's *rows* and must not be permuted.
-	r.H = permCols(r.H)
-	r.V = permCols(r.V)
-	for k := range r.S {
-		ns := make([]float64, rank)
-		for newC, oldC := range order {
-			ns[newC] = r.S[k][oldC]
-		}
-		r.S[k] = ns
-	}
 }
 
 func median(xs []float64) float64 {

@@ -59,50 +59,3 @@ func FactorMatchScore(a, b *mat.Dense) float64 {
 	}
 	return total / float64(r)
 }
-
-// SubspaceAlignment measures how well the column spaces of two matrices
-// with orthonormal-ish columns agree: the mean squared singular value of
-// QaᵀQb where Qa, Qb are orthonormal bases (1 = identical subspaces,
-// 0 = orthogonal). Used to compare Q_k factors whose individual columns can
-// rotate freely within the subspace.
-func SubspaceAlignment(a, b *mat.Dense) float64 {
-	qa := gramSchmidt(a)
-	qb := gramSchmidt(b)
-	m := qa.TMul(qb) // r×r
-	// Σ σ_i² = ‖M‖_F²; mean over r gives the average cos².
-	r := float64(m.Rows)
-	if r == 0 {
-		return 1
-	}
-	return m.FrobNorm2() / r
-}
-
-// gramSchmidt returns an orthonormal basis of a's columns (two-pass MGS),
-// dropping numerically dependent columns.
-func gramSchmidt(a *mat.Dense) *mat.Dense {
-	cols := make([][]float64, 0, a.Cols)
-	for j := 0; j < a.Cols; j++ {
-		v := a.Col(j)
-		for pass := 0; pass < 2; pass++ {
-			for _, u := range cols {
-				d := mat.Dot(v, u)
-				for i := range v {
-					v[i] -= d * u[i]
-				}
-			}
-		}
-		n := mat.Norm2(v)
-		if n < 1e-12 {
-			continue
-		}
-		for i := range v {
-			v[i] /= n
-		}
-		cols = append(cols, v)
-	}
-	out := mat.New(a.Rows, len(cols))
-	for j, c := range cols {
-		out.SetCol(j, c)
-	}
-	return out
-}

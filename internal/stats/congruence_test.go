@@ -73,33 +73,6 @@ func TestFactorMatchScoreRandomLow(t *testing.T) {
 	}
 }
 
-func TestSubspaceAlignmentIdentity(t *testing.T) {
-	g := rng.New(4)
-	a := mat.Gaussian(g, 30, 3)
-	if s := SubspaceAlignment(a, a); math.Abs(s-1) > 1e-9 {
-		t.Fatalf("self alignment %v", s)
-	}
-	// Same subspace, different basis: mix the columns.
-	mix := mat.Gaussian(g, 3, 3)
-	b := a.Mul(mix)
-	if s := SubspaceAlignment(a, b); math.Abs(s-1) > 1e-8 {
-		t.Fatalf("re-based subspace alignment %v", s)
-	}
-}
-
-func TestSubspaceAlignmentOrthogonal(t *testing.T) {
-	// Disjoint coordinate subspaces are orthogonal.
-	a := mat.New(6, 2)
-	a.Set(0, 0, 1)
-	a.Set(1, 1, 1)
-	b := mat.New(6, 2)
-	b.Set(2, 0, 1)
-	b.Set(3, 1, 1)
-	if s := SubspaceAlignment(a, b); s > 1e-12 {
-		t.Fatalf("orthogonal subspaces aligned at %v", s)
-	}
-}
-
 func TestQuickCongruenceBounds(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := rng.New(seed)

@@ -3,10 +3,11 @@
 // decomposition, durable streaming sessions, and admission statistics via
 // the internal/service API (docs/SERVICE.md).
 //
-// With -state, stream sessions are checkpointed after every absorb and the
-// result cache persists across restarts: a daemon killed between absorbs
-// and restarted on the same state directory resumes every session
-// bit-identically.
+// -state is the Engine's state directory (repro.WithStateDir). Stream
+// sessions are checkpointed under it after create and after every absorb,
+// and with -cache-mb the result cache persists there across restarts: a
+// daemon killed between absorbs and restarted on the same state directory
+// resumes every session bit-identically.
 //
 // Examples:
 //
@@ -43,10 +44,9 @@ func main() {
 
 // run is the testable daemon body: parse flags, build the Engine and
 // Server, serve until ctx is cancelled, then drain gracefully — stop
-// accepting connections, finish in-flight requests, checkpoint every
-// durable stream, and close the Engine. onReady (may be nil) receives the
-// bound address once the listener is up; tests use it to learn the port
-// before issuing requests.
+// accepting connections, finish in-flight requests, and close the Engine.
+// onReady (may be nil) receives the bound address once the listener is up;
+// tests use it to learn the port before issuing requests.
 func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady func(addr string)) error {
 	fs := flag.NewFlagSet("dpar2d", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -92,11 +92,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	eng := repro.NewEngine(engOpts...)
 	defer eng.Close()
 
-	srv, err := service.New(service.Config{
-		Engine:       eng,
-		StateDir:     *stateDir,
-		MaxBodyBytes: *maxBodyMB << 20,
-	})
+	srv, err := service.New(service.Config{Engine: eng, MaxBodyBytes: *maxBodyMB << 20})
 	if err != nil {
 		return err
 	}
@@ -122,18 +118,18 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, onReady f
 	}
 
 	// Graceful drain: Shutdown stops the listener and waits for in-flight
-	// requests (bounded by -drain), then the streams are checkpointed and
-	// the Engine drains its accepted jobs.
+	// requests (bounded by -drain), then the Engine drains its accepted
+	// jobs. Every durable session is already on disk: create and absorb
+	// write it before they reply.
 	fmt.Fprintln(stdout, "dpar2d: draining")
 	shCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	shutdownErr := hs.Shutdown(shCtx)
 	<-serveErr // Serve has returned http.ErrServerClosed
-	closeErr := srv.Close()
 	eng.Close()
 	fmt.Fprintln(stdout, "dpar2d: stopped")
 	if shutdownErr != nil {
 		return fmt.Errorf("shutdown: %w", shutdownErr)
 	}
-	return closeErr
+	return nil
 }

@@ -345,6 +345,10 @@ func (e *Engine) Stats() EngineStatsSnapshot { return e.sched.Stats() }
 // Engine-owned pool runs submitted work inline on the caller (serial).
 func (e *Engine) Pool() *Pool { return e.pool }
 
+// StateDir returns the durable-state root given to WithStateDir, or "" when
+// the Engine keeps no durable state.
+func (e *Engine) StateDir() string { return e.stateDir }
+
 // Close stops accepting work, waits for already-accepted jobs to finish
 // (they still produce results), and closes the Engine-owned pool. Close is
 // idempotent; calls after the first wait for the same drain.

@@ -35,7 +35,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
 	client := service.NewClient(hs.URL, nil)

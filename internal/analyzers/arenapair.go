@@ -276,7 +276,7 @@ func analyzeArenaFunc(pass *Pass, body *ast.BlockStmt) {
 		return st
 	}
 
-	in := forwardMay(g, func(n *cfgNode, st stateMap) stateMap { return transfer(n, st, false) },
+	in := forwardMay(g, stateMap{}, func(n *cfgNode, st stateMap) stateMap { return transfer(n, st, false) },
 		func(dst, src stateMap) bool {
 			changed := false
 			for v := range tracked {

@@ -13,7 +13,7 @@ import (
 //     by arenapair and the held-lock pass;
 //   - the held-lock pass, heldLocks plus the per-node lockStep (lockhold.go),
 //     whose entries carry a lock's object for sync.NewCond bindings and its
-//     lockID for lock-order edges: lockhold and lockEdgesForBody read it;
+//     lockID for lock-order edges: lockhold and lockEdgesForBody visit it;
 //   - blockingOp and chanOp (lockhold.go), the one blocking-op model, which
 //     the summary layer, lockhold and goroleak call;
 //   - tarjan (callgraph.go), the SCC routine of the call and lock graphs.
@@ -21,7 +21,8 @@ import (
 // The CFG makes each atomic statement one node; structured statements
 // (if/for/range/switch/select) are lowered to edges. Function literals are
 // NOT descended into — each FuncLit body is analyzed as its own function by
-// the callers.
+// the callers, except that the held-lock pass walks a literal called on the
+// spot inline at its call (calledLits, lockWalk).
 //
 // The builder is conservative where precision is not needed:
 //
@@ -425,12 +426,12 @@ func allExitsReach(g *cfg, hit func(*cfgNode) bool) bool {
 
 // forwardMay solves a forward may-analysis over g and returns every node's
 // fixpoint entry state, nil where no path reaches the node. The entry node
-// starts from the empty state; step maps a private copy of a node's entry
-// state to its exit state; join folds an exit state into a successor's entry
-// state and reports whether that grew.
-func forwardMay[S ~map[K]V, K comparable, V any](g *cfg, step func(*cfgNode, S) S, join func(dst, src S) bool) []S {
+// starts from entry, which is not modified; step maps a private copy of a
+// node's entry state to its exit state; join folds an exit state into a
+// successor's entry state and reports whether that grew.
+func forwardMay[S ~map[K]V, K comparable, V any](g *cfg, entry S, step func(*cfgNode, S) S, join func(dst, src S) bool) []S {
 	in := make([]S, len(g.nodes))
-	in[g.entry.index] = S{}
+	in[g.entry.index] = entry
 	work := []*cfgNode{g.entry}
 	for len(work) > 0 {
 		n := work[len(work)-1]
@@ -451,7 +452,8 @@ func forwardMay[S ~map[K]V, K comparable, V any](g *cfg, step func(*cfgNode, S) 
 // forEachFunc invokes fn for every function body in the file set of a pass:
 // declarations and each function literal, every one as an independent unit
 // (callers exclude a literal's body from its parent's walk with
-// inspectSkippingFuncLits).
+// inspectSkippingFuncLits). The held-lock pass skips the literals of
+// calledLits: it walks those inline with their caller.
 func forEachFunc(files []*ast.File, fn func(decl *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt)) {
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -466,6 +468,28 @@ func forEachFunc(files []*ast.File, fn func(decl *ast.FuncDecl, lit *ast.FuncLit
 			return true
 		})
 	}
+}
+
+// calledLits returns the function literals under root that are called on
+// the spot, outside a go or defer statement: func(){...}() runs in its
+// caller's goroutine, between the caller's neighbouring statements.
+func calledLits(root ast.Node) map[*ast.FuncLit]bool {
+	spawned := map[*ast.CallExpr]bool{} // go and defer calls
+	called := map[*ast.FuncLit]bool{}
+	ast.Inspect(root, func(n ast.Node) bool {
+		switch e := n.(type) {
+		case *ast.GoStmt:
+			spawned[e.Call] = true
+		case *ast.DeferStmt:
+			spawned[e.Call] = true
+		case *ast.CallExpr:
+			if lit, ok := ast.Unparen(e.Fun).(*ast.FuncLit); ok && !spawned[e] {
+				called[lit] = true
+			}
+		}
+		return true
+	})
+	return called
 }
 
 // inspectSkippingFuncLits walks the statement tree of body but does not

@@ -35,8 +35,10 @@ import (
 // The analysis is the held-lock pass (heldLocks) over the CFG: a lock held
 // on any path into a blocking node is reported. Unlock/RUnlock clears the
 // lock on that path; a deferred Unlock deliberately does not (the lock really
-// is held for the remainder of the function body). What blocks is the
-// blocking-op model's answer (blockingOp), shared with the summary layer.
+// is held for the remainder of the function body). A literal called on the
+// spot runs under the caller's locks and is walked inline at its call. What
+// blocks is the blocking-op model's answer (blockingOp), shared with the
+// summary layer.
 var AnalyzerLockHold = &Analyzer{
 	Name: "lockhold",
 	Doc:  "no mutex held across channel operations, blocking pool dispatches, WaitGroup.Wait, or foreign cond.Wait",
@@ -49,17 +51,18 @@ type condBindings map[types.Object]types.Object
 
 func runLockHold(pass *Pass) {
 	binds := collectCondBindings(pass)
-	forEachFunc(pass.Files, func(_ *ast.FuncDecl, _ *ast.FuncLit, body *ast.BlockStmt) {
-		g, in := heldLocks(pass.Info, pass.Pkg.Path(), body)
-		if g == nil {
-			return
+	called := map[*ast.FuncLit]bool{}
+	for _, f := range pass.Files {
+		maps.Copy(called, calledLits(f))
+	}
+	forEachFunc(pass.Files, func(_ *ast.FuncDecl, lit *ast.FuncLit, body *ast.BlockStmt) {
+		if called[lit] {
+			return // walked inline with its caller
 		}
 		reported := map[ast.Node]bool{}
-		for _, n := range g.nodes {
-			if len(in[n.index]) > 0 {
-				checkBlocking(pass, n, in[n.index], binds, reported)
-			}
-		}
+		heldLocks(pass.Info, pass.Pkg.Path(), body, heldSet{}, func(n *cfgNode, x ast.Node, held heldSet) {
+			checkBlocking(pass, n, x, held, binds, reported)
+		})
 	})
 }
 
@@ -114,26 +117,27 @@ type heldLock struct {
 // heldSet is the may-hold state, keyed by the receiver's spelling (exprKey).
 type heldSet map[string]heldLock
 
-// heldLocks is the held-lock pass: it solves the may-hold set at the entry
-// of every node of body's CFG. Nested function literals are separate bodies.
-// A body that takes no lock, or uses goto, yields a nil graph.
-func heldLocks(info *types.Info, pkgPath string, body *ast.BlockStmt) (*cfg, []heldSet) {
-	locks := false
-	inspectSkippingFuncLits(body, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok && isMutexCall(info, call, "Lock", "RLock") {
-			locks = true
-		}
-		return !locks
-	})
-	if !locks {
-		return nil, nil
+// lockVisit sees one AST node that CFG node n evaluates, with the locks held
+// just before it.
+type lockVisit func(n *cfgNode, x ast.Node, held heldSet)
+
+// heldLocks is the held-lock pass over body, entered holding entry (which it
+// does not modify): it solves the may-hold set at the entry of every node of
+// body's CFG, walks each reachable node once more with visit (when
+// non-nil), and returns the set that may be held when body returns, its
+// deferred calls run. A function literal that body calls on the spot is
+// walked inline at its call (lockWalk); other nested literals are separate
+// bodies. A body that uses goto is skipped and returns entry.
+func heldLocks(info *types.Info, pkgPath string, body *ast.BlockStmt, entry heldSet, visit lockVisit) heldSet {
+	if len(entry) == 0 && !takesLock(info, body) {
+		return entry
 	}
 	g := buildCFG(body)
 	if g.hasGoto {
-		return nil, nil
+		return entry
 	}
 	step := func(n *cfgNode, held heldSet) heldSet { return lockStep(info, pkgPath, n, held, nil) }
-	return g, forwardMay(g, step, func(dst, src heldSet) bool {
+	in := forwardMay(g, entry, step, func(dst, src heldSet) bool {
 		grew := false
 		for k, l := range src {
 			if _, ok := dst[k]; !ok {
@@ -143,44 +147,84 @@ func heldLocks(info *types.Info, pkgPath string, body *ast.BlockStmt) (*cfg, []h
 		}
 		return grew
 	})
+	exit := heldSet{}
+	for _, n := range g.nodes {
+		if in[n.index] == nil {
+			continue
+		}
+		out := lockStep(info, pkgPath, n, maps.Clone(in[n.index]), visit)
+		// A panic unwinds past the caller too, so only returns count.
+		if es, ok := n.stmt.(*ast.ExprStmt); n.exit && !(ok && isPanicCall(es.X)) {
+			maps.Copy(exit, out)
+		}
+	}
+	for i := len(g.defers) - 1; i >= 0; i-- {
+		exit = lockWalk(info, pkgPath, nil, g.defers[i].Call, nil, exit, nil)
+	}
+	return exit
+}
+
+// takesLock reports whether body calls Lock or RLock anywhere, nested
+// literals included; without such a call nothing is ever held in it.
+func takesLock(info *types.Info, body *ast.BlockStmt) bool {
+	locks := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && isMutexCall(info, call, "Lock", "RLock") {
+			locks = true
+		}
+		return !locks
+	})
+	return locks
 }
 
 // lockStep applies node n's Lock and Unlock calls to held, in source order,
-// and returns it. A defer node has no effect: its call runs at
-// function exit, so `defer mu.Unlock()` keeps mu held for the rest of the
-// body. visit, when non-nil, sees each acquisition (with the acquired lockID)
-// and each non-mutex call (with ""), together with the locks held just
-// before it.
-func lockStep(info *types.Info, pkgPath string, n *cfgNode, held heldSet, visit func(call *ast.CallExpr, acquired string, held heldSet)) heldSet {
-	if _, isDefer := n.stmt.(*ast.DeferStmt); isDefer {
+// and returns it; visit, when non-nil, sees n's statement and then every
+// node lockWalk meets. A defer node has no effect and is not visited: its
+// call runs at function exit, so `defer mu.Unlock()` keeps mu held for the
+// rest of the body.
+func lockStep(info *types.Info, pkgPath string, n *cfgNode, held heldSet, visit lockVisit) heldSet {
+	if _, isDefer := n.stmt.(*ast.DeferStmt); isDefer || n.stmt == nil {
 		return held
 	}
+	if visit != nil {
+		visit(n, n.stmt, held)
+	}
+	var spawned *ast.CallExpr
+	if g, ok := n.stmt.(*ast.GoStmt); ok {
+		spawned = g.Call
+	}
 	for _, part := range n.nodeParts() {
-		inspectSkippingFuncLits(part, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			recv := mutexRecvExpr(call)
+		held = lockWalk(info, pkgPath, n, part, spawned, held, visit)
+	}
+	return held
+}
+
+// lockWalk applies the Lock and Unlock calls under root to held, in source
+// order, and returns it, showing visit (when non-nil) each node first. A
+// function literal called there, unless it is spawned (a go statement's
+// call), runs on the spot: heldLocks walks its body from the locks held at
+// the call, and the caller holds its exit set after it.
+func lockWalk(info *types.Info, pkgPath string, n *cfgNode, root ast.Node, spawned *ast.CallExpr, held heldSet, visit lockVisit) heldSet {
+	inspectSkippingFuncLits(root, func(x ast.Node) bool {
+		if visit != nil {
+			visit(n, x, held)
+		}
+		call, ok := x.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok && call != spawned {
+			held = heldLocks(info, pkgPath, lit.Body, held, visit)
+		} else if recv := mutexRecvExpr(call); recv != nil {
 			switch {
 			case isMutexCall(info, call, "Lock", "RLock"):
-				if recv != nil {
-					l := heldLock{obj: exprObject(info, recv), id: lockID(info, pkgPath, recv)}
-					if visit != nil {
-						visit(call, l.id, held)
-					}
-					held[exprKey(recv)] = l
-				}
+				held[exprKey(recv)] = heldLock{obj: exprObject(info, recv), id: lockID(info, pkgPath, recv)}
 			case isMutexCall(info, call, "Unlock", "RUnlock"):
-				if recv != nil {
-					delete(held, exprKey(recv))
-				}
-			case visit != nil:
-				visit(call, "", held)
+				delete(held, exprKey(recv))
 			}
-			return true
-		})
-	}
+		}
+		return true
+	})
 	return held
 }
 
@@ -218,6 +262,20 @@ func blockingOp(info *types.Info, n ast.Node) string {
 		}
 	}
 	return ""
+}
+
+// commOp returns the send or receive a select clause's communication
+// performs (nil for a default clause).
+func commOp(comm ast.Stmt) ast.Node {
+	switch c := comm.(type) {
+	case *ast.SendStmt:
+		return c
+	case *ast.ExprStmt:
+		return ast.Unparen(c.X)
+	case *ast.AssignStmt:
+		return ast.Unparen(c.Rhs[0])
+	}
+	return nil
 }
 
 // chanOp reports whether n communicates on a channel: a send, a receive, a
@@ -261,11 +319,13 @@ func isPoolDispatch(info *types.Info, call *ast.CallExpr) bool {
 	return isMethodOn(info, call, "compute", "Pool", "Do", "ParallelFor", "ParallelRanges", "RunPartitioned")
 }
 
-// checkBlocking reports blocking operations at node n given the held set.
-func checkBlocking(pass *Pass, n *cfgNode, held heldSet, binds condBindings, reported map[ast.Node]bool) {
-	// A deferred call runs at function exit, and a communication clause
-	// blocks as part of its select, which the select's head accounts for.
-	if _, isDefer := n.stmt.(*ast.DeferStmt); isDefer || n.isComm {
+// checkBlocking reports x, a node CFG node n evaluates, if it may block
+// while locks are held.
+func checkBlocking(pass *Pass, n *cfgNode, x ast.Node, held heldSet, binds condBindings, reported map[ast.Node]bool) {
+	// A communication clause blocks as part of its select, which the
+	// select's head accounts for. (Deferred calls are never visited: they
+	// run at function exit.)
+	if len(held) == 0 || n.isComm {
 		return
 	}
 	report := func(at ast.Node, what string) {
@@ -278,29 +338,21 @@ func checkBlocking(pass *Pass, n *cfgNode, held heldSet, binds condBindings, rep
 			what, strings.Join(slices.Sorted(maps.Keys(held)), ", "))
 	}
 
-	// The statement's own operation: a send, a default-less select, or a
-	// range over a channel (whose head receives on every iteration).
-	if op := blockingOp(pass.Info, n.stmt); op != "" {
-		report(n.stmt, op)
+	// A send, receive, default-less select, range over a channel (whose
+	// head receives on every iteration) or blocking call.
+	switch op := blockingOp(pass.Info, x); op {
+	case "":
+	case "sync.Cond.Wait":
+		checkCondWait(pass, x.(*ast.CallExpr), held, binds, report)
+	default:
+		report(x, op)
 	}
-	for _, part := range n.nodeParts() {
-		inspectSkippingFuncLits(part, func(x ast.Node) bool {
-			switch op := blockingOp(pass.Info, x); op {
-			case "":
-			case "sync.Cond.Wait":
-				checkCondWait(pass, x.(*ast.CallExpr), held, binds, report)
-			default:
-				report(x, op)
+	if call, ok := x.(*ast.CallExpr); ok {
+		if cs := pass.Summaries.summaryForCall(pass.Info, call); cs != nil && cs.MayBlock {
+			if f := calleeFunc(pass.Info, call); f != nil {
+				report(call, fmt.Sprintf("call to %s, which may block (transitively, per its interprocedural summary)", f.Name()))
 			}
-			if call, ok := x.(*ast.CallExpr); ok {
-				if cs := pass.Summaries.summaryForCall(pass.Info, call); cs != nil && cs.MayBlock {
-					if f := calleeFunc(pass.Info, call); f != nil {
-						report(call, fmt.Sprintf("call to %s, which may block (transitively, per its interprocedural summary)", f.Name()))
-					}
-				}
-			}
-			return true
-		})
+		}
 	}
 }
 

@@ -43,10 +43,9 @@ type FuncSummary struct {
 	// default-less select, blocking compute.Pool dispatch, WaitGroup.Wait,
 	// Cond.Wait, or a call to a callee that may block.
 	MayBlock bool
-	// CallsWGDone / ChanOps / SpawnsGo feed the goroleak join analysis.
+	// CallsWGDone / ChanOps feed the goroleak join analysis.
 	CallsWGDone bool
 	ChanOps     bool
-	SpawnsGo    bool
 	// Acquires lists the canonical lock IDs the function may acquire
 	// anywhere inside (transitively through callees), regardless of whether
 	// it releases them before returning.
@@ -170,7 +169,7 @@ func summariesEqual(a, b *FuncSummary) bool {
 		return a == b
 	}
 	if a.ObservesCtx != b.ObservesCtx || a.MayBlock != b.MayBlock ||
-		a.CallsWGDone != b.CallsWGDone || a.ChanOps != b.ChanOps || a.SpawnsGo != b.SpawnsGo {
+		a.CallsWGDone != b.CallsWGDone || a.ChanOps != b.ChanOps {
 		return false
 	}
 	return slices.Equal(a.PutsParams, b.PutsParams) && slices.Equal(a.EscapesParams, b.EscapesParams) &&
@@ -216,11 +215,15 @@ func computeFuncSummary(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTab
 	// them on the way.
 	goCalls := map[ast.Node]bool{}
 	spawnedLits := map[*ast.FuncLit]bool{}
+	// A select's communications block as the select does, which blockingOp
+	// classifies once at the select (not at all when it has a default); the
+	// walk meets each select before its clauses, so it marks them on the way.
+	commOps := map[ast.Node]bool{}
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		if chanOp(info, n) {
 			s.ChanOps = true
 		}
-		blocks := blockingOp(info, n) != ""
+		blocks := blockingOp(info, n) != "" && !commOps[n]
 		if blocks && !goCalls[n] {
 			s.MayBlock = true
 		}
@@ -236,8 +239,11 @@ func computeFuncSummary(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTab
 				}
 			}
 			return !spawnedLits[e]
+		case *ast.SelectStmt:
+			for _, cl := range e.Body.List {
+				commOps[commOp(cl.(*ast.CommClause).Comm)] = true
+			}
 		case *ast.GoStmt:
-			s.SpawnsGo = true
 			goCalls[e.Call] = true
 			if lit, ok := ast.Unparen(e.Call.Fun).(*ast.FuncLit); ok {
 				spawnedLits[lit] = true
@@ -473,10 +479,10 @@ func ctxObservedIn(info *types.Info, table *SummaryTable, body ast.Node, ctxVar 
 	return observed
 }
 
-// lockOrderEdges runs a may-hold dataflow over the function's CFG (and each
-// non-spawned literal's, with an empty entry set) emitting From→To edges
-// whenever a lock is acquired — or a lock-acquiring callee is entered —
-// while another is held.
+// lockOrderEdges runs the held-lock pass over the function's body (and over
+// each literal in it not called on the spot, with an empty entry set)
+// emitting From→To edges whenever a lock is acquired — or a lock-acquiring
+// callee is entered — while another is held.
 func lockOrderEdges(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTable) []LockEdge {
 	var edges []LockEdge
 	seen := map[LockEdge]bool{}
@@ -491,13 +497,15 @@ func lockOrderEdges(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTable) 
 			edges = append(edges, e)
 		}
 	}
-	// The declaration body, then every function literal inside it as its own
+	// The declaration body, then every function literal inside it that is
+	// not called on the spot (those run inline with their caller) as its own
 	// unit (empty entry held set — consistent with lockhold): a spawned
 	// goroutine's internal acquisition order is exactly the kind of edge a
 	// cross-goroutine deadlock is made of.
 	lockEdgesForBody(lp, decl.Body, table, emit)
+	called := calledLits(decl.Body)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
+		if lit, ok := n.(*ast.FuncLit); ok && !called[lit] {
 			lockEdgesForBody(lp, lit.Body, table, emit)
 		}
 		return true
@@ -521,39 +529,29 @@ func lockOrderEdges(lp *LoadedPackage, decl *ast.FuncDecl, table *SummaryTable) 
 // lockOrderEdges: every acquisition, and every call of a callee that
 // acquires, is ordered after each lock held there.
 func lockEdgesForBody(lp *LoadedPackage, body *ast.BlockStmt, table *SummaryTable, emit func(from, to string, at token.Pos)) {
-	g, in := heldLocks(lp.Info, lp.Path, body)
-	if g == nil {
-		return
-	}
-	for _, n := range g.nodes {
-		if in[n.index] == nil {
-			continue
+	heldLocks(lp.Info, lp.Path, body, heldSet{}, func(_ *cfgNode, x ast.Node, held heldSet) {
+		call, ok := x.(*ast.CallExpr)
+		if !ok || len(held) == 0 {
+			return
 		}
-		lockStep(lp.Info, lp.Path, n, in[n.index], func(call *ast.CallExpr, acquired string, held heldSet) {
-			tos := []string{acquired}
-			if acquired == "" {
-				if len(held) == 0 {
-					return
-				}
-				cs := table.summaryForCall(lp.Info, call)
-				if cs == nil {
-					return
-				}
-				tos = cs.Acquires
+		var tos []string
+		if recv := mutexRecvExpr(call); recv != nil && isMutexCall(lp.Info, call, "Lock", "RLock") {
+			tos = []string{lockID(lp.Info, lp.Path, recv)}
+		} else if cs := table.summaryForCall(lp.Info, call); cs != nil {
+			tos = cs.Acquires
+		}
+		// From and To are both canonical lockIDs, or cycles would never
+		// close.
+		froms := map[string]bool{}
+		for _, l := range held {
+			froms[l.id] = true
+		}
+		for _, from := range slices.Sorted(maps.Keys(froms)) {
+			for _, to := range tos {
+				emit(from, to, call.Pos())
 			}
-			// From and To are both canonical lockIDs, or cycles would never
-			// close.
-			froms := map[string]bool{}
-			for _, l := range held {
-				froms[l.id] = true
-			}
-			for _, from := range slices.Sorted(maps.Keys(froms)) {
-				for _, to := range tos {
-					emit(from, to, call.Pos())
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // lockID canonicalizes the receiver expression of a Lock call into a global,

@@ -57,3 +57,19 @@ func sweepHeavyViaHelper(ctx context.Context, p *compute.Pool, iters int) {
 		blockingHelper(p)
 	}
 }
+
+// pollHelper never waits: its select has a default clause.
+func pollHelper(done chan struct{}) {
+	select {
+	case <-done:
+	default:
+	}
+}
+
+// sweepPolling only polls in its loop, which is cheap work: no ctx check is
+// needed per iteration.
+func sweepPolling(ctx context.Context, done chan struct{}, iters int) {
+	for i := 0; i < iters; i++ {
+		pollHelper(done)
+	}
+}

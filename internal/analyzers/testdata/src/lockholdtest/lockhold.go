@@ -174,3 +174,24 @@ func (e *engine) suppressedRange() {
 		e.n += t.id
 	}
 }
+
+// sendInCalledLiteral: a literal called on the spot runs under the caller's
+// lock, so its send blocks with e.mu held.
+func (e *engine) sendInCalledLiteral(t task) {
+	e.mu.Lock()
+	func() {
+		e.queue <- t // want `channel send while holding e\.mu`
+	}()
+	e.mu.Unlock()
+}
+
+// scopedLockInCalledLiteral: the literal's deferred Unlock runs when the
+// literal returns, so the send after the call is outside the lock.
+func (e *engine) scopedLockInCalledLiteral(t task) {
+	func() {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		e.n++
+	}()
+	e.queue <- t
+}

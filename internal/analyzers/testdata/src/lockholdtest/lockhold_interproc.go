@@ -7,6 +7,7 @@ import "sync"
 type flusher struct {
 	mu      sync.Mutex
 	wg      sync.WaitGroup
+	done    chan struct{}
 	pending int
 }
 
@@ -40,4 +41,20 @@ func (f *flusher) addUnderLock() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.tally()
+}
+
+// pollDone never waits: its select has a default clause, so the receive in
+// its one case cannot park the caller.
+func (f *flusher) pollDone() {
+	select {
+	case <-f.done:
+	default:
+	}
+}
+
+// pollUnderLock calls the non-blocking poll with f.mu held — clean.
+func (f *flusher) pollUnderLock() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.pollDone()
 }

@@ -12,6 +12,8 @@ var (
 	muD sync.Mutex
 	muE sync.Mutex
 	muF sync.Mutex
+	muG sync.Mutex
+	muH sync.Mutex
 
 	counter int
 )
@@ -116,4 +118,25 @@ func staleAllow() {
 	counter++
 	muD.Unlock()
 	muC.Unlock()
+}
+
+// lockGThenHInline takes muH inside a literal it calls on the spot while
+// muG is held, and lockHThenG takes the two the other way round: the
+// literal runs under the caller's lock, so the cycle is real.
+func lockGThenHInline() {
+	muG.Lock()
+	func() {
+		muH.Lock() // want `lock-order cycle lockordertest\.muG → lockordertest\.muH → lockordertest\.muG`
+		counter++
+		muH.Unlock()
+	}()
+	muG.Unlock()
+}
+
+func lockHThenG() {
+	muH.Lock()
+	muG.Lock()
+	counter++
+	muG.Unlock()
+	muH.Unlock()
 }

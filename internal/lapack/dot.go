@@ -1,14 +1,14 @@
 package lapack
 
 // dot4 returns xᵀy accumulated with eight independent partial sums. A
-// single accumulator chains one FMA per element at FMA latency; multiple
-// chains hide that latency and run at port throughput (~4x+ on long
-// vectors). The partial sums combine pairwise in a fixed order, so the
-// result is deterministic for a given length, though it differs in the last
-// ulp from the single-chain loop (allowed by the kernel contract:
-// accumulation-order changes are fine inside lapack as long as they are
-// thread-count independent, which a serial fixed-order reduction trivially
-// is).
+// single accumulator chains each element's multiply-then-add on the last
+// add's latency; multiple chains hide that latency and run at port
+// throughput (~4x+ on long vectors). The partial sums combine pairwise in a
+// fixed order, so the result is deterministic for a given length, though it
+// differs in the last ulp from the single-chain loop (allowed by the kernel
+// contract: accumulation-order changes are fine inside lapack as long as
+// they are thread-count independent, which a serial fixed-order reduction
+// trivially is).
 func dot4(x, y []float64) float64 {
 	n := len(x)
 	if len(y) < n {

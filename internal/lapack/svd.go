@@ -192,9 +192,9 @@ func jacobiSweep(w, v [][]float64, m, n int) bool {
 			wp, wq := w[p], w[q]
 			// Fused pass for the three column moments, four elements per
 			// step with two partial chains per moment fed alternately: the
-			// six chains hide FMA latency. Each moment's partials combine
-			// in a fixed order, so the sweep is deterministic (serial per
-			// problem).
+			// six chains hide multiply-then-add latency. Each moment's
+			// partials combine in a fixed order, so the sweep is
+			// deterministic (serial per problem).
 			var a0, a1, b0, b1, g0, g1 float64
 			i := 0
 			for ; i+3 < m; i += 4 {

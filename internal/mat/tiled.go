@@ -49,8 +49,8 @@ package mat
 //     better.
 //   - MulT: the 2×4 dot tile wins when the inner dimension is rank-sized
 //     (~10-17% for inner ≤ MulTMaxInner); for long inner dots the reference
-//     1×4 kernel already saturates the FMA ports and the second a-row
-//     stream costs more than it saves.
+//     1×4 kernel's four chains already hide multiply-then-add latency and
+//     the second a-row stream costs more than it saves.
 //   - Gram: the fused 2-row kernel wins everywhere measured (~2x), so it
 //     needs only two input rows.
 type sizingTable struct {

@@ -235,13 +235,6 @@ func (c *Client) AbsorbTensor(ctx context.Context, streamID, tensorID string) (S
 	return out, err
 }
 
-// CheckpointStream forces an immediate durable checkpoint.
-func (c *Client) CheckpointStream(ctx context.Context, streamID string) (StreamInfo, error) {
-	var out StreamInfo
-	err := c.do(ctx, http.MethodPost, "/v1/streams/"+url.PathEscape(streamID)+"/checkpoint", nil, &out)
-	return out, err
-}
-
 // StreamResult fetches a session's current factors, patched with the
 // session's current metadata.
 func (c *Client) StreamResult(ctx context.Context, streamID string) (*repro.Result, error) {

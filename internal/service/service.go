@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -16,6 +15,7 @@ import (
 
 	"repro"
 	"repro/internal/dataio"
+	"repro/internal/state"
 )
 
 // Defaults for Config's optional knobs.
@@ -27,14 +27,12 @@ const (
 // Config builds a Server.
 type Config struct {
 	// Engine serves every decomposition. Required; the caller keeps
-	// ownership (Server.Close does not close it).
+	// ownership. Its state directory (repro.WithStateDir) roots the
+	// server's durable sessions: each lives at streams/<id>.ckpt under it,
+	// written after create and after every absorb, and every checkpoint
+	// found there is resumed when the server starts. An Engine without one
+	// makes sessions memory-only.
 	Engine *repro.Engine
-
-	// StateDir roots the server's durable session state: stream checkpoints
-	// live in its "streams" subdirectory, written after create and after
-	// every absorb, and every checkpoint found there is resumed when the
-	// server starts. Empty = sessions are memory-only.
-	StateDir string
 
 	// MaxBodyBytes caps every request body (default DefaultMaxBodyBytes);
 	// an oversized body maps to 413. MaxTensors caps the uploaded-tensor
@@ -45,13 +43,13 @@ type Config struct {
 
 // Server is the HTTP front end over one repro.Engine. It implements
 // http.Handler; see docs/SERVICE.md for the endpoint table and error
-// taxonomy. Construct with New, serve with net/http, and Close before the
-// process exits to checkpoint every durable stream.
+// taxonomy. Construct with New and serve with net/http; a durable session
+// is on disk whenever no request holds it, so the server needs no shutdown
+// hook.
 type Server struct {
-	eng      *repro.Engine
-	stateDir string
-	maxBody  int64
-	mux      *http.ServeMux
+	eng     *repro.Engine
+	maxBody int64
+	mux     *http.ServeMux
 
 	// mu guards the resource tables and seq. It is never held across a
 	// blocking call: handlers look records up under mu, release it, then do
@@ -63,11 +61,11 @@ type Server struct {
 	seq     uint64
 }
 
-// New builds a Server over cfg.Engine and, when cfg.StateDir is set, resumes
-// every stream checkpointed there — each restored session is bit-identical
-// to the one the previous process checkpointed, per Engine.ResumeStream. A
-// checkpoint that fails to restore fails New: silently dropping a durable
-// session would break the resume contract.
+// New builds a Server over cfg.Engine and, when the Engine has a state
+// directory, resumes every stream checkpointed there — each restored
+// session is bit-identical to the one the previous process checkpointed,
+// per Engine.ResumeStream. A checkpoint that fails to restore fails New:
+// silently dropping a durable session would break the resume contract.
 func New(cfg Config) (*Server, error) {
 	if cfg.Engine == nil {
 		return nil, errors.New("service: Config.Engine is required")
@@ -85,12 +83,11 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("service: MaxTensors %d must be positive", cfg.MaxTensors)
 	}
 	s := &Server{
-		eng:      cfg.Engine,
-		stateDir: cfg.StateDir,
-		maxBody:  cfg.MaxBodyBytes,
-		tensors:  newTensorStore(cfg.MaxTensors),
-		jobs:     make(map[string]*jobRec),
-		streams:  make(map[string]*streamRec),
+		eng:     cfg.Engine,
+		maxBody: cfg.MaxBodyBytes,
+		tensors: newTensorStore(cfg.MaxTensors),
+		jobs:    make(map[string]*jobRec),
+		streams: make(map[string]*streamRec),
 	}
 	if err := s.resumeStreams(); err != nil {
 		return nil, err
@@ -113,7 +110,6 @@ func (s *Server) routes() {
 	mux.HandleFunc("POST /v1/streams", s.handleStreamCreate)
 	mux.HandleFunc("GET /v1/streams/{id}", s.handleStreamGet)
 	mux.HandleFunc("POST /v1/streams/{id}/absorb", s.handleStreamAbsorb)
-	mux.HandleFunc("POST /v1/streams/{id}/checkpoint", s.handleStreamCheckpoint)
 	mux.HandleFunc("GET /v1/streams/{id}/result", s.handleStreamResult)
 	s.mux = mux
 }
@@ -128,57 +124,23 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Close checkpoints every durable stream (sessions survive a clean shutdown
-// exactly like a kill: the checkpoint after each absorb already covers the
-// crash case, this covers state only reachable through an explicit save).
-// The Engine is the caller's; Close does not touch it.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	recs := make([]*streamRec, 0, len(s.streams))
-	for _, rec := range s.streams {
-		recs = append(recs, rec)
-	}
-	s.mu.Unlock()
-	var errs []error
-	for _, rec := range recs {
-		rec.sem <- struct{}{}
-		if rec.st != nil && rec.ckptPath != "" {
-			if err := s.eng.SaveStream(rec.ckptPath, rec.st); err != nil {
-				errs = append(errs, fmt.Errorf("stream %s: %w", rec.id, err))
-			}
-		}
-		<-rec.sem
-	}
-	return errors.Join(errs...)
-}
-
 // ----- durable sessions ------------------------------------------------------
 
-func (s *Server) streamDir() string { return filepath.Join(s.stateDir, "streams") }
+// streamFile is a session's checkpoint path, relative to the Engine's state
+// directory (SaveStream and ResumeStream root relative paths there).
+func streamFile(id string) string { return filepath.Join("streams", id+".ckpt") }
 
-// streamPath returns the absolute checkpoint path for a session id ("" when
-// the server has no state dir). Absolute, so the Engine's own stateDir
-// rooting never re-resolves it.
-func (s *Server) streamPath(id string) (string, error) {
-	if s.stateDir == "" {
-		return "", nil
-	}
-	dir, err := filepath.Abs(s.streamDir())
-	if err != nil {
-		return "", fmt.Errorf("service: resolve state dir: %w", err)
-	}
-	return filepath.Join(dir, id+".ckpt"), nil
-}
-
-// resumeStreams restores every checkpoint under the state dir at startup.
+// resumeStreams restores every checkpoint under the state dir at startup,
+// after sweeping the temps a checkpoint cut short by a crash left there.
 func (s *Server) resumeStreams() error {
-	if s.stateDir == "" {
+	if s.eng.StateDir() == "" {
 		return nil
 	}
-	if err := os.MkdirAll(s.streamDir(), 0o755); err != nil {
-		return fmt.Errorf("service: create stream dir: %w", err)
+	dir := filepath.Join(s.eng.StateDir(), "streams")
+	if err := state.RemoveStaleTemps(dir); err != nil {
+		return fmt.Errorf("service: sweep stream dir: %w", err)
 	}
-	paths, err := filepath.Glob(filepath.Join(s.streamDir(), "*.ckpt"))
+	paths, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
 	if err != nil {
 		return fmt.Errorf("service: scan stream dir: %w", err)
 	}
@@ -187,15 +149,11 @@ func (s *Server) resumeStreams() error {
 		if !validStreamID(id) {
 			return fmt.Errorf("service: checkpoint %q is not a valid stream id", p)
 		}
-		ckpt, err := s.streamPath(id)
-		if err != nil {
-			return err
-		}
-		st, err := s.eng.ResumeStream(context.Background(), ckpt)
+		st, err := s.eng.ResumeStream(context.Background(), streamFile(id))
 		if err != nil {
 			return fmt.Errorf("service: resume stream %s: %w", id, err)
 		}
-		s.streams[id] = newStreamRec(id, st, true, ckpt)
+		s.streams[id] = newStreamRec(id, st, true, true)
 	}
 	return nil
 }
@@ -203,10 +161,10 @@ func (s *Server) resumeStreams() error {
 // checkpointLocked persists st as the state of a session the caller holds
 // the semaphore of. No-op on a memory-only server.
 func (s *Server) checkpointLocked(rec *streamRec, st *repro.StreamingDPar2) error {
-	if rec.ckptPath == "" {
+	if !rec.durable {
 		return nil
 	}
-	if err := s.eng.SaveStream(rec.ckptPath, st); err != nil {
+	if err := s.eng.SaveStream(streamFile(rec.id), st); err != nil {
 		return fmt.Errorf("service: checkpoint stream %s: %w", rec.id, err)
 	}
 	return nil
@@ -646,13 +604,8 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 			"stream_id %q: need 1-64 chars of [A-Za-z0-9_-]", id))
 		return
 	}
-	ckpt, err := s.streamPath(id)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
 
-	rec := newStreamRec(id, nil, false, ckpt)
+	rec := newStreamRec(id, nil, false, s.eng.StateDir() != "")
 	rec.sem <- struct{}{} // construction in progress; absorb/status queue behind it
 	s.mu.Lock()
 	if _, exists := s.streams[id]; exists {
@@ -775,25 +728,6 @@ func (s *Server) handleStreamAbsorb(w http.ResponseWriter, r *http.Request) {
 	}
 	rec.st = next
 	rec.absorbs++
-	writeJSON(w, http.StatusOK, rec.infoView())
-}
-
-func (s *Server) handleStreamCheckpoint(w http.ResponseWriter, r *http.Request) {
-	rec, err := s.lookupStream(r.Context(), r.PathValue("id"))
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	defer release(rec)
-	if rec.ckptPath == "" {
-		writeError(w, apiErrf(CodeBadRequest, http.StatusBadRequest,
-			"server has no state dir; stream %s is memory-only", rec.id))
-		return
-	}
-	if err := s.checkpointLocked(rec, rec.st); err != nil {
-		writeError(w, err)
-		return
-	}
 	writeJSON(w, http.StatusOK, rec.infoView())
 }
 

@@ -131,26 +131,26 @@ func (j *jobRec) statusView() JobStatus {
 // streamRec is one server-side streaming session. The Server's mutex guards
 // only the table slot; the session itself — the stream object and the
 // counters beside it — is serialized by sem, a capacity-1 semaphore channel
-// that absorb/checkpoint/status handlers acquire context-aware. A channel
+// that absorb/status/result handlers acquire context-aware. A channel
 // (not a mutex) because the holder blocks in AbsorbCtx on the shared pool:
 // waiters must stay cancellable, and nothing may sleep on a lock.
 type streamRec struct {
 	id  string
 	sem chan struct{}
 
-	st       *repro.StreamingDPar2
-	absorbs  int64
-	resumed  bool
-	ckptPath string // absolute; "" when the server has no state dir
+	st      *repro.StreamingDPar2
+	absorbs int64
+	resumed bool
+	durable bool // checkpointed under the Engine's state dir
 }
 
-func newStreamRec(id string, st *repro.StreamingDPar2, resumed bool, ckptPath string) *streamRec {
+func newStreamRec(id string, st *repro.StreamingDPar2, resumed, durable bool) *streamRec {
 	return &streamRec{
-		id:       id,
-		sem:      make(chan struct{}, 1),
-		st:       st,
-		resumed:  resumed,
-		ckptPath: ckptPath,
+		id:      id,
+		sem:     make(chan struct{}, 1),
+		st:      st,
+		resumed: resumed,
+		durable: durable,
 	}
 }
 
@@ -163,7 +163,7 @@ func (sr *streamRec) infoView() StreamInfo {
 		K:        sr.st.K(),
 		Absorbs:  sr.absorbs,
 		Resumed:  sr.resumed,
-		Durable:  sr.ckptPath != "",
+		Durable:  sr.durable,
 		Meta:     metaOf(res),
 	}
 }

@@ -178,7 +178,9 @@
 // checkpoint (config, RNG state, compressed representation, factors)
 // atomically — write-temp, fsync, rename — and Engine.ResumeStream restores
 // it, such that checkpoint → restore → AbsorbCtx is bit-identical to a stream
-// that was never interrupted. With WithStateDir and WithResultCache the
+// that was never interrupted. WithStateDir names the one durable root
+// (Engine.StateDir reports it): relative SaveStream/ResumeStream paths
+// resolve under it. With WithStateDir and WithResultCache the
 // Engine also keeps a content-addressed, LRU-bounded result cache: a
 // repeated Decompose of the same tensor under the same deterministic knobs
 // is served from disk without running the method (Engine.Stats counts hits
@@ -196,7 +198,9 @@
 // one numerics epoch (the result cache is keyed accordingly). That is what
 // makes the Engine servable: cmd/dpar2d exposes Decompose/Submit/NewStream
 // over HTTP/JSON — tensor upload, async job handles, durable streaming
-// sessions that survive a daemon kill bit-identically, per-tenant 429s off
+// sessions that survive a daemon kill bit-identically (each is checkpointed
+// under the Engine's state directory by its create and every absorb, before
+// the reply, and by nothing else), per-tenant 429s off
 // the admission layer, and /v1/stats off Engine.Stats. The API contract,
 // error taxonomy, and session stickiness rules live in docs/SERVICE.md; the
 // typed Go client is internal/service.Client, and examples/service walks

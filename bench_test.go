@@ -1,14 +1,16 @@
 package repro
 
 // Benchmark harness: one testing.B benchmark per table/figure of the paper's
-// evaluation section, plus ablations for the design choices DESIGN.md calls
-// out. Run with
+// evaluation section, plus ablations of DPar2's design choices. Run with
 //
 //	go test -bench=. -benchmem
 //
 // The full experiment harness (larger datasets, formatted tables) lives in
 // cmd/experiments; these benches are the regenerable, per-figure entry
-// points with stable workloads.
+// points with stable workloads. The Fig. 12 and Table III discovery
+// benchmarks live with their runners in internal/experiments, and the
+// Lemma 1-3 and convergence-check ablations with the kernels they measure
+// in internal/parafac2.
 
 import (
 	"context"
@@ -17,7 +19,6 @@ import (
 	"testing"
 
 	"repro/internal/datagen"
-	"repro/internal/experiments"
 	"repro/internal/lapack"
 	"repro/internal/mat"
 	"repro/internal/parafac2"
@@ -265,15 +266,23 @@ func BenchmarkCacheHit(b *testing.B) {
 
 // --- Fig. 1: total running time per method (trade-off) -------------------
 
+// benchEngine is the Engine the per-method figure benchmarks loop on: a
+// two-wide pool whose calls default to benchConfig(10).
+func benchEngine(b *testing.B) *Engine {
+	eng := NewEngine(WithEngineThreads(2), WithBaseConfig(benchConfig(10)))
+	b.Cleanup(eng.Close)
+	return eng
+}
+
 func BenchmarkFig1TradeOff(b *testing.B) {
 	ten := benchTensor(1)
-	for _, m := range experiments.Methods() {
+	eng := benchEngine(b)
+	for _, m := range Methods() {
 		for _, rank := range []int{10, 15, 20} {
-			b.Run(fmt.Sprintf("%s/rank%d", m.Name, rank), func(b *testing.B) {
-				cfg := benchConfig(rank)
+			b.Run(fmt.Sprintf("%s/rank%d", m, rank), func(b *testing.B) {
 				var fit float64
 				for i := 0; i < b.N; i++ {
-					res, err := m.Run(context.Background(), ten, cfg)
+					res, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m)), WithRank(rank))
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -316,14 +325,13 @@ func BenchmarkFig9Preprocess(b *testing.B) {
 
 func BenchmarkFig9IterationTime(b *testing.B) {
 	ten := benchTensor(3)
-	for _, m := range experiments.Methods() {
-		b.Run(m.Name, func(b *testing.B) {
-			cfg := benchConfig(10)
-			cfg.MaxIters = 8
-			cfg.Tol = 0 // run all iterations: we report per-iteration time
+	eng := benchEngine(b)
+	for _, m := range Methods() {
+		b.Run(m, func(b *testing.B) {
 			var perIter float64
 			for i := 0; i < b.N; i++ {
-				res, err := m.Run(context.Background(), ten, cfg)
+				// Tolerance 0 runs every iteration: we report per-iteration time.
+				res, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m)), WithMaxIters(8), WithTolerance(0))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -355,14 +363,14 @@ func BenchmarkFig10CompressionRatio(b *testing.B) {
 // --- Fig. 11(a): tensor-size scalability -----------------------------------
 
 func BenchmarkFig11TensorSize(b *testing.B) {
+	eng := benchEngine(b)
 	for _, s := range [][3]int{{50, 50, 25}, {100, 50, 25}, {100, 100, 25}, {100, 100, 50}} {
 		g := rng.New(5)
 		ten := datagen.RandomIrregular(g, s[0], s[1], s[2])
-		for _, m := range experiments.Methods() {
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", s[0], s[1], s[2], m.Name), func(b *testing.B) {
-				cfg := benchConfig(10)
+		for _, m := range Methods() {
+			b.Run(fmt.Sprintf("%dx%dx%d/%s", s[0], s[1], s[2], m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := m.Run(context.Background(), ten, cfg); err != nil {
+					if _, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m))); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -376,12 +384,12 @@ func BenchmarkFig11TensorSize(b *testing.B) {
 func BenchmarkFig11Rank(b *testing.B) {
 	g := rng.New(6)
 	ten := datagen.RandomIrregular(g, 100, 100, 40)
+	eng := benchEngine(b)
 	for _, rank := range []int{10, 20, 30, 40, 50} {
-		for _, m := range experiments.Methods() {
-			b.Run(fmt.Sprintf("rank%d/%s", rank, m.Name), func(b *testing.B) {
-				cfg := benchConfig(rank)
+		for _, m := range Methods() {
+			b.Run(fmt.Sprintf("rank%d/%s", rank, m), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := m.Run(context.Background(), ten, cfg); err != nil {
+					if _, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m)), WithRank(rank)); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -407,32 +415,6 @@ func BenchmarkFig11Threads(b *testing.B) {
 	}
 }
 
-// --- Fig. 12 / Table III: discovery pipeline --------------------------------
-
-func BenchmarkFig12Correlations(b *testing.B) {
-	g := rng.New(8)
-	ten, sec := datagen.StockTensor(g, 24, 80, 300, datagen.DefaultUSMarket())
-	d := experiments.Dataset{Name: "US Stock", Tensor: ten, Sectors: sec}
-	cfg := benchConfig(10)
-	for i := 0; i < b.N; i++ {
-		if _, _, err := experiments.Fig12(context.Background(), d, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkTableIIISimilarStocks(b *testing.B) {
-	g := rng.New(9)
-	ten, sec := datagen.StockTensor(g, 24, 80, 300, datagen.DefaultUSMarket())
-	d := experiments.Dataset{Name: "US Stock", Tensor: ten, Sectors: sec}
-	cfg := benchConfig(10)
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.TableIII(context.Background(), d, cfg, 0, 10, 0.01); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // --- Table II: dataset generation cost --------------------------------------
 
 func BenchmarkTableIIGenerators(b *testing.B) {
@@ -453,7 +435,7 @@ func BenchmarkTableIIGenerators(b *testing.B) {
 	})
 }
 
-// --- Ablations (DESIGN.md §4) ------------------------------------------------
+// --- Ablations ----------------------------------------------------------------
 
 // AblationStage2: two-stage compression vs stopping after stage 1. The
 // second stage is what shrinks the per-iteration working set from J×KR to
@@ -488,86 +470,6 @@ func BenchmarkAblationStage2(b *testing.B) {
 			if _, err := parafac2.ALSCtx(context.Background(), approx, cfg); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
-}
-
-// AblationLemmaReorder: Lemmas 1-3 vs materializing Y and running the naive
-// MTTKRP (what a straightforward implementation would do).
-func BenchmarkAblationLemmaReorder(b *testing.B) {
-	g := rng.New(12)
-	r, j, k := 10, 512, 300
-	d := lapack.QRFactor(mat.Gaussian(g, j, r)).Q
-	e := make([]float64, r)
-	for i := range e {
-		e[i] = 1 + g.Float64()
-	}
-	tf := make([]*mat.Dense, k)
-	for kk := range tf {
-		tf[kk] = mat.Gaussian(g, r, r)
-	}
-	w := mat.Gaussian(g, k, r)
-	v := mat.Gaussian(g, j, r)
-	h := mat.Gaussian(g, r, r)
-
-	b.Run("lemma-reordered", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dtv := d.TMul(v)
-			parafac2.LemmaG1(tf, w, e, dtv, 2)
-			parafac2.LemmaG2(tf, w, d, e, h, 2)
-			parafac2.LemmaG3(tf, e, dtv, h, 2)
-		}
-	})
-	b.Run("naive-materialized-Y", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			ySlices := make([]*mat.Dense, k)
-			for kk := range ySlices {
-				ySlices[kk] = tf[kk].ScaleColumns(e).MulT(d)
-			}
-			y := tensor.MustDense3(ySlices)
-			y.MTTKRP(1, w, v)
-			y.MTTKRP(2, w, h)
-			y.MTTKRP(3, v, h)
-		}
-	})
-}
-
-// AblationConvergence: compressed convergence check (Gram trick) vs the
-// paper's direct R×J computation vs full reconstruction error.
-func BenchmarkAblationConvergence(b *testing.B) {
-	ten := benchTensor(13)
-	cfg := benchConfig(10)
-	comp, err := parafac2.CompressCtx(context.Background(), ten, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := parafac2.DPar2FromCompressedCtx(context.Background(), comp, cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	tf := make([]*mat.Dense, ten.K())
-	for k := range tf {
-		tf[k] = res.Qk(k).TMul(comp.A[k]).Mul(comp.F[k])
-	}
-	b.Run("gram-trick", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			dtv := comp.D.TMul(res.V)
-			parafac2.CompressedErrorGram2(tf, comp.E, dtv, res.V, res.H, res.S)
-		}
-	})
-	b.Run("direct-RxJ", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			parafac2.CompressedErrorDirect2(comp, tf, res.V, res.H, res.S)
-		}
-	})
-	b.Run("full-reconstruction", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var sum float64
-			for k, xk := range ten.Slices {
-				d := xk.FrobDist(res.ReconstructSlice(k))
-				sum += d * d
-			}
-			_ = sum
 		}
 	})
 }

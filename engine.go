@@ -537,14 +537,10 @@ func (e *Engine) NewStream(ctx context.Context, initial *Irregular, opts ...Opti
 // results are evaluated without materializing any dense Q_k.
 //
 // Fitness stays usable after Close: like stream absorbs on a closed engine,
-// post-Close evaluation runs serially. The isClosed branch below routes the
-// common case to an explicit nil-pool (serial) evaluation; a Close racing
-// the check is also safe, because a closed compute.Pool is documented to run
-// submitted work inline on the caller — serial either way, same value.
+// post-Close evaluation runs serially, because a closed compute.Pool runs
+// submitted work inline on the caller. The per-slice errors are summed in
+// slice order either way, so the value does not change.
 func (e *Engine) Fitness(t *Irregular, r *Result) float64 {
-	if e.isClosed() {
-		return parafac2.FitnessWith(t, r, nil)
-	}
 	return parafac2.FitnessWith(t, r, e.pool)
 }
 

@@ -792,8 +792,9 @@ func TestEngineDrainedAfterCloseComplete(t *testing.T) {
 }
 
 // TestEngineFitnessAfterClose is the regression test for post-Close
-// evaluation: Fitness after Close must not dispatch onto the closed pool —
-// it falls back to the serial path and returns the identical value.
+// evaluation: Fitness after Close runs on the closed pool, which executes
+// the work inline on the caller, so it returns without hanging and yields
+// the identical value.
 func TestEngineFitnessAfterClose(t *testing.T) {
 	ten := engineTestTensor(61)
 	cfg := engineTestConfig()

@@ -171,7 +171,7 @@ func reasonFromAssign(pass *Pass, a *ast.AssignStmt, body *ast.BlockStmt) string
 		return "accumulates into floating-point variable " + v.Name()
 	case "=":
 		// x = x <op> ... — self-referencing update.
-		if exprMentionsVar(pass.Info, a.Rhs[0], v) {
+		if mentionsVar(pass.Info, a.Rhs[0], v) {
 			return "accumulates into floating-point variable " + v.Name()
 		}
 	}
@@ -205,15 +205,4 @@ func localVarOf(info *types.Info, e ast.Expr) *types.Var {
 // declaredOutside reports whether v's declaration lies outside the node span.
 func declaredOutside(v *types.Var, node ast.Node) bool {
 	return v.Pos() < node.Pos() || v.Pos() > node.End()
-}
-
-func exprMentionsVar(info *types.Info, e ast.Expr, v *types.Var) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == v {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -201,19 +201,24 @@ func lockStep(info *types.Info, pkgPath string, n *cfgNode, held heldSet, visit 
 
 // lockWalk applies the Lock and Unlock calls under root to held, in source
 // order, and returns it, showing visit (when non-nil) each node first. A
-// function literal called there, unless it is spawned (a go statement's
-// call), runs on the spot: heldLocks walks its body from the locks held at
-// the call, and the caller holds its exit set after it.
+// function literal called there runs on the spot: heldLocks walks its body
+// from the locks held at the call, and the caller holds its exit set after
+// it. The spawned call (a go statement's) runs on its own goroutine, so it is
+// neither visited, applied nor inlined; only its function value and
+// arguments, which the spawner evaluates, are walked.
 func lockWalk(info *types.Info, pkgPath string, n *cfgNode, root ast.Node, spawned *ast.CallExpr, held heldSet, visit lockVisit) heldSet {
 	inspectSkippingFuncLits(root, func(x ast.Node) bool {
+		call, isCall := x.(*ast.CallExpr)
+		if isCall && call == spawned {
+			return true
+		}
 		if visit != nil {
 			visit(n, x, held)
 		}
-		call, ok := x.(*ast.CallExpr)
-		if !ok {
+		if !isCall {
 			return true
 		}
-		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok && call != spawned {
+		if lit, ok := ast.Unparen(call.Fun).(*ast.FuncLit); ok {
 			held = heldLocks(info, pkgPath, lit.Body, held, visit)
 		} else if recv := mutexRecvExpr(call); recv != nil {
 			switch {

@@ -58,3 +58,30 @@ func (f *flusher) pollUnderLock() {
 	defer f.mu.Unlock()
 	f.pollDone()
 }
+
+// spawner starts goroutines while holding its mutex.
+type spawner struct {
+	mu sync.Mutex
+	ch chan int
+}
+
+func (t *spawner) recv() int { return <-t.ch }
+
+func use(int) {}
+
+// spawnUnderLock starts recv on its own goroutine: the receive blocks that
+// goroutine, never the spawner, so holding t.mu across the go statement is
+// clean.
+func (t *spawner) spawnUnderLock() {
+	t.mu.Lock()
+	go t.recv()
+	t.mu.Unlock()
+}
+
+// spawnArgUnderLock: a go statement's arguments are evaluated by the
+// spawner, so the receive in them still blocks with t.mu held.
+func (t *spawner) spawnArgUnderLock() {
+	t.mu.Lock()
+	go use(<-t.ch) // want `channel receive while holding t\.mu`
+	t.mu.Unlock()
+}

@@ -140,3 +140,32 @@ func lockHThenG() {
 	muG.Unlock()
 	muH.Unlock()
 }
+
+// tracker starts lock2 on its own goroutine while holding mu, and lock2ThenMu
+// takes mu2 then mu. The spawner never holds mu and mu2 together (lock2 runs
+// on the new goroutine), so there is no mu → mu2 edge and no cycle.
+type tracker struct {
+	mu  sync.Mutex
+	mu2 sync.Mutex
+	n   int
+}
+
+func (t *tracker) lock2() {
+	t.mu2.Lock()
+	t.n++
+	t.mu2.Unlock()
+}
+
+func (t *tracker) spawnUnderLock() {
+	t.mu.Lock()
+	go t.lock2()
+	t.mu.Unlock()
+}
+
+func (t *tracker) lock2ThenMu() {
+	t.mu2.Lock()
+	t.mu.Lock()
+	t.n++
+	t.mu.Unlock()
+	t.mu2.Unlock()
+}

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"repro"
 	"repro/internal/datagen"
 	"repro/internal/mat"
-	"repro/internal/parafac2"
 	"repro/internal/stats"
 )
 
@@ -14,11 +14,11 @@ import (
 // visualizes: four price features and four representative indicators.
 var fig12Features = []string{"OPENING", "HIGHEST", "LOWEST", "CLOSING", "ATR14", "STOCH14", "OBV", "MACD"}
 
-// Fig12 decomposes a stock tensor and returns the Pearson-correlation
-// submatrix between the latent vectors (rows of V) of the 8 selected
-// features, plus the feature labels.
-func Fig12(ctx context.Context, d Dataset, cfg parafac2.Config) (*mat.Dense, []string, error) {
-	res, err := parafac2.DPar2Ctx(ctx, d.Tensor, cfg)
+// Fig12 decomposes a stock tensor on eng under opts and returns the
+// Pearson-correlation submatrix between the latent vectors (rows of V) of
+// the 8 selected features, plus the feature labels.
+func Fig12(ctx context.Context, eng *repro.Engine, d Dataset, opts ...repro.Option) (*mat.Dense, []string, error) {
+	res, err := eng.Decompose(ctx, d.Tensor, opts...)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -66,7 +66,8 @@ func Fig12Table(title string, corr *mat.Dense, labels []string) *Table {
 
 // PriceIndicatorCorrelations extracts the average correlation of each
 // indicator (ATR14, OBV, STOCH14, MACD) with the four price features — the
-// scalar summary of the Fig. 12 pattern used by tests and EXPERIMENTS.md.
+// scalar summary of the Fig. 12 pattern that the market-contrast test
+// checks.
 func PriceIndicatorCorrelations(corr *mat.Dense, labels []string) map[string]float64 {
 	idx := map[string]int{}
 	for i, l := range labels {
@@ -94,11 +95,12 @@ type TableIIIResult struct {
 }
 
 // TableIII reproduces the similar-stock discovery: decompose the stock
-// tensor, compute Equation-(10) similarities between stocks whose U_k share
-// the target's shape, then rank by k-NN and by RWR over the similarity
-// graph. target picks the query stock (the paper uses Microsoft).
-func TableIII(ctx context.Context, d Dataset, cfg parafac2.Config, target, topK int, gamma float64) (*TableIIIResult, error) {
-	res, err := parafac2.DPar2Ctx(ctx, d.Tensor, cfg)
+// tensor on eng under opts, compute Equation-(10) similarities between
+// stocks whose U_k share the target's shape, then rank by k-NN and by RWR
+// over the similarity graph. target picks the query stock (the paper uses
+// Microsoft).
+func TableIII(ctx context.Context, eng *repro.Engine, d Dataset, target, topK int, gamma float64, opts ...repro.Option) (*TableIIIResult, error) {
+	res, err := eng.Decompose(ctx, d.Tensor, opts...)
 	if err != nil {
 		return nil, err
 	}

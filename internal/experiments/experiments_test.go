@@ -6,17 +6,20 @@ import (
 	"strings"
 	"testing"
 
+	"repro"
 	"repro/internal/datagen"
-	"repro/internal/parafac2"
 	"repro/internal/rng"
 )
 
-func testConfig() parafac2.Config {
-	cfg := parafac2.DefaultConfig()
+// testEngine is a two-wide Engine whose calls default to rank 5 and at most
+// 5 iterations; the test closes it.
+func testEngine(tb testing.TB) *repro.Engine {
+	cfg := repro.DefaultConfig()
 	cfg.Rank = 5
 	cfg.MaxIters = 5
-	cfg.Threads = 2
-	return cfg
+	eng := repro.NewEngine(repro.WithEngineThreads(2), repro.WithBaseConfig(cfg))
+	tb.Cleanup(eng.Close)
+	return eng
 }
 
 func TestLoadAllDatasets(t *testing.T) {
@@ -56,7 +59,7 @@ func TestLoadByName(t *testing.T) {
 
 func TestFig1OnSubset(t *testing.T) {
 	ds := LoadAll(2, ScaleTest)[:2]
-	results, err := Fig1(context.Background(), ds, []int{4}, testConfig())
+	results, err := Fig1(context.Background(), testEngine(t), ds, []int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +83,7 @@ func TestFig1OnSubset(t *testing.T) {
 
 func TestFig9And10Tables(t *testing.T) {
 	ds := LoadAll(3, ScaleTest)[:2]
-	results, err := Fig9(context.Background(), ds, testConfig())
+	results, err := Fig9(context.Background(), testEngine(t), ds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +129,7 @@ func TestFig11aSizes(t *testing.T) {
 }
 
 func TestFig11aSweepTiny(t *testing.T) {
-	pts, err := Fig11a(context.Background(), 4, [][3]int{{20, 15, 6}, {25, 15, 8}}, testConfig())
+	pts, err := Fig11a(context.Background(), testEngine(t), 4, [][3]int{{20, 15, 6}, {25, 15, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestFig11aSweepTiny(t *testing.T) {
 }
 
 func TestFig11bSweepTiny(t *testing.T) {
-	pts, err := Fig11b(context.Background(), 5, 25, 20, 6, []int{3, 5}, testConfig())
+	pts, err := Fig11b(context.Background(), testEngine(t), 5, 25, 20, 6, []int{3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestFig11bSweepTiny(t *testing.T) {
 }
 
 func TestFig11cSweepTiny(t *testing.T) {
-	pts, err := Fig11c(context.Background(), 6, 30, 20, 8, []int{1, 2}, testConfig())
+	pts, err := Fig11c(context.Background(), testEngine(t), 6, 30, 20, 8, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +202,7 @@ func TestTableII(t *testing.T) {
 
 func TestFig12CorrelationStructure(t *testing.T) {
 	us, _ := Load(9, ScaleTest, "US Stock")
-	corr, labels, err := Fig12(context.Background(), us, testConfig())
+	corr, labels, err := Fig12(context.Background(), testEngine(t), us)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +234,7 @@ func TestTableIIIDiscovery(t *testing.T) {
 			target = i
 		}
 	}
-	res, err := TableIII(context.Background(), us, testConfig(), target, 3, 0.01)
+	res, err := TableIII(context.Background(), testEngine(t), us, target, 3, 0.01)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,18 +263,17 @@ func TestFig12MarketContrast(t *testing.T) {
 	// this via volume-price coupling; the decomposition must surface it.
 	// Latent correlations need enough stocks and history to stabilize, so
 	// this test builds mid-size markets directly instead of ScaleTest.
-	cfg := testConfig()
-	cfg.Rank = 10
-	cfg.MaxIters = 15
+	eng := testEngine(t)
+	opts := []repro.Option{repro.WithRank(10), repro.WithMaxIters(15)}
 	usTen, usSec := datagen.StockTensor(rng.New(21), 50, 150, 700, datagen.DefaultUSMarket())
 	krTen, krSec := datagen.StockTensor(rng.New(22), 50, 150, 700, datagen.DefaultKRMarket())
 	us := Dataset{Name: "US Stock", Tensor: usTen, Sectors: usSec}
 	kr := Dataset{Name: "KR Stock", Tensor: krTen, Sectors: krSec}
-	usCorr, usLabels, err := Fig12(context.Background(), us, cfg)
+	usCorr, usLabels, err := Fig12(context.Background(), eng, us, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	krCorr, krLabels, err := Fig12(context.Background(), kr, cfg)
+	krCorr, krLabels, err := Fig12(context.Background(), eng, kr, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,5 +281,32 @@ func TestFig12MarketContrast(t *testing.T) {
 	krOBV := PriceIndicatorCorrelations(krCorr, krLabels)["OBV"]
 	if usOBV <= krOBV {
 		t.Fatalf("expected US OBV-price correlation (%v) above KR (%v)", usOBV, krOBV)
+	}
+}
+
+// --- Fig. 12 / Table III: discovery pipeline benchmarks ----------------------
+
+// benchStocks is the 24-stock US market the discovery benchmarks decompose
+// at rank 10 with at most 10 iterations.
+func benchStocks(seed uint64) Dataset {
+	ten, sec := datagen.StockTensor(rng.New(seed), 24, 80, 300, datagen.DefaultUSMarket())
+	return Dataset{Name: "US Stock", Tensor: ten, Sectors: sec}
+}
+
+func BenchmarkFig12Correlations(b *testing.B) {
+	d, eng := benchStocks(8), testEngine(b)
+	for i := 0; i < b.N; i++ {
+		if _, _, err := Fig12(context.Background(), eng, d, repro.WithRank(10), repro.WithMaxIters(10)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkTableIIISimilarStocks(b *testing.B) {
+	d, eng := benchStocks(9), testEngine(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := TableIII(context.Background(), eng, d, 0, 10, 0.01, repro.WithRank(10), repro.WithMaxIters(10)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -3,44 +3,34 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
-	"repro/internal/parafac2"
-	"repro/internal/tensor"
+	"repro"
 )
 
-// Method pairs a display name (the paper's legend label) with a
-// context-aware runner, in the order the paper's legends use.
-type Method struct {
-	Name string
-	Run  func(context.Context, *tensor.Irregular, parafac2.Config) (*parafac2.Result, error)
+// legend maps the registered method names (repro.Methods, in the paper's
+// legend order) to the paper's legend labels.
+var legend = map[repro.MethodID]string{
+	repro.MethodDPar2:   "DPar2",
+	repro.MethodRDALS:   "RD-ALS",
+	repro.MethodALS:     "PARAFAC2-ALS",
+	repro.MethodSPARTan: "SPARTan",
 }
 
-// displayNames maps registry names to the paper's legend labels.
-var displayNames = map[string]string{
-	"dpar2":   "DPar2",
-	"rd-als":  "RD-ALS",
-	"als":     "PARAFAC2-ALS",
-	"spartan": "SPARTan",
-}
-
-// Methods returns the compared decomposers, resolved from the parafac2
-// method registry in registration (= legend) order.
-func Methods() []Method {
-	names := parafac2.MethodNames()
-	out := make([]Method, 0, len(names))
-	for _, name := range names {
-		impl, ok := parafac2.Lookup(name)
-		if !ok {
-			continue
-		}
-		label := displayNames[name]
-		if label == "" {
-			label = name
-		}
-		out = append(out, Method{Name: label, Run: impl.Decompose})
+// label returns the legend label of a registered method, or its name for a
+// method the paper does not compare.
+func label(m repro.MethodID) string {
+	if l, ok := legend[m]; ok {
+		return l
 	}
-	return out
+	return string(m)
+}
+
+// with returns opts followed by more, without writing into opts' backing
+// array, so a runner can extend the caller's options once per call.
+func with(opts []repro.Option, more ...repro.Option) []repro.Option {
+	return append(slices.Clip(opts), more...)
 }
 
 // MethodResult is one (dataset, method, rank) measurement.
@@ -60,10 +50,17 @@ type MethodResult struct {
 	PreprocessedBytes int64
 }
 
-func runOne(ctx context.Context, d Dataset, m Method, cfg parafac2.Config) (MethodResult, error) {
-	res, err := m.Run(ctx, d.Tensor, cfg)
+// runOne decomposes d on eng under opts and records the measurement under
+// the method's legend label and the rank the options resolve to.
+func runOne(ctx context.Context, eng *repro.Engine, d Dataset, opts []repro.Option) (MethodResult, error) {
+	spec, err := eng.ResolveSpec(opts...)
 	if err != nil {
-		return MethodResult{}, fmt.Errorf("%s on %s: %w", m.Name, d.Name, err)
+		return MethodResult{}, err
+	}
+	name := label(spec.Method)
+	res, err := eng.Decompose(ctx, d.Tensor, opts...)
+	if err != nil {
+		return MethodResult{}, fmt.Errorf("%s on %s: %w", name, d.Name, err)
 	}
 	perIter := time.Duration(0)
 	if res.Iters > 0 {
@@ -71,8 +68,8 @@ func runOne(ctx context.Context, d Dataset, m Method, cfg parafac2.Config) (Meth
 	}
 	return MethodResult{
 		Dataset:           d.Name,
-		Method:            m.Name,
-		Rank:              cfg.Rank,
+		Method:            name,
+		Rank:              spec.Rank,
 		TotalTime:         res.TotalTime,
 		PreprocessTime:    res.PreprocessTime,
 		IterTime:          res.IterTime,
@@ -85,16 +82,15 @@ func runOne(ctx context.Context, d Dataset, m Method, cfg parafac2.Config) (Meth
 }
 
 // Fig1 measures the running time vs fitness trade-off of all methods on all
-// datasets for the given target ranks (the paper uses 10, 15, 20). The
-// context cancels the sweep between (and inside) runs.
-func Fig1(ctx context.Context, datasets []Dataset, ranks []int, base parafac2.Config) ([]MethodResult, error) {
+// datasets for the given target ranks (the paper uses 10, 15, 20), running
+// each on eng under opts. The context cancels the sweep between (and inside)
+// runs.
+func Fig1(ctx context.Context, eng *repro.Engine, datasets []Dataset, ranks []int, opts ...repro.Option) ([]MethodResult, error) {
 	var out []MethodResult
 	for _, d := range datasets {
 		for _, r := range ranks {
-			cfg := base
-			cfg.Rank = r
-			for _, m := range Methods() {
-				mr, err := runOne(ctx, d, m, cfg)
+			for _, m := range repro.Methods() {
+				mr, err := runOne(ctx, eng, d, with(opts, repro.WithRank(r), repro.WithMethod(repro.MethodID(m))))
 				if err != nil {
 					return nil, err
 				}
@@ -122,12 +118,12 @@ func Fig1Table(results []MethodResult) *Table {
 }
 
 // Fig9 measures preprocessing time (DPar2 vs RD-ALS, Fig. 9a) and time per
-// iteration of every method (Fig. 9b) at the base rank.
-func Fig9(ctx context.Context, datasets []Dataset, base parafac2.Config) ([]MethodResult, error) {
+// iteration of every method (Fig. 9b) on eng at the rank opts resolve to.
+func Fig9(ctx context.Context, eng *repro.Engine, datasets []Dataset, opts ...repro.Option) ([]MethodResult, error) {
 	var out []MethodResult
 	for _, d := range datasets {
-		for _, m := range Methods() {
-			mr, err := runOne(ctx, d, m, base)
+		for _, m := range repro.Methods() {
+			mr, err := runOne(ctx, eng, d, with(opts, repro.WithMethod(repro.MethodID(m))))
 			if err != nil {
 				return nil, err
 			}
@@ -150,11 +146,7 @@ func Fig9aTable(results []MethodResult) *Table {
 		g := byDS[ds]
 		dp := g["DPar2"].PreprocessTime.Seconds()
 		rd := g["RD-ALS"].PreprocessTime.Seconds()
-		speed := "-"
-		if dp > 0 {
-			speed = fmt.Sprintf("%.1fx", rd/dp)
-		}
-		t.AddRow(ds, secs(dp), secs(rd), speed)
+		t.AddRow(ds, secs(dp), secs(rd), ratio(rd, dp))
 	}
 	return t
 }
@@ -173,18 +165,7 @@ func Fig9bTable(results []MethodResult) *Table {
 		rd := g["RD-ALS"].TimePerIter.Seconds() * 1000
 		als := g["PARAFAC2-ALS"].TimePerIter.Seconds() * 1000
 		sp := g["SPARTan"].TimePerIter.Seconds() * 1000
-		other := rd
-		if als < other {
-			other = als
-		}
-		if sp < other {
-			other = sp
-		}
-		speed := "-"
-		if dp > 0 {
-			speed = fmt.Sprintf("%.1fx", other/dp)
-		}
-		t.AddRow(ds, ms(dp), ms(rd), ms(als), ms(sp), speed)
+		t.AddRow(ds, ms(dp), ms(rd), ms(als), ms(sp), ratio(min(rd, als, sp), dp))
 	}
 	return t
 }
@@ -203,11 +184,7 @@ func Fig10Table(results []MethodResult) *Table {
 		in := g["DPar2"].InputBytes
 		dp := g["DPar2"].PreprocessedBytes
 		rd := g["RD-ALS"].PreprocessedBytes
-		ratio := "-"
-		if dp > 0 {
-			ratio = fmt.Sprintf("%.1fx", float64(in)/float64(dp))
-		}
-		t.AddRow(ds, mb(in), mb(dp), mb(rd), ratio)
+		t.AddRow(ds, mb(in), mb(dp), mb(rd), ratio(float64(in), float64(dp)))
 	}
 	return t
 }

@@ -63,6 +63,15 @@ func (t *Table) Fprint(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// ratio renders num/den as a factor ("3.2x"), or "-" when den is not
+// positive.
+func ratio(num, den float64) string {
+	if den <= 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.1fx", num/den)
+}
+
 func f3(v float64) string   { return fmt.Sprintf("%.3f", v) }
 func f4(v float64) string   { return fmt.Sprintf("%.4f", v) }
 func ms(v float64) string   { return fmt.Sprintf("%.1fms", v) }

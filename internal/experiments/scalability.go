@@ -3,10 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
+	"repro"
 	"repro/internal/datagen"
-	"repro/internal/parafac2"
 	"repro/internal/rng"
 	"repro/internal/rsvd"
 )
@@ -40,8 +41,9 @@ func Fig11aSizes(shrink int) [][3]int {
 	return out
 }
 
-// Fig11a runs the tensor-size scalability sweep with all methods.
-func Fig11a(ctx context.Context, seed uint64, sizes [][3]int, base parafac2.Config) ([]SizePoint, error) {
+// Fig11a runs the tensor-size scalability sweep with all methods on eng
+// under opts.
+func Fig11a(ctx context.Context, eng *repro.Engine, seed uint64, sizes [][3]int, opts ...repro.Option) ([]SizePoint, error) {
 	var out []SizePoint
 	for _, s := range sizes {
 		g := rng.New(seed)
@@ -51,12 +53,13 @@ func Fig11a(ctx context.Context, seed uint64, sizes [][3]int, base parafac2.Conf
 			Elements: int64(s[0]) * int64(s[1]) * int64(s[2]),
 			Times:    map[string]time.Duration{},
 		}
-		for _, m := range Methods() {
-			res, err := m.Run(ctx, ten, base)
+		for _, name := range repro.Methods() {
+			m := repro.MethodID(name)
+			res, err := eng.Decompose(ctx, ten, with(opts, repro.WithMethod(m))...)
 			if err != nil {
-				return nil, fmt.Errorf("fig11a %v %s: %w", s, m.Name, err)
+				return nil, fmt.Errorf("fig11a %v %s: %w", s, label(m), err)
 			}
-			pt.Times[m.Name] = res.TotalTime
+			pt.Times[label(m)] = res.TotalTime
 		}
 		out = append(out, pt)
 	}
@@ -71,27 +74,20 @@ func Fig11aTable(points []SizePoint) *Table {
 		Notes:  []string{"paper: DPar2 is up to 15.3x faster; its slope is the lowest"},
 	}
 	for _, p := range points {
-		dp := p.Times["DPar2"].Seconds()
-		second := -1.0
-		for name, d := range p.Times {
-			if name == "DPar2" {
-				continue
-			}
-			if second < 0 || d.Seconds() < second {
-				second = d.Seconds()
-			}
-		}
-		speed := "-"
-		if dp > 0 {
-			speed = fmt.Sprintf("%.1fx", second/dp)
-		}
-		t.AddRow(fmt.Sprintf("%dx%dx%d", p.I, p.J, p.K),
-			fmt.Sprintf("%d", p.Elements),
-			secs(dp), secs(p.Times["RD-ALS"].Seconds()),
-			secs(p.Times["PARAFAC2-ALS"].Seconds()), secs(p.Times["SPARTan"].Seconds()),
-			speed)
+		t.AddRow(append([]string{fmt.Sprintf("%dx%dx%d", p.I, p.J, p.K), fmt.Sprintf("%d", p.Elements)},
+			methodTimes(p.Times)...)...)
 	}
 	return t
+}
+
+// methodTimes renders one sweep point's total times in legend order,
+// followed by the fastest other method's time over DPar2's.
+func methodTimes(times map[string]time.Duration) []string {
+	dp := times["DPar2"].Seconds()
+	rd := times["RD-ALS"].Seconds()
+	als := times["PARAFAC2-ALS"].Seconds()
+	sp := times["SPARTan"].Seconds()
+	return []string{secs(dp), secs(rd), secs(als), secs(sp), ratio(min(rd, als, sp), dp)}
 }
 
 // RankPoint is one measurement of the Fig. 11(b) rank sweep.
@@ -100,21 +96,21 @@ type RankPoint struct {
 	Times map[string]time.Duration
 }
 
-// Fig11b sweeps the target rank on a fixed synthetic tensor.
-func Fig11b(ctx context.Context, seed uint64, i, j, k int, ranks []int, base parafac2.Config) ([]RankPoint, error) {
+// Fig11b sweeps the target rank on a fixed synthetic tensor, running every
+// method on eng under opts.
+func Fig11b(ctx context.Context, eng *repro.Engine, seed uint64, i, j, k int, ranks []int, opts ...repro.Option) ([]RankPoint, error) {
 	g := rng.New(seed)
 	ten := datagen.RandomIrregular(g, i, j, k)
 	var out []RankPoint
 	for _, r := range ranks {
-		cfg := base
-		cfg.Rank = r
 		pt := RankPoint{Rank: r, Times: map[string]time.Duration{}}
-		for _, m := range Methods() {
-			res, err := m.Run(ctx, ten, cfg)
+		for _, name := range repro.Methods() {
+			m := repro.MethodID(name)
+			res, err := eng.Decompose(ctx, ten, with(opts, repro.WithRank(r), repro.WithMethod(m))...)
 			if err != nil {
-				return nil, fmt.Errorf("fig11b rank %d %s: %w", r, m.Name, err)
+				return nil, fmt.Errorf("fig11b rank %d %s: %w", r, label(m), err)
 			}
-			pt.Times[m.Name] = res.TotalTime
+			pt.Times[label(m)] = res.TotalTime
 		}
 		out = append(out, pt)
 	}
@@ -129,24 +125,7 @@ func Fig11bTable(points []RankPoint) *Table {
 		Notes:  []string{"paper: up to 15.9x faster; gap narrows at high ranks (randomized SVD targets low rank)"},
 	}
 	for _, p := range points {
-		dp := p.Times["DPar2"].Seconds()
-		second := -1.0
-		for name, d := range p.Times {
-			if name == "DPar2" {
-				continue
-			}
-			if second < 0 || d.Seconds() < second {
-				second = d.Seconds()
-			}
-		}
-		speed := "-"
-		if dp > 0 {
-			speed = fmt.Sprintf("%.1fx", second/dp)
-		}
-		t.AddRow(fmt.Sprintf("%d", p.Rank),
-			secs(dp), secs(p.Times["RD-ALS"].Seconds()),
-			secs(p.Times["PARAFAC2-ALS"].Seconds()), secs(p.Times["SPARTan"].Seconds()),
-			speed)
+		t.AddRow(append([]string{fmt.Sprintf("%d", p.Rank)}, methodTimes(p.Times)...)...)
 	}
 	return t
 }
@@ -158,21 +137,25 @@ type ThreadPoint struct {
 	Speedup float64 // T1/TM
 }
 
-// Fig11c measures DPar2's running time for each thread count.
+// Fig11c measures DPar2's running time for each thread count. Pool width is
+// what the sweep measures, so each count runs on an Engine of its own width
+// under the Spec that opts resolve to on eng.
 //
 // On a single-core host the speedup cannot materialize in wall-clock time;
-// the table still reports the measured times plus the scheduler's load
-// imbalance, which is the controllable part of multi-core scaling.
-func Fig11c(ctx context.Context, seed uint64, i, j, k int, threadCounts []int, base parafac2.Config) ([]ThreadPoint, error) {
+// the table still reports the measured times.
+func Fig11c(ctx context.Context, eng *repro.Engine, seed uint64, i, j, k int, threadCounts []int, opts ...repro.Option) ([]ThreadPoint, error) {
+	spec, err := eng.ResolveSpec(opts...)
+	if err != nil {
+		return nil, err
+	}
 	g := rng.New(seed)
 	ten := datagen.RandomIrregular(g, i, j, k)
 	var out []ThreadPoint
 	var t1 time.Duration
 	for _, th := range threadCounts {
-		cfg := base
-		cfg.Threads = th
-		cfg.Pool = nil // the sweep measures pool width, so each run builds its own
-		res, err := parafac2.DPar2Ctx(ctx, ten, cfg)
+		wide := repro.NewEngine(repro.WithEngineThreads(th))
+		res, err := wide.Decompose(ctx, ten, repro.WithSpec(spec))
+		wide.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -215,28 +198,31 @@ type TallSlicePoint struct {
 // regime the ShardRows knob exists for: stage-1 cost and scratch are
 // proportional to the tallest slice, so sharding it spreads the sketch over
 // the pool and bounds per-shard scratch. tallRows is the tallest slice's
-// height; the remaining k-1 slices are an order of magnitude shorter.
-func TallSlice(ctx context.Context, seed uint64, base parafac2.Config, tallRows, j, k int, shardRows []int) ([]TallSlicePoint, error) {
+// height; the remaining k-1 slices are an order of magnitude shorter. Every
+// run is on eng under opts, whose resolved rank also sizes the tensor.
+func TallSlice(ctx context.Context, eng *repro.Engine, seed uint64, tallRows, j, k int, shardRows []int, opts ...repro.Option) ([]TallSlicePoint, error) {
+	spec, err := eng.ResolveSpec(opts...)
+	if err != nil {
+		return nil, err
+	}
 	g := rng.New(seed)
 	rows := make([]int, k)
 	rows[0] = tallRows
 	for i := 1; i < k; i++ {
 		rows[i] = tallRows/16 + g.Intn(tallRows/16+1)
 	}
-	ten := datagen.LowRank(g, rows, j, base.Rank, 0.01)
+	ten := datagen.LowRank(g, rows, j, spec.Rank, 0.01)
 
-	sketch := rsvd.Options{Oversample: base.Oversample}.SketchWidth(base.Rank)
+	sketch := rsvd.Options{Oversample: spec.Oversample}.SketchWidth(spec.Rank)
 	var out []TallSlicePoint
 	for _, sr := range shardRows {
-		cfg := base
-		cfg.ShardRows = sr
-		res, err := parafac2.DPar2Ctx(ctx, ten, cfg)
+		res, err := eng.Decompose(ctx, ten, with(opts, repro.WithShardRows(sr))...)
 		if err != nil {
 			return nil, fmt.Errorf("tall-slice ShardRows %d: %w", sr, err)
 		}
 		out = append(out, TallSlicePoint{
 			ShardRows:  sr,
-			Shards:     rsvd.NumShards(tallRows, j, cfg.ShardRowsThreshold(), sketch),
+			Shards:     rsvd.NumShards(tallRows, j, repro.Config{ShardRows: sr}.ShardRowsThreshold(), sketch),
 			Preprocess: res.PreprocessTime,
 			Total:      res.TotalTime,
 			Fitness:    res.Fitness,
@@ -280,9 +266,7 @@ func Fig8Table(datasets []Dataset) *Table {
 		if d.Sectors == nil {
 			continue // stock datasets only
 		}
-		rows := d.Tensor.Rows()
-		sorted := append([]int(nil), rows...)
-		insertionSort(sorted)
+		sorted := slices.Sorted(slices.Values(d.Tensor.Rows()))
 		pick := func(q float64) int { return sorted[int(q*float64(len(sorted)-1))] }
 		t.AddRow(d.Name,
 			fmt.Sprintf("%d", pick(0)), fmt.Sprintf("%d", pick(0.25)),
@@ -290,12 +274,4 @@ func Fig8Table(datasets []Dataset) *Table {
 			fmt.Sprintf("%d", pick(0.9)), fmt.Sprintf("%d", pick(1)))
 	}
 	return t
-}
-
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

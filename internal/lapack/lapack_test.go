@@ -228,17 +228,6 @@ func TestPInvIdentity(t *testing.T) {
 	}
 }
 
-func TestSolveSPD(t *testing.T) {
-	g := rng.New(10)
-	x := mat.Gaussian(g, 5, 5)
-	gram := x.TMul(x) // SPD
-	b := mat.Gaussian(g, 5, 3)
-	sol := SolveSPD(gram, b)
-	if !gram.Mul(sol).EqualApprox(b, 1e-7) {
-		t.Fatal("SolveSPD residual too large")
-	}
-}
-
 func TestQuickSVDReconstruct(t *testing.T) {
 	f := func(seed uint64) bool {
 		g := rng.New(seed)

@@ -424,11 +424,3 @@ func PInv(a *mat.Dense) *mat.Dense {
 	// A⁺ = V diag(1/s) Uᵀ
 	return d.V.ScaleColumns(inv).MulT(d.U)
 }
-
-// SolveSPD solves the small linear system G X = B for X where G is symmetric
-// positive semi-definite (the Gram matrices of ALS updates), falling back to
-// the pseudoinverse when G is singular. Used as B · (G)⁺ by callers that
-// right-multiply.
-func SolveSPD(g, b *mat.Dense) *mat.Dense {
-	return PInv(g).Mul(b)
-}

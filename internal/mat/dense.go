@@ -86,19 +86,6 @@ func Diag(d []float64) *Dense {
 	return m
 }
 
-// Diagonal extracts the main diagonal of m.
-func (m *Dense) Diagonal() []float64 {
-	n := m.Rows
-	if m.Cols < n {
-		n = m.Cols
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = m.Data[i*m.Cols+i]
-	}
-	return d
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 

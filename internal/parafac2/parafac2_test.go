@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compute"
+	"repro/internal/datagen"
 	"repro/internal/lapack"
 	"repro/internal/mat"
 	"repro/internal/rng"
@@ -228,20 +230,19 @@ func TestLemmasMatchNaiveMTTKRP(t *testing.T) {
 	}
 	_ = s
 
-	dtv := d.TMul(v)
-	g1 := LemmaG1(tf, w, e, dtv, 2)
+	pool := compute.NewPool(2)
+	defer pool.Close()
+	g1, g2, g3 := lemmas(tf, w, d, e, d.TMul(v), h, pool)
 	want1 := y.MTTKRP(1, w, v)
 	if !g1.EqualApprox(want1, 1e-9) {
 		t.Fatal("Lemma 1 disagrees with naive Y(1)(W⊙V)")
 	}
 
-	g2 := LemmaG2(tf, w, d, e, h, 2)
 	want2 := y.MTTKRP(2, w, h)
 	if !g2.EqualApprox(want2, 1e-9) {
 		t.Fatal("Lemma 2 disagrees with naive Y(2)(W⊙H)")
 	}
 
-	g3 := LemmaG3(tf, e, dtv, h, 2)
 	want3 := y.MTTKRP(3, v, h)
 	if !g3.EqualApprox(want3, 1e-9) {
 		t.Fatal("Lemma 3 disagrees with naive Y(3)(V⊙H)")
@@ -272,8 +273,7 @@ func TestCompressedErrorMatchesDirect(t *testing.T) {
 		}
 	}
 	comp := &Compressed{D: d, E: e, F: tf, J: j, Rank: r}
-	dtv := d.TMul(v)
-	got := CompressedErrorGram2(tf, e, dtv, v, h, s)
+	got := compressedError2(tf, e, d.TMul(v), v, h, s, compute.Shared())
 	want := CompressedErrorDirect2(comp, tf, v, h, s)
 	if math.Abs(got-want) > 1e-8*(1+want) {
 		t.Fatalf("compressed error %v != direct %v", got, want)
@@ -309,11 +309,106 @@ func TestConvergenceIdentityAgainstSliceApprox(t *testing.T) {
 		// instead use Q_k and A_k: T_k = (A_kᵀ Q_k)ᵀ F⁽ᵏ⁾ = Q_kᵀA_k F⁽ᵏ⁾.
 		tf[k] = res.Qk(k).TMul(comp.A[k]).Mul(comp.F[k])
 	}
-	dtv := comp.D.TMul(res.V)
-	got := CompressedErrorGram2(tf, comp.E, dtv, res.V, res.H, res.S)
+	got := compressedError2(tf, comp.E, comp.D.TMul(res.V), res.V, res.H, res.S, compute.Shared())
 	if math.Abs(got-direct) > 1e-6*(1+direct) {
 		t.Fatalf("compressed measure %v != direct slice measure %v", got, direct)
 	}
+}
+
+// lemmas computes G⁽¹⁾ = Y(1)(W ⊙ V), G⁽²⁾ = Y(2)(W ⊙ H) and
+// G⁽³⁾ = Y(3)(V ⊙ H) from the factored slices T_k (Lemmas 1-3) on pool.
+func lemmas(tf []*mat.Dense, w, d *mat.Dense, e []float64, dtv, h *mat.Dense, pool *compute.Pool) (g1, g2, g3 *mat.Dense) {
+	arena := compute.Shared()
+	g1 = mat.New(dtv.Cols, dtv.Cols)
+	lemma1Into(g1, tf, w, e, dtv, pool, arena)
+	g2 = mat.New(d.Rows, h.Cols)
+	lemma2Into(g2, tf, w, d, e, h, pool, arena)
+	g3 = mat.New(len(tf), h.Cols)
+	lemma3Into(g3, tf, e, dtv, h, pool, arena)
+	return g1, g2, g3
+}
+
+// BenchmarkAblationLemmaReorder times Lemmas 1-3 against materializing Y
+// and running the naive MTTKRP (what a straightforward implementation
+// would do).
+func BenchmarkAblationLemmaReorder(b *testing.B) {
+	g := rng.New(12)
+	r, j, k := 10, 512, 300
+	d := lapack.QRFactor(mat.Gaussian(g, j, r)).Q
+	e := make([]float64, r)
+	for i := range e {
+		e[i] = 1 + g.Float64()
+	}
+	tf := make([]*mat.Dense, k)
+	for kk := range tf {
+		tf[kk] = mat.Gaussian(g, r, r)
+	}
+	w := mat.Gaussian(g, k, r)
+	v := mat.Gaussian(g, j, r)
+	h := mat.Gaussian(g, r, r)
+
+	b.Run("lemma-reordered", func(b *testing.B) {
+		pool := compute.NewPool(2)
+		defer pool.Close()
+		for i := 0; i < b.N; i++ {
+			lemmas(tf, w, d, e, d.TMul(v), h, pool)
+		}
+	})
+	b.Run("naive-materialized-Y", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ySlices := make([]*mat.Dense, k)
+			for kk := range ySlices {
+				ySlices[kk] = tf[kk].ScaleColumns(e).MulT(d)
+			}
+			y := tensor.MustDense3(ySlices)
+			y.MTTKRP(1, w, v)
+			y.MTTKRP(2, w, h)
+			y.MTTKRP(3, v, h)
+		}
+	})
+}
+
+// BenchmarkAblationConvergence times the compressed convergence check (the
+// Gram trick) against the paper's direct R×J computation and against the
+// full reconstruction error, on a 40-slice long-tailed stock-regime tensor.
+func BenchmarkAblationConvergence(b *testing.B) {
+	g := rng.New(13)
+	ten := datagen.LowRank(g, datagen.LongTailRows(g, 40, 100, 600), 88, 10, 0.05)
+	cfg := DefaultConfig()
+	cfg.MaxIters = 10
+	cfg.Threads = 2
+	comp, err := CompressCtx(context.Background(), ten, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := DPar2FromCompressedCtx(context.Background(), comp, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tf := make([]*mat.Dense, ten.K())
+	for k := range tf {
+		tf[k] = res.Qk(k).TMul(comp.A[k]).Mul(comp.F[k])
+	}
+	b.Run("gram-trick", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			compressedError2(tf, comp.E, comp.D.TMul(res.V), res.V, res.H, res.S, compute.Shared())
+		}
+	})
+	b.Run("direct-RxJ", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			CompressedErrorDirect2(comp, tf, res.V, res.H, res.S)
+		}
+	})
+	b.Run("full-reconstruction", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			var sum float64
+			for k, xk := range ten.Slices {
+				d := xk.FrobDist(res.ReconstructSlice(k))
+				sum += d * d
+			}
+			_ = sum
+		}
+	})
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -85,8 +85,8 @@
 // latency, result-cache hits and misses, and the queue's high-water depth.
 // The admission queue keeps these counts itself, under the same lock as each
 // transition; the snapshot prints as a served-traffic table (see
-// examples/scalability and cmd/experiments -fleet). The one per-iteration
-// hook is WithProgress, which sees each iteration's convergence measure.
+// examples/scalability). The one per-iteration hook is WithProgress, which
+// sees each iteration's convergence measure.
 //
 // Results are deterministic for a given tensor and options — bit-identical
 // whether a job runs alone, concurrently with others, at any pool width, or

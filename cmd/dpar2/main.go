@@ -197,8 +197,16 @@ func loadTensor(inputDir, data string, seed uint64, i, j, k int, noise float64) 
 	g := rng.New(seed)
 	switch strings.ToLower(data) {
 	case "random":
+		if i < 1 || j < 1 || k < 1 {
+			return nil, fmt.Errorf("-data random needs -I, -J and -K of at least 1, got %d, %d, %d", i, j, k)
+		}
 		return datagen.RandomIrregular(g, i, j, k), nil
 	case "lowrank":
+		// Slice heights are drawn from [I/2, I], so I of 1 would allow an
+		// empty slice.
+		if i < 2 || j < 1 || k < 1 {
+			return nil, fmt.Errorf("-data lowrank needs -I of at least 2 and -J, -K of at least 1, got %d, %d, %d", i, j, k)
+		}
 		rows := make([]int, k)
 		for idx := range rows {
 			rows[idx] = i/2 + g.Intn(i/2+1)

@@ -85,4 +85,20 @@ func TestLoadTensorGenerated(t *testing.T) {
 	if _, err := loadTensor("", "no-such-dataset", 1, 1, 1, 1, 0); err == nil {
 		t.Fatal("expected unknown-dataset error")
 	}
+	// Sizes the generators cannot build are errors, not panics.
+	for _, c := range []struct {
+		data    string
+		i, j, k int
+	}{
+		{"lowrank", 200, 100, 0},  // no slices
+		{"random", 200, 100, 0},   // no slices
+		{"random", 0, 100, 50},    // zero-row slices
+		{"lowrank", 1, 100, 50},   // heights drawn from [0, 1]
+		{"lowrank", 200, 100, -1}, // negative slice count
+		{"random", 200, 0, 50},    // no columns
+	} {
+		if _, err := loadTensor("", c.data, 1, c.i, c.j, c.k, 0.05); err == nil {
+			t.Errorf("-data %s -I %d -J %d -K %d: expected a size error", c.data, c.i, c.j, c.k)
+		}
+	}
 }

@@ -4,34 +4,182 @@
 // built from the flags (Fig. 11(c) builds one per thread count, since pool
 // width is what it measures).
 //
-//	experiments -all                 # everything (minutes)
-//	experiments -fig 1               # trade-off curves (Fig. 1)
-//	experiments -fig 9               # preprocessing + per-iteration time
-//	experiments -fig 10              # preprocessed data size
+//	experiments -all                 # everything, in the order below (minutes)
+//	experiments -table 2             # dataset summary
+//	experiments -fig 8|1             # data profile / trade-off curves
+//	experiments -fig 9|10            # preprocessing + per-iteration time / preprocessed size
 //	experiments -fig 11a|11b|11c     # scalability sweeps
 //	experiments -fig tall            # tall-slice stage-1 sharding comparison
-//	experiments -fig 8|12            # data profile / correlation heatmaps
-//	experiments -table 2|3           # dataset summary / similar stocks
+//	experiments -fig 12 -table 3     # correlation heatmaps and similar stocks
 //	experiments -all -scale test     # tiny versions: a smoke run of seconds
+//
+// -fig and -table combine. -scale is bench (the default) or test. No
+// selection, or an unknown -fig, -table or -scale value, prints the usage
+// and exits 2. The Table II datasets are generated once per run, and only
+// when a selected output reads them.
 package main
 
 import (
 	"cmp"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"os/signal"
 	"slices"
+	"strings"
+	"sync"
 
 	"repro"
 	"repro/internal/experiments"
 )
 
+// output is one table or figure of the paper: the -fig or -table value
+// that selects it, whether it reads the Table II datasets, and how it runs.
+type output struct {
+	kind, name string // kind is "fig" or "table"
+	datasets   bool
+	run        func(h *harness) error
+}
+
+// outputs lists every output in the order -all runs them.
+var outputs = []output{
+	{"table", "2", true, func(h *harness) error { return show(h.datasets, nil, experiments.TableII) }},
+	{"fig", "8", true, func(h *harness) error { return show(h.datasets, nil, experiments.Fig8Table) }},
+	{"fig", "1", true, func(h *harness) error {
+		results, err := experiments.Fig1(h.ctx, h.eng, h.datasets, at(h, []int{10, 15, 20}, []int{5}))
+		return show(results, err, experiments.Fig1Table)
+	}},
+	{"fig", "9", true, func(h *harness) error {
+		results, err := h.fig9()
+		return show(results, err, experiments.Fig9aTable, experiments.Fig9bTable)
+	}},
+	{"fig", "10", true, func(h *harness) error {
+		results, err := h.fig9()
+		return show(results, err, experiments.Fig10Table)
+	}},
+	{"fig", "11a", false, func(h *harness) error {
+		results, err := experiments.Fig11a(h.ctx, h.eng, h.seed, experiments.Fig11aSizes(at(h, 10, 40)))
+		return show(results, err, experiments.Fig11aTable)
+	}},
+	{"fig", "11b", false, func(h *harness) error {
+		d, ranks := at(h, [3]int{200, 200, 60}, [3]int{60, 50, 10}), at(h, []int{10, 20, 30, 40, 50}, []int{5, 10})
+		results, err := experiments.Fig11b(h.ctx, h.eng, h.seed, d[0], d[1], d[2], ranks)
+		return show(results, err, experiments.Fig11bTable)
+	}},
+	{"fig", "11c", false, func(h *harness) error {
+		d, threads := at(h, [3]int{200, 200, 60}, [3]int{60, 50, 10}), at(h, []int{1, 2, 4, 6, 8, 10}, []int{1, 2})
+		pts, err := experiments.Fig11c(h.ctx, h.eng, h.seed, d[0], d[1], d[2], threads)
+		return show(pts, err, experiments.Fig11cTable)
+	}},
+	{"fig", "tall", false, func(h *harness) error {
+		d, srs := at(h, [3]int{32768, 64, 6}, [3]int{4096, 32, 4}), at(h, []int{-1, 8192, 4096}, []int{-1, 1024, 512})
+		pts, err := experiments.TallSlice(h.ctx, h.eng, h.seed, d[0], d[1], d[2], srs)
+		return show(pts, err, experiments.TallSliceTable)
+	}},
+	{"fig", "12", true, func(h *harness) error {
+		for _, name := range []string{"US Stock", "KR Stock"} {
+			corr, labels, err := experiments.Fig12(h.ctx, h.eng, h.dataset(name))
+			if err != nil {
+				return err
+			}
+			experiments.Fig12Table("Fig. 12: "+name+" feature correlations", corr, labels).Fprint(os.Stdout)
+		}
+		return nil
+	}},
+	{"table", "3", true, func(h *harness) error {
+		d := h.dataset("US Stock")
+		res, err := experiments.TableIII(h.ctx, h.eng, d, lowerQuartileRowsIndex(d), 10, 0.01)
+		if err != nil {
+			return err
+		}
+		experiments.TableIIITable(res).Fprint(os.Stdout)
+		fmt.Printf("sector precision: kNN %.2f, RWR %.2f\n\n",
+			experiments.SectorPrecision(res, res.KNN),
+			experiments.SectorPrecision(res, res.RWR))
+		return nil
+	}},
+}
+
+// show prints the tables renders make of v, or returns the error of v's run.
+func show[T any](v T, err error, renders ...func(T) *experiments.Table) error {
+	if err != nil {
+		return err
+	}
+	for _, render := range renders {
+		render(v).Fprint(os.Stdout)
+	}
+	return nil
+}
+
+// harness is what the outputs run on. datasets is nil unless a selected
+// output reads them; fig9 runs the measurement Figs. 9 and 10 share once.
+type harness struct {
+	ctx      context.Context
+	eng      *repro.Engine
+	seed     uint64
+	sc       experiments.Scale
+	datasets []experiments.Dataset
+	fig9     func() ([]experiments.MethodResult, error)
+}
+
+// at returns bench at -scale bench and test at -scale test.
+func at[T any](h *harness, bench, test T) T {
+	if h.sc == experiments.ScaleTest {
+		return test
+	}
+	return bench
+}
+
+// dataset returns the named Table II dataset, for an output that reads them.
+func (h *harness) dataset(name string) experiments.Dataset {
+	return h.datasets[slices.IndexFunc(h.datasets, func(d experiments.Dataset) bool { return d.Name == name })]
+}
+
+// scales maps the -scale values to dataset scales.
+var scales = map[string]experiments.Scale{"bench": experiments.ScaleBench, "test": experiments.ScaleTest}
+
+// choose returns the outputs that -all, -fig and -table select, in table
+// order, and the scale -scale names. An unknown name or scale, or no
+// selection, is an error.
+func choose(all bool, fig, table, scale string) ([]output, experiments.Scale, error) {
+	sc, ok := scales[scale]
+	switch {
+	case !ok:
+		return nil, 0, fmt.Errorf("unknown -scale %q", scale)
+	case fig != "" && !slices.Contains(names("fig"), fig):
+		return nil, 0, fmt.Errorf("unknown -fig %q", fig)
+	case table != "" && !slices.Contains(names("table"), table):
+		return nil, 0, fmt.Errorf("unknown -table %q", table)
+	}
+	var picked []output
+	for _, o := range outputs {
+		if all || o.kind == "fig" && o.name == fig || o.kind == "table" && o.name == table {
+			picked = append(picked, o)
+		}
+	}
+	if len(picked) == 0 {
+		return nil, 0, errors.New("nothing selected: pass -all, -fig or -table")
+	}
+	return picked, sc, nil
+}
+
+// names lists the names of one kind of output, in table order.
+func names(kind string) []string {
+	var ns []string
+	for _, o := range outputs {
+		if o.kind == kind {
+			ns = append(ns, o.name)
+		}
+	}
+	return ns
+}
+
 func main() {
 	var (
-		fig       = flag.String("fig", "", "figure to regenerate: 1, 8, 9, 10, 11a, 11b, 11c, 12, tall")
-		table     = flag.String("table", "", "table to regenerate: 2, 3")
+		fig       = flag.String("fig", "", "figure to regenerate: "+strings.Join(names("fig"), ", "))
+		table     = flag.String("table", "", "table to regenerate: "+strings.Join(names("table"), ", "))
 		all       = flag.Bool("all", false, "run every experiment")
 		scale     = flag.String("scale", "bench", "dataset scale: bench | test")
 		seed      = flag.Uint64("seed", 1, "random seed")
@@ -41,22 +189,17 @@ func main() {
 		shardRows = flag.Int("shardrows", 0, "stage-1 sharding threshold in rows (0 = default 64k, <0 = off)")
 	)
 	flag.Parse()
+	picked, sc, err := choose(*all, *fig, *table, *scale)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	// Ctrl-C cancels the sweep between ALS iterations/phases instead of
 	// killing it mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-
-	sc := experiments.ScaleBench
-	if *scale == "test" {
-		sc = experiments.ScaleTest
-	}
-	run := func(name string) bool { return *all || *fig == name || *table == name }
-
-	if !*all && *fig == "" && *table == "" {
-		flag.Usage()
-		os.Exit(2)
-	}
 
 	cfg := repro.DefaultConfig()
 	cfg.Rank = *rank
@@ -66,119 +209,24 @@ func main() {
 	eng := repro.NewEngine(repro.WithEngineThreads(*threads), repro.WithBaseConfig(cfg))
 	defer eng.Close()
 
-	var datasets []experiments.Dataset
-	need := *all || *fig == "1" || *fig == "8" || *fig == "9" || *fig == "10" || *table == "2"
-	if need {
+	h := &harness{ctx: ctx, eng: eng, seed: *seed, sc: sc}
+	h.fig9 = sync.OnceValues(func() ([]experiments.MethodResult, error) { return experiments.Fig9(ctx, eng, h.datasets) })
+	if slices.ContainsFunc(picked, func(o output) bool { return o.datasets }) {
 		fmt.Fprintln(os.Stderr, "generating datasets...")
-		datasets = experiments.LoadAll(*seed, sc)
+		h.datasets = experiments.LoadAll(*seed, sc)
 	}
-
-	if run("2") && *fig == "" {
-		experiments.TableII(datasets).Fprint(os.Stdout)
-	}
-	if run("8") && *table == "" {
-		experiments.Fig8Table(datasets).Fprint(os.Stdout)
-	}
-	if run("1") && *table == "" {
-		fmt.Fprintln(os.Stderr, "running Fig. 1 trade-off (all methods, ranks 10/15/20)...")
-		ranks := []int{10, 15, 20}
-		if sc == experiments.ScaleTest {
-			ranks = []int{5}
+	for _, o := range picked {
+		fmt.Fprintf(os.Stderr, "running -%s %s...\n", o.kind, o.name)
+		if err := o.run(h); err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			os.Exit(1)
 		}
-		results, err := experiments.Fig1(ctx, eng, datasets, ranks)
-		fail(err)
-		experiments.Fig1Table(results).Fprint(os.Stdout)
-	}
-	if (run("9") || run("10")) && *table == "" {
-		fmt.Fprintln(os.Stderr, "running Fig. 9/10 measurements...")
-		results, err := experiments.Fig9(ctx, eng, datasets)
-		fail(err)
-		if run("9") {
-			experiments.Fig9aTable(results).Fprint(os.Stdout)
-			experiments.Fig9bTable(results).Fprint(os.Stdout)
-		}
-		if run("10") {
-			experiments.Fig10Table(results).Fprint(os.Stdout)
-		}
-	}
-	if run("11a") && *table == "" {
-		fmt.Fprintln(os.Stderr, "running Fig. 11(a) size sweep...")
-		shrink := 10
-		if sc == experiments.ScaleTest {
-			shrink = 40
-		}
-		pts, err := experiments.Fig11a(ctx, eng, *seed, experiments.Fig11aSizes(shrink))
-		fail(err)
-		experiments.Fig11aTable(pts).Fprint(os.Stdout)
-	}
-	if run("11b") && *table == "" {
-		fmt.Fprintln(os.Stderr, "running Fig. 11(b) rank sweep...")
-		i, j, k := 200, 200, 60
-		ranks := []int{10, 20, 30, 40, 50}
-		if sc == experiments.ScaleTest {
-			i, j, k = 60, 50, 10
-			ranks = []int{5, 10}
-		}
-		pts, err := experiments.Fig11b(ctx, eng, *seed, i, j, k, ranks)
-		fail(err)
-		experiments.Fig11bTable(pts).Fprint(os.Stdout)
-	}
-	if run("11c") && *table == "" {
-		fmt.Fprintln(os.Stderr, "running Fig. 11(c) thread sweep...")
-		i, j, k := 200, 200, 60
-		threads := []int{1, 2, 4, 6, 8, 10}
-		if sc == experiments.ScaleTest {
-			i, j, k = 60, 50, 10
-			threads = []int{1, 2}
-		}
-		pts, err := experiments.Fig11c(ctx, eng, *seed, i, j, k, threads)
-		fail(err)
-		experiments.Fig11cTable(pts).Fprint(os.Stdout)
-	}
-	if run("tall") && *table == "" {
-		fmt.Fprintln(os.Stderr, "running tall-slice sharding comparison...")
-		tallRows, j, k := 32768, 64, 6
-		srs := []int{-1, 8192, 4096}
-		if sc == experiments.ScaleTest {
-			tallRows, j, k = 4096, 32, 4
-			srs = []int{-1, 1024, 512}
-		}
-		pts, err := experiments.TallSlice(ctx, eng, *seed, tallRows, j, k, srs)
-		fail(err)
-		experiments.TallSliceTable(pts).Fprint(os.Stdout)
-	}
-	if run("12") && *table == "" {
-		fmt.Fprintln(os.Stderr, "running Fig. 12 correlation analysis...")
-		for _, name := range []string{"US Stock", "KR Stock"} {
-			d, ok := experiments.Load(*seed, sc, name)
-			if !ok {
-				fail(fmt.Errorf("dataset %q missing", name))
-			}
-			corr, labels, err := experiments.Fig12(ctx, eng, d)
-			fail(err)
-			experiments.Fig12Table("Fig. 12: "+name+" feature correlations", corr, labels).Fprint(os.Stdout)
-		}
-	}
-	if run("3") && *fig == "" {
-		fmt.Fprintln(os.Stderr, "running Table III similar-stock discovery...")
-		d, ok := experiments.Load(*seed, sc, "US Stock")
-		if !ok {
-			fail(fmt.Errorf("US Stock dataset missing"))
-		}
-		// Query: a stock with a lower-quartile listing period, so plenty of
-		// stocks share (at least) its range.
-		target := lowerQuartileRowsIndex(d)
-		res, err := experiments.TableIII(ctx, eng, d, target, 10, 0.01)
-		fail(err)
-		experiments.TableIIITable(res).Fprint(os.Stdout)
-		fmt.Printf("sector precision: kNN %.2f, RWR %.2f\n\n",
-			experiments.SectorPrecision(res, res.KNN),
-			experiments.SectorPrecision(res, res.RWR))
 	}
 }
 
-// lowerQuartileRowsIndex returns the slice at the lower quartile of the
-// height order (ties in slice order).
+// lowerQuartileRowsIndex returns Table III's query: the slice at the lower
+// quartile of the height order (ties in slice order), a stock with a
+// listing period that plenty of stocks share (at least).
 func lowerQuartileRowsIndex(d experiments.Dataset) int {
 	rows := d.Tensor.Rows()
 	idx := make([]int, len(rows))
@@ -187,11 +235,4 @@ func lowerQuartileRowsIndex(d experiments.Dataset) int {
 	}
 	slices.SortStableFunc(idx, func(a, b int) int { return cmp.Compare(rows[a], rows[b]) })
 	return idx[len(idx)/4]
-}
-
-func fail(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		os.Exit(1)
-	}
 }

@@ -10,6 +10,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/datagen"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -38,87 +40,87 @@ const (
 	ScaleBench
 )
 
-// LoadAll generates the eight evaluation datasets of Table II.
-func LoadAll(seed uint64, sc Scale) []Dataset {
-	g := rng.New(seed)
-	type dims struct{ k, loI, hiI, j int }
-	var fma, urban, us, kr, activity, action, traffic, pems dims
-	switch sc {
-	case ScaleTest:
-		fma = dims{8, 30, 70, 64}
-		urban = dims{8, 20, 50, 64}
-		us = dims{10, 60, 200, 88}
-		kr = dims{8, 50, 150, 88}
-		activity = dims{6, 30, 80, 40}
-		action = dims{6, 30, 90, 40}
-		traffic = dims{8, 40, 0, 32}
-		pems = dims{8, 30, 0, 48}
-	default: // ScaleBench
-		fma = dims{60, 80, 220, 256}
-		urban = dims{60, 40, 120, 256}
-		us = dims{80, 100, 900, 88}
-		kr = dims{60, 80, 650, 88}
-		activity = dims{32, 80, 250, 120}
-		action = dims{40, 90, 320, 120}
-		traffic = dims{60, 160, 0, 96}
-		pems = dims{44, 96, 0, 144}
-	}
+// dims sizes a stand-in: k slices of loI to hiI rows by j columns (stock
+// generators ignore j, traffic ones hiI).
+type dims struct{ k, loI, hiI, j int }
 
-	usTen, usSectors := datagen.StockTensor(g.Split(), us.k, us.loI, us.hiI, datagen.DefaultUSMarket())
-	krTen, krSectors := datagen.StockTensor(g.Split(), kr.k, kr.loI, kr.hiI, datagen.DefaultKRMarket())
+// standIn is one row of Table II: the real dataset's metadata, the
+// stand-in's sizes at ScaleTest and ScaleBench, and its generator, which
+// draws from child number draw of the seed's generator.
+type standIn struct {
+	meta  Dataset
+	draw  int
+	sizes [2]dims
+	gen   func(g *rng.RNG, d dims) (*tensor.Irregular, []int)
+}
 
-	return []Dataset{
-		{
-			Name: "FMA", Summary: "music (time, frequency, song)",
-			Tensor:    datagen.SpectrogramTensor(g.Split(), fma.k, fma.loI, fma.hiI, fma.j),
-			PaperMaxI: 704, PaperJ: 2049, PaperK: 7997,
-		},
-		{
-			Name: "Urban", Summary: "urban sound (time, frequency, sound)",
-			Tensor:    datagen.SpectrogramTensor(g.Split(), urban.k, urban.loI, urban.hiI, urban.j),
-			PaperMaxI: 174, PaperJ: 2049, PaperK: 8455,
-		},
-		{
-			Name: "US Stock", Summary: "stock (date, feature, stock)",
-			Tensor:    usTen,
-			PaperMaxI: 7883, PaperJ: 88, PaperK: 4742,
-			Sectors: usSectors,
-		},
-		{
-			Name: "KR Stock", Summary: "stock (date, feature, stock)",
-			Tensor:    krTen,
-			PaperMaxI: 5270, PaperJ: 88, PaperK: 3664,
-			Sectors: krSectors,
-		},
-		{
-			Name: "Activity", Summary: "video feature (frame, feature, video)",
-			Tensor:    datagen.VideoFeatureTensor(g.Split(), activity.k, activity.loI, activity.hiI, activity.j, 5),
-			PaperMaxI: 553, PaperJ: 570, PaperK: 320,
-		},
-		{
-			Name: "Action", Summary: "video feature (frame, feature, video)",
-			Tensor:    datagen.VideoFeatureTensor(g.Split(), action.k, action.loI, action.hiI, action.j, 8),
-			PaperMaxI: 936, PaperJ: 570, PaperK: 567,
-		},
-		{
-			Name: "Traffic", Summary: "traffic (sensor, frequency, time)",
-			Tensor:    datagen.TrafficTensor(g.Split(), traffic.k, traffic.loI, traffic.j),
-			PaperMaxI: 2033, PaperJ: 96, PaperK: 1084,
-		},
-		{
-			Name: "PEMS-SF", Summary: "traffic (station, timestamp, day)",
-			Tensor:    datagen.TrafficTensor(g.Split(), pems.k, pems.loI, pems.j),
-			PaperMaxI: 963, PaperJ: 144, PaperK: 440,
-		},
+// catalogue is Table II in print order; the stock markets draw first.
+var catalogue = []standIn{
+	{Dataset{Name: "FMA", Summary: "music (time, frequency, song)", PaperMaxI: 704, PaperJ: 2049, PaperK: 7997},
+		2, [2]dims{{8, 30, 70, 64}, {60, 80, 220, 256}}, spectrogram},
+	{Dataset{Name: "Urban", Summary: "urban sound (time, frequency, sound)", PaperMaxI: 174, PaperJ: 2049, PaperK: 8455},
+		3, [2]dims{{8, 20, 50, 64}, {60, 40, 120, 256}}, spectrogram},
+	{Dataset{Name: "US Stock", Summary: "stock (date, feature, stock)", PaperMaxI: 7883, PaperJ: 88, PaperK: 4742},
+		0, [2]dims{{10, 60, 200, 88}, {80, 100, 900, 88}}, stocks(datagen.DefaultUSMarket())},
+	{Dataset{Name: "KR Stock", Summary: "stock (date, feature, stock)", PaperMaxI: 5270, PaperJ: 88, PaperK: 3664},
+		1, [2]dims{{8, 50, 150, 88}, {60, 80, 650, 88}}, stocks(datagen.DefaultKRMarket())},
+	{Dataset{Name: "Activity", Summary: "video feature (frame, feature, video)", PaperMaxI: 553, PaperJ: 570, PaperK: 320},
+		4, [2]dims{{6, 30, 80, 40}, {32, 80, 250, 120}}, video(5)},
+	{Dataset{Name: "Action", Summary: "video feature (frame, feature, video)", PaperMaxI: 936, PaperJ: 570, PaperK: 567},
+		5, [2]dims{{6, 30, 90, 40}, {40, 90, 320, 120}}, video(8)},
+	{Dataset{Name: "Traffic", Summary: "traffic (sensor, frequency, time)", PaperMaxI: 2033, PaperJ: 96, PaperK: 1084},
+		6, [2]dims{{8, 40, 0, 32}, {60, 160, 0, 96}}, traffic},
+	{Dataset{Name: "PEMS-SF", Summary: "traffic (station, timestamp, day)", PaperMaxI: 963, PaperJ: 144, PaperK: 440},
+		7, [2]dims{{8, 30, 0, 48}, {44, 96, 0, 144}}, traffic},
+}
+
+func spectrogram(g *rng.RNG, d dims) (*tensor.Irregular, []int) {
+	return datagen.SpectrogramTensor(g, d.k, d.loI, d.hiI, d.j), nil
+}
+
+func stocks(m datagen.StockMarket) func(*rng.RNG, dims) (*tensor.Irregular, []int) {
+	return func(g *rng.RNG, d dims) (*tensor.Irregular, []int) {
+		return datagen.StockTensor(g, d.k, d.loI, d.hiI, m)
 	}
 }
 
-// Load returns the named dataset (case-sensitive, as printed by Table II).
-func Load(seed uint64, sc Scale, name string) (Dataset, bool) {
-	for _, d := range LoadAll(seed, sc) {
-		if d.Name == name {
-			return d, true
-		}
+func video(classes int) func(*rng.RNG, dims) (*tensor.Irregular, []int) {
+	return func(g *rng.RNG, d dims) (*tensor.Irregular, []int) {
+		return datagen.VideoFeatureTensor(g, d.k, d.loI, d.hiI, d.j, classes), nil
 	}
-	return Dataset{}, false
+}
+
+func traffic(g *rng.RNG, d dims) (*tensor.Irregular, []int) {
+	return datagen.TrafficTensor(g, d.k, d.loI, d.j), nil
+}
+
+// build generates s at scale sc from child number s.draw of the seed's
+// generator.
+func (s standIn) build(seed uint64, sc Scale) Dataset {
+	g := rng.New(seed)
+	for range s.draw {
+		g.Split()
+	}
+	d := s.meta
+	d.Tensor, d.Sectors = s.gen(g.Split(), s.sizes[sc])
+	return d
+}
+
+// LoadAll generates the eight evaluation datasets of Table II.
+func LoadAll(seed uint64, sc Scale) []Dataset {
+	out := make([]Dataset, len(catalogue))
+	for i, s := range catalogue {
+		out[i] = s.build(seed, sc)
+	}
+	return out
+}
+
+// Load generates only the named dataset (case-sensitive, as printed by
+// Table II), bit for bit as LoadAll generates it.
+func Load(seed uint64, sc Scale, name string) (Dataset, bool) {
+	i := slices.IndexFunc(catalogue, func(s standIn) bool { return s.meta.Name == name })
+	if i < 0 {
+		return Dataset{}, false
+	}
+	return catalogue[i].build(seed, sc), true
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro"
 	"repro/internal/datagen"
@@ -22,22 +23,14 @@ func Fig12(ctx context.Context, eng *repro.Engine, d Dataset, opts ...repro.Opti
 	if err != nil {
 		return nil, nil, err
 	}
+	// Rows of V are per-feature latent vectors; build the selected block.
 	names := datagen.StockFeatureNames()
-	index := map[string]int{}
-	for i, n := range names {
-		index[n] = i
-	}
-	sel := make([]int, len(fig12Features))
+	sub := mat.New(len(fig12Features), res.V.Cols)
 	for i, f := range fig12Features {
-		j, ok := index[f]
-		if !ok {
+		j := slices.Index(names, f)
+		if j < 0 {
 			return nil, nil, fmt.Errorf("fig12: feature %q not in stock feature set", f)
 		}
-		sel[i] = j
-	}
-	// Rows of V are per-feature latent vectors; build the selected block.
-	sub := mat.New(len(sel), res.V.Cols)
-	for i, j := range sel {
 		copy(sub.Row(i), res.V.Row(j))
 	}
 	return stats.CorrelationMatrix(sub), fig12Features, nil
@@ -87,11 +80,10 @@ func PriceIndicatorCorrelations(corr *mat.Dense, labels []string) map[string]flo
 
 // TableIIIResult holds the two similar-stock rankings of Table III.
 type TableIIIResult struct {
-	Target     int
-	KNN        []stats.Neighbor
-	RWR        []stats.Neighbor
-	SectorOf   []int
-	Comparable []int // stocks sharing the target's time range
+	Target   int
+	KNN      []stats.Neighbor
+	RWR      []stats.Neighbor
+	SectorOf []int
 }
 
 // TableIII reproduces the similar-stock discovery: decompose the stock
@@ -114,37 +106,31 @@ func TableIII(ctx context.Context, eng *repro.Engine, d Dataset, target, topK in
 	// materializes just the trailing window from the factored form —
 	// O(window·R²) per stock instead of the O(I_k·R²) a full U_k costs.
 	us := make([]*mat.Dense, k)
-	var comparable []int
 	for kk := 0; kk < k; kk++ {
 		rows := d.Tensor.Slices[kk].Rows
 		if rows < targetRows {
 			continue
 		}
 		us[kk] = res.UkRows(kk, rows-targetRows, rows) // align on trailing window
-		comparable = append(comparable, kk)
 	}
 
-	// Similarity graph over comparable stocks (0 elsewhere).
-	sim := mat.New(k, k)
-	for a := 0; a < len(comparable); a++ {
-		for b := a + 1; b < len(comparable); b++ {
-			i, j := comparable[a], comparable[b]
-			s := stats.ExpSimilarity(us[i], us[j], gamma)
-			sim.Set(i, j, s)
-			sim.Set(j, i, s)
+	// Equation (11) similarity graph over comparable stocks (0 elsewhere).
+	sim := stats.SimilarityGraph(k, func(i, j int) float64 {
+		if us[i] == nil || us[j] == nil {
+			return 0
 		}
-	}
+		return stats.ExpSimilarity(us[i], us[j], gamma)
+	})
 
 	knn := stats.KNN(sim, target, topK)
 	scores := stats.RWR(sim, target, stats.DefaultRWRConfig())
 	rwr := stats.TopK(scores, topK, func(i int) bool { return i == target })
 
 	return &TableIIIResult{
-		Target:     target,
-		KNN:        knn,
-		RWR:        rwr,
-		SectorOf:   d.Sectors,
-		Comparable: comparable,
+		Target:   target,
+		KNN:      knn,
+		RWR:      rwr,
+		SectorOf: d.Sectors,
 	}, nil
 }
 

@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -44,18 +46,38 @@ func TestLoadAllDatasets(t *testing.T) {
 	}
 }
 
+// TestLoadByName checks that Load builds each dataset bit for bit as
+// LoadAll does, at both scales.
 func TestLoadByName(t *testing.T) {
-	d, ok := Load(1, ScaleTest, "US Stock")
-	if !ok || d.Name != "US Stock" {
-		t.Fatal("Load by name failed")
+	for _, sc := range []Scale{ScaleTest, ScaleBench} {
+		for _, want := range LoadAll(1, sc) {
+			d, ok := Load(1, sc, want.Name)
+			if !ok || d.Name != want.Name || d.Summary != want.Summary || d.PaperK != want.PaperK {
+				t.Fatalf("scale %d: Load(%q) = %q, %v", sc, want.Name, d.Name, ok)
+			}
+			if !slices.Equal(d.Sectors, want.Sectors) {
+				t.Fatalf("scale %d: %s sectors differ", sc, want.Name)
+			}
+			if d.Tensor.K() != want.Tensor.K() || d.Tensor.J != want.Tensor.J {
+				t.Fatalf("scale %d: %s shape differs", sc, want.Name)
+			}
+			for k, s := range d.Tensor.Slices {
+				w := want.Tensor.Slices[k]
+				if s.Rows != w.Rows || s.Cols != w.Cols || !slices.EqualFunc(s.Data, w.Data, sameBits) {
+					t.Fatalf("scale %d: %s slice %d differs", sc, want.Name, k)
+				}
+			}
+		}
 	}
-	if d.Sectors == nil {
+	if d, _ := Load(1, ScaleTest, "US Stock"); d.Sectors == nil {
 		t.Fatal("stock dataset missing sectors")
 	}
 	if _, ok := Load(1, ScaleTest, "nope"); ok {
 		t.Fatal("Load of unknown name succeeded")
 	}
 }
+
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func TestFig1OnSubset(t *testing.T) {
 	ds := LoadAll(2, ScaleTest)[:2]
@@ -129,35 +151,42 @@ func TestFig11aSizes(t *testing.T) {
 }
 
 func TestFig11aSweepTiny(t *testing.T) {
-	pts, err := Fig11a(context.Background(), testEngine(t), 4, [][3]int{{20, 15, 6}, {25, 15, 8}})
+	results, err := Fig11a(context.Background(), testEngine(t), 4, [][3]int{{20, 15, 6}, {25, 15, 8}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 {
-		t.Fatalf("want 2 points, got %d", len(pts))
+	n := len(repro.Methods())
+	if len(results) != 2*n {
+		t.Fatalf("want one result per method per point, got %d", len(results))
 	}
-	for _, p := range pts {
-		if len(p.Times) != 4 {
-			t.Fatalf("point missing methods: %v", p.Times)
+	methods := map[string]bool{}
+	for i, r := range results {
+		methods[r.Method] = true
+		if r.Dataset != []string{"20x15x6", "25x15x8"}[i/n] || r.Method != results[i%n].Method {
+			t.Fatalf("result %d is %s on %s", i, r.Method, r.Dataset)
 		}
 	}
+	if len(methods) != n {
+		t.Fatalf("point missing methods: %v", methods)
+	}
 	var buf bytes.Buffer
-	Fig11aTable(pts).Fprint(&buf)
+	Fig11aTable(results).Fprint(&buf)
 	if !strings.Contains(buf.String(), "20x15x6") {
 		t.Fatal("table missing size row")
 	}
 }
 
 func TestFig11bSweepTiny(t *testing.T) {
-	pts, err := Fig11b(context.Background(), testEngine(t), 5, 25, 20, 6, []int{3, 5})
+	results, err := Fig11b(context.Background(), testEngine(t), 5, 25, 20, 6, []int{3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pts) != 2 || pts[0].Rank != 3 || pts[1].Rank != 5 {
-		t.Fatalf("rank points wrong: %+v", pts)
+	n := len(repro.Methods())
+	if len(results) != 2*n || results[0].Rank != 3 || results[n].Rank != 5 {
+		t.Fatalf("rank points wrong: %+v", results)
 	}
 	var buf bytes.Buffer
-	Fig11bTable(pts).Fprint(&buf)
+	Fig11bTable(results).Fprint(&buf)
 	if !strings.Contains(buf.String(), "Fig. 11(b)") {
 		t.Fatal("table title missing")
 	}

@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"iter"
+	"math"
 	"slices"
 	"time"
 
@@ -21,10 +24,7 @@ var legend = map[repro.MethodID]string{
 // label returns the legend label of a registered method, or its name for a
 // method the paper does not compare.
 func label(m repro.MethodID) string {
-	if l, ok := legend[m]; ok {
-		return l
-	}
-	return string(m)
+	return cmp.Or(legend[m], string(m))
 }
 
 // with returns opts followed by more, without writing into opts' backing
@@ -41,7 +41,6 @@ type MethodResult struct {
 
 	TotalTime      time.Duration
 	PreprocessTime time.Duration
-	IterTime       time.Duration
 	TimePerIter    time.Duration
 	Iters          int
 	Fitness        float64
@@ -72,7 +71,6 @@ func runOne(ctx context.Context, eng *repro.Engine, d Dataset, opts []repro.Opti
 		Rank:              spec.Rank,
 		TotalTime:         res.TotalTime,
 		PreprocessTime:    res.PreprocessTime,
-		IterTime:          res.IterTime,
 		TimePerIter:       perIter,
 		Iters:             res.Iters,
 		Fitness:           res.Fitness,
@@ -81,20 +79,55 @@ func runOne(ctx context.Context, eng *repro.Engine, d Dataset, opts []repro.Opti
 	}, nil
 }
 
+// runMethods appends to out one measurement of each registered method, in
+// legend order, decomposing d on eng under opts.
+func runMethods(ctx context.Context, eng *repro.Engine, out []MethodResult, d Dataset, opts []repro.Option) ([]MethodResult, error) {
+	for _, m := range repro.Methods() {
+		mr, err := runOne(ctx, eng, d, with(opts, repro.WithMethod(repro.MethodID(m))))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, mr)
+	}
+	return out, nil
+}
+
+// points splits results into the runMethods calls that made them: one
+// result per registered method each, in legend order.
+func points(results []MethodResult) iter.Seq[[]MethodResult] {
+	return slices.Chunk(results, len(repro.Methods()))
+}
+
+// of returns the result of method m in point p.
+func of(p []MethodResult, m repro.MethodID) MethodResult {
+	return p[slices.IndexFunc(p, func(r MethodResult) bool { return r.Method == label(m) })]
+}
+
+// methodCells renders v of each method of point p in legend order, then the
+// fastest other method's v over DPar2's.
+func methodCells(p []MethodResult, v func(MethodResult) float64, cell func(float64) string) []string {
+	var cells []string
+	best := math.Inf(1)
+	for _, r := range p {
+		cells = append(cells, cell(v(r)))
+		if r.Method != label(repro.MethodDPar2) {
+			best = min(best, v(r))
+		}
+	}
+	return append(cells, ratio(best, v(of(p, repro.MethodDPar2))))
+}
+
 // Fig1 measures the running time vs fitness trade-off of all methods on all
 // datasets for the given target ranks (the paper uses 10, 15, 20), running
 // each on eng under opts. The context cancels the sweep between (and inside)
 // runs.
 func Fig1(ctx context.Context, eng *repro.Engine, datasets []Dataset, ranks []int, opts ...repro.Option) ([]MethodResult, error) {
 	var out []MethodResult
+	var err error
 	for _, d := range datasets {
 		for _, r := range ranks {
-			for _, m := range repro.Methods() {
-				mr, err := runOne(ctx, eng, d, with(opts, repro.WithRank(r), repro.WithMethod(repro.MethodID(m))))
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, mr)
+			if out, err = runMethods(ctx, eng, out, d, with(opts, repro.WithRank(r))); err != nil {
+				return nil, err
 			}
 		}
 	}
@@ -120,17 +153,11 @@ func Fig1Table(results []MethodResult) *Table {
 // Fig9 measures preprocessing time (DPar2 vs RD-ALS, Fig. 9a) and time per
 // iteration of every method (Fig. 9b) on eng at the rank opts resolve to.
 func Fig9(ctx context.Context, eng *repro.Engine, datasets []Dataset, opts ...repro.Option) ([]MethodResult, error) {
-	var out []MethodResult
-	for _, d := range datasets {
-		for _, m := range repro.Methods() {
-			mr, err := runOne(ctx, eng, d, with(opts, repro.WithMethod(repro.MethodID(m))))
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, mr)
-		}
+	spec, err := eng.ResolveSpec(opts...)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return Fig1(ctx, eng, datasets, []int{spec.Rank}, opts...)
 }
 
 // Fig9aTable renders preprocessing times (methods without a preprocessing
@@ -141,12 +168,10 @@ func Fig9aTable(results []MethodResult) *Table {
 		Header: []string{"dataset", "DPar2", "RD-ALS", "speedup"},
 		Notes:  []string{"paper: DPar2 preprocesses up to 10.0x faster than RD-ALS"},
 	}
-	byDS := groupByDataset(results)
-	for _, ds := range datasetOrder(results) {
-		g := byDS[ds]
-		dp := g["DPar2"].PreprocessTime.Seconds()
-		rd := g["RD-ALS"].PreprocessTime.Seconds()
-		t.AddRow(ds, secs(dp), secs(rd), ratio(rd, dp))
+	for p := range points(results) {
+		dp := of(p, repro.MethodDPar2).PreprocessTime.Seconds()
+		rd := of(p, repro.MethodRDALS).PreprocessTime.Seconds()
+		t.AddRow(p[0].Dataset, secs(dp), secs(rd), ratio(rd, dp))
 	}
 	return t
 }
@@ -158,14 +183,9 @@ func Fig9bTable(results []MethodResult) *Table {
 		Header: []string{"dataset", "DPar2", "RD-ALS", "PARAFAC2-ALS", "SPARTan", "best-other/DPar2"},
 		Notes:  []string{"paper: DPar2 iterates up to 10.3x faster than the second best"},
 	}
-	byDS := groupByDataset(results)
-	for _, ds := range datasetOrder(results) {
-		g := byDS[ds]
-		dp := g["DPar2"].TimePerIter.Seconds() * 1000
-		rd := g["RD-ALS"].TimePerIter.Seconds() * 1000
-		als := g["PARAFAC2-ALS"].TimePerIter.Seconds() * 1000
-		sp := g["SPARTan"].TimePerIter.Seconds() * 1000
-		t.AddRow(ds, ms(dp), ms(rd), ms(als), ms(sp), ratio(min(rd, als, sp), dp))
+	perIterMs := func(r MethodResult) float64 { return r.TimePerIter.Seconds() * 1000 }
+	for p := range points(results) {
+		t.AddRow(append([]string{p[0].Dataset}, methodCells(p, perIterMs, ms)...)...)
 	}
 	return t
 }
@@ -178,38 +198,13 @@ func Fig10Table(results []MethodResult) *Table {
 		Header: []string{"dataset", "input", "DPar2", "RD-ALS", "input/DPar2"},
 		Notes:  []string{"paper: DPar2's preprocessed data is up to 201x smaller than the input"},
 	}
-	byDS := groupByDataset(results)
-	for _, ds := range datasetOrder(results) {
-		g := byDS[ds]
-		in := g["DPar2"].InputBytes
-		dp := g["DPar2"].PreprocessedBytes
-		rd := g["RD-ALS"].PreprocessedBytes
-		t.AddRow(ds, mb(in), mb(dp), mb(rd), ratio(float64(in), float64(dp)))
+	for p := range points(results) {
+		in := of(p, repro.MethodDPar2).InputBytes
+		dp := of(p, repro.MethodDPar2).PreprocessedBytes
+		rd := of(p, repro.MethodRDALS).PreprocessedBytes
+		t.AddRow(p[0].Dataset, mb(in), mb(dp), mb(rd), ratio(float64(in), float64(dp)))
 	}
 	return t
-}
-
-func groupByDataset(results []MethodResult) map[string]map[string]MethodResult {
-	out := map[string]map[string]MethodResult{}
-	for _, r := range results {
-		if out[r.Dataset] == nil {
-			out[r.Dataset] = map[string]MethodResult{}
-		}
-		out[r.Dataset][r.Method] = r
-	}
-	return out
-}
-
-func datasetOrder(results []MethodResult) []string {
-	var order []string
-	seen := map[string]bool{}
-	for _, r := range results {
-		if !seen[r.Dataset] {
-			seen[r.Dataset] = true
-			order = append(order, r.Dataset)
-		}
-	}
-	return order
 }
 
 // TableII summarizes the generated datasets next to the paper's dimensions.

@@ -12,13 +12,6 @@ import (
 	"repro/internal/rsvd"
 )
 
-// SizePoint is one measurement of the Fig. 11(a) tensor-size sweep.
-type SizePoint struct {
-	I, J, K  int
-	Elements int64
-	Times    map[string]time.Duration
-}
-
 // Fig11aSizes returns the sweep geometry. The paper uses
 // {1000³ … 2000×2000×4000}; the default harness scales each dimension down
 // by `shrink` (e.g. 10 → 100×100×100 … 200×200×400) to stay laptop-sized
@@ -42,93 +35,58 @@ func Fig11aSizes(shrink int) [][3]int {
 }
 
 // Fig11a runs the tensor-size scalability sweep with all methods on eng
-// under opts.
-func Fig11a(ctx context.Context, eng *repro.Engine, seed uint64, sizes [][3]int, opts ...repro.Option) ([]SizePoint, error) {
-	var out []SizePoint
+// under opts: one measurement per method per size, each size a Dataset named
+// IxJxK.
+func Fig11a(ctx context.Context, eng *repro.Engine, seed uint64, sizes [][3]int, opts ...repro.Option) ([]MethodResult, error) {
+	var out []MethodResult
+	var err error
 	for _, s := range sizes {
-		g := rng.New(seed)
-		ten := datagen.RandomIrregular(g, s[0], s[1], s[2])
-		pt := SizePoint{
-			I: s[0], J: s[1], K: s[2],
-			Elements: int64(s[0]) * int64(s[1]) * int64(s[2]),
-			Times:    map[string]time.Duration{},
+		if out, err = runMethods(ctx, eng, out, randomDataset(seed, s[0], s[1], s[2]), opts); err != nil {
+			return nil, err
 		}
-		for _, name := range repro.Methods() {
-			m := repro.MethodID(name)
-			res, err := eng.Decompose(ctx, ten, with(opts, repro.WithMethod(m))...)
-			if err != nil {
-				return nil, fmt.Errorf("fig11a %v %s: %w", s, label(m), err)
-			}
-			pt.Times[label(m)] = res.TotalTime
-		}
-		out = append(out, pt)
 	}
 	return out, nil
 }
 
 // Fig11aTable renders the size sweep.
-func Fig11aTable(points []SizePoint) *Table {
+func Fig11aTable(results []MethodResult) *Table {
 	t := &Table{
 		Title:  "Fig. 11(a): running time vs tensor size",
 		Header: []string{"IxJxK", "elements", "DPar2", "RD-ALS", "PARAFAC2-ALS", "SPARTan", "2nd-best/DPar2"},
 		Notes:  []string{"paper: DPar2 is up to 15.3x faster; its slope is the lowest"},
 	}
-	for _, p := range points {
-		t.AddRow(append([]string{fmt.Sprintf("%dx%dx%d", p.I, p.J, p.K), fmt.Sprintf("%d", p.Elements)},
-			methodTimes(p.Times)...)...)
+	for p := range points(results) {
+		elements := fmt.Sprintf("%d", p[0].InputBytes/8) // 8-byte values
+		t.AddRow(append([]string{p[0].Dataset, elements}, methodCells(p, totalSecs, secs)...)...)
 	}
 	return t
 }
 
-// methodTimes renders one sweep point's total times in legend order,
-// followed by the fastest other method's time over DPar2's.
-func methodTimes(times map[string]time.Duration) []string {
-	dp := times["DPar2"].Seconds()
-	rd := times["RD-ALS"].Seconds()
-	als := times["PARAFAC2-ALS"].Seconds()
-	sp := times["SPARTan"].Seconds()
-	return []string{secs(dp), secs(rd), secs(als), secs(sp), ratio(min(rd, als, sp), dp)}
-}
-
-// RankPoint is one measurement of the Fig. 11(b) rank sweep.
-type RankPoint struct {
-	Rank  int
-	Times map[string]time.Duration
-}
-
 // Fig11b sweeps the target rank on a fixed synthetic tensor, running every
-// method on eng under opts.
-func Fig11b(ctx context.Context, eng *repro.Engine, seed uint64, i, j, k int, ranks []int, opts ...repro.Option) ([]RankPoint, error) {
-	g := rng.New(seed)
-	ten := datagen.RandomIrregular(g, i, j, k)
-	var out []RankPoint
-	for _, r := range ranks {
-		pt := RankPoint{Rank: r, Times: map[string]time.Duration{}}
-		for _, name := range repro.Methods() {
-			m := repro.MethodID(name)
-			res, err := eng.Decompose(ctx, ten, with(opts, repro.WithRank(r), repro.WithMethod(m))...)
-			if err != nil {
-				return nil, fmt.Errorf("fig11b rank %d %s: %w", r, label(m), err)
-			}
-			pt.Times[label(m)] = res.TotalTime
-		}
-		out = append(out, pt)
-	}
-	return out, nil
+// method on eng under opts: one measurement per method per rank.
+func Fig11b(ctx context.Context, eng *repro.Engine, seed uint64, i, j, k int, ranks []int, opts ...repro.Option) ([]MethodResult, error) {
+	return Fig1(ctx, eng, []Dataset{randomDataset(seed, i, j, k)}, ranks, opts...)
 }
 
 // Fig11bTable renders the rank sweep.
-func Fig11bTable(points []RankPoint) *Table {
+func Fig11bTable(results []MethodResult) *Table {
 	t := &Table{
 		Title:  "Fig. 11(b): running time vs target rank",
 		Header: []string{"rank", "DPar2", "RD-ALS", "PARAFAC2-ALS", "SPARTan", "2nd-best/DPar2"},
 		Notes:  []string{"paper: up to 15.9x faster; gap narrows at high ranks (randomized SVD targets low rank)"},
 	}
-	for _, p := range points {
-		t.AddRow(append([]string{fmt.Sprintf("%d", p.Rank)}, methodTimes(p.Times)...)...)
+	for p := range points(results) {
+		t.AddRow(append([]string{fmt.Sprintf("%d", p[0].Rank)}, methodCells(p, totalSecs, secs)...)...)
 	}
 	return t
 }
+
+// randomDataset is the sweeps' uniform random i×j×k tensor, named IxJxK.
+func randomDataset(seed uint64, i, j, k int) Dataset {
+	return Dataset{Name: fmt.Sprintf("%dx%dx%d", i, j, k), Tensor: datagen.RandomIrregular(rng.New(seed), i, j, k)}
+}
+
+func totalSecs(r MethodResult) float64 { return r.TotalTime.Seconds() }
 
 // ThreadPoint is one measurement of the Fig. 11(c) multi-core sweep.
 type ThreadPoint struct {
@@ -148,8 +106,7 @@ func Fig11c(ctx context.Context, eng *repro.Engine, seed uint64, i, j, k int, th
 	if err != nil {
 		return nil, err
 	}
-	g := rng.New(seed)
-	ten := datagen.RandomIrregular(g, i, j, k)
+	ten := randomDataset(seed, i, j, k).Tensor
 	var out []ThreadPoint
 	var t1 time.Duration
 	for _, th := range threadCounts {
@@ -254,11 +211,12 @@ func TallSliceTable(points []TallSlicePoint) *Table {
 }
 
 // Fig8Table reports the slice-height distribution of the two stock
-// stand-ins: deciles of the sorted time lengths (the paper plots the sorted
-// curve; deciles capture its shape).
+// stand-ins: the p0, p25, p50, p75, p90 and p100 percentiles of the sorted
+// time lengths (the paper plots the sorted curve; these points capture its
+// shape and long tail).
 func Fig8Table(datasets []Dataset) *Table {
 	t := &Table{
-		Title:  "Fig. 8: slice time-length distribution (sorted deciles)",
+		Title:  "Fig. 8: slice time-length distribution (percentiles)",
 		Header: []string{"dataset", "p0", "p25", "p50", "p75", "p90", "p100"},
 		Notes:  []string{"long tail: a few stocks listed far longer than the median (drives Alg. 4's load balancing)"},
 	}

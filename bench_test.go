@@ -1,14 +1,13 @@
 package repro
 
-// Benchmark harness: one testing.B benchmark per table/figure of the paper's
-// evaluation section, plus ablations of DPar2's design choices. Run with
+// Benchmark harness: the end-to-end and allocation benchmarks that
+// scripts/benchsmoke.sh budgets, ablations of DPar2's design choices, and
+// kernel microbenchmarks. Run with
 //
 //	go test -bench=. -benchmem
 //
-// The full experiment harness (larger datasets, formatted tables) lives in
-// cmd/experiments; these benches are the regenerable, per-figure entry
-// points with stable workloads. The Fig. 12 and Table III discovery
-// benchmarks live with their runners in internal/experiments, and the
+// The per-figure benchmarks of the paper's evaluation (Figs. 1, 9-12,
+// Tables II-III) live with their runners in internal/experiments, and the
 // Lemma 1-3 and convergence-check ablations with the kernels they measure
 // in internal/parafac2.
 
@@ -262,177 +261,6 @@ func BenchmarkCacheHit(b *testing.B) {
 	if st.CacheMisses != 1 || st.CacheHits < int64(b.N) {
 		b.Fatalf("cache did not serve the loop: %d hits, %d misses", st.CacheHits, st.CacheMisses)
 	}
-}
-
-// --- Fig. 1: total running time per method (trade-off) -------------------
-
-// benchEngine is the Engine the per-method figure benchmarks loop on: a
-// two-wide pool whose calls default to benchConfig(10).
-func benchEngine(b *testing.B) *Engine {
-	eng := NewEngine(WithEngineThreads(2), WithBaseConfig(benchConfig(10)))
-	b.Cleanup(eng.Close)
-	return eng
-}
-
-func BenchmarkFig1TradeOff(b *testing.B) {
-	ten := benchTensor(1)
-	eng := benchEngine(b)
-	for _, m := range Methods() {
-		for _, rank := range []int{10, 15, 20} {
-			b.Run(fmt.Sprintf("%s/rank%d", m, rank), func(b *testing.B) {
-				var fit float64
-				for i := 0; i < b.N; i++ {
-					res, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m)), WithRank(rank))
-					if err != nil {
-						b.Fatal(err)
-					}
-					fit = res.Fitness
-				}
-				b.ReportMetric(fit, "fitness")
-			})
-		}
-	}
-}
-
-// --- Fig. 9(a): preprocessing phase only ----------------------------------
-
-func BenchmarkFig9Preprocess(b *testing.B) {
-	ten := benchTensor(2)
-	b.Run("DPar2/two-stage-rsvd", func(b *testing.B) {
-		cfg := benchConfig(10)
-		for i := 0; i < b.N; i++ {
-			if _, err := parafac2.CompressCtx(context.Background(), ten, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("RD-ALS/deterministic-svd", func(b *testing.B) {
-		// RD-ALS's preprocessing: truncated deterministic SVD of the
-		// J×ΣI_k concatenation.
-		concat := make([]*mat.Dense, ten.K())
-		for k, s := range ten.Slices {
-			concat[k] = s.T()
-		}
-		wide := mat.HConcat(concat...)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_ = lapack.Truncated(wide, 10)
-		}
-	})
-}
-
-// --- Fig. 9(b): single-iteration cost -------------------------------------
-
-func BenchmarkFig9IterationTime(b *testing.B) {
-	ten := benchTensor(3)
-	eng := benchEngine(b)
-	for _, m := range Methods() {
-		b.Run(m, func(b *testing.B) {
-			var perIter float64
-			for i := 0; i < b.N; i++ {
-				// Tolerance 0 runs every iteration: we report per-iteration time.
-				res, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m)), WithMaxIters(8), WithTolerance(0))
-				if err != nil {
-					b.Fatal(err)
-				}
-				perIter = res.IterTime.Seconds() / float64(res.Iters) * 1e3
-			}
-			b.ReportMetric(perIter, "ms/als-iter")
-		})
-	}
-}
-
-// --- Fig. 10: compression ratio --------------------------------------------
-
-func BenchmarkFig10CompressionRatio(b *testing.B) {
-	// Spectrogram regime (large J): where the paper sees up to 201x.
-	g := rng.New(4)
-	ten := datagen.SpectrogramTensor(g, 16, 60, 160, 256)
-	cfg := benchConfig(10)
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		comp, err := parafac2.CompressCtx(context.Background(), ten, cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = float64(ten.SizeBytes()) / float64(comp.SizeBytes())
-	}
-	b.ReportMetric(ratio, "input/compressed")
-}
-
-// --- Fig. 11(a): tensor-size scalability -----------------------------------
-
-func BenchmarkFig11TensorSize(b *testing.B) {
-	eng := benchEngine(b)
-	for _, s := range [][3]int{{50, 50, 25}, {100, 50, 25}, {100, 100, 25}, {100, 100, 50}} {
-		g := rng.New(5)
-		ten := datagen.RandomIrregular(g, s[0], s[1], s[2])
-		for _, m := range Methods() {
-			b.Run(fmt.Sprintf("%dx%dx%d/%s", s[0], s[1], s[2], m), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m))); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- Fig. 11(b): rank scalability -------------------------------------------
-
-func BenchmarkFig11Rank(b *testing.B) {
-	g := rng.New(6)
-	ten := datagen.RandomIrregular(g, 100, 100, 40)
-	eng := benchEngine(b)
-	for _, rank := range []int{10, 20, 30, 40, 50} {
-		for _, m := range Methods() {
-			b.Run(fmt.Sprintf("rank%d/%s", rank, m), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Decompose(context.Background(), ten, WithMethod(MethodID(m)), WithRank(rank)); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// --- Fig. 11(c): multi-core scalability -------------------------------------
-
-func BenchmarkFig11Threads(b *testing.B) {
-	ten := benchTensor(7)
-	for _, th := range []int{1, 2, 4, 6, 8, 10} {
-		b.Run(fmt.Sprintf("threads%d", th), func(b *testing.B) {
-			cfg := benchConfig(10)
-			cfg.Threads = th
-			for i := 0; i < b.N; i++ {
-				if _, err := parafac2.DPar2Ctx(context.Background(), ten, cfg); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- Table II: dataset generation cost --------------------------------------
-
-func BenchmarkTableIIGenerators(b *testing.B) {
-	b.Run("stock", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			datagen.StockTensor(rng.New(uint64(i)), 12, 80, 300, datagen.DefaultUSMarket())
-		}
-	})
-	b.Run("spectrogram", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			datagen.SpectrogramTensor(rng.New(uint64(i)), 8, 60, 120, 256)
-		}
-	})
-	b.Run("traffic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			datagen.TrafficTensor(rng.New(uint64(i)), 16, 100, 96)
-		}
-	})
 }
 
 // --- Ablations ----------------------------------------------------------------

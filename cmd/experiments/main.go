@@ -15,8 +15,8 @@
 //
 // -fig and -table combine. -scale is bench (the default) or test. No
 // selection, or an unknown -fig, -table or -scale value, prints the usage
-// and exits 2. The Table II datasets are generated once per run, and only
-// when a selected output reads them.
+// and exits 2. Each Table II dataset is generated at most once per run, and
+// only when a selected output reads it.
 package main
 
 import (
@@ -36,60 +36,66 @@ import (
 )
 
 // output is one table or figure of the paper: the -fig or -table value
-// that selects it, whether it reads the Table II datasets, and how it runs.
+// that selects it, the Table II datasets it reads, and how it runs on them.
 type output struct {
 	kind, name string // kind is "fig" or "table"
-	datasets   bool
-	run        func(h *harness) error
+	datasets   []string
+	run        func(h *harness, ds []experiments.Dataset) error
 }
+
+// tableII names all eight Table II datasets; stocks the two markets.
+var (
+	tableII = experiments.Names()
+	stocks  = []string{"US Stock", "KR Stock"}
+)
 
 // outputs lists every output in the order -all runs them.
 var outputs = []output{
-	{"table", "2", true, func(h *harness) error { return show(h.datasets, nil, experiments.TableII) }},
-	{"fig", "8", true, func(h *harness) error { return show(h.datasets, nil, experiments.Fig8Table) }},
-	{"fig", "1", true, func(h *harness) error {
-		results, err := experiments.Fig1(h.ctx, h.eng, h.datasets, at(h, []int{10, 15, 20}, []int{5}))
+	{"table", "2", tableII, func(_ *harness, ds []experiments.Dataset) error { return show(ds, nil, experiments.TableII) }},
+	{"fig", "8", stocks, func(_ *harness, ds []experiments.Dataset) error { return show(ds, nil, experiments.Fig8Table) }},
+	{"fig", "1", tableII, func(h *harness, ds []experiments.Dataset) error {
+		results, err := experiments.Fig1(h.ctx, h.eng, ds, at(h, []int{10, 15, 20}, []int{5}))
 		return show(results, err, experiments.Fig1Table)
 	}},
-	{"fig", "9", true, func(h *harness) error {
+	{"fig", "9", tableII, func(h *harness, _ []experiments.Dataset) error {
 		results, err := h.fig9()
 		return show(results, err, experiments.Fig9aTable, experiments.Fig9bTable)
 	}},
-	{"fig", "10", true, func(h *harness) error {
+	{"fig", "10", tableII, func(h *harness, _ []experiments.Dataset) error {
 		results, err := h.fig9()
 		return show(results, err, experiments.Fig10Table)
 	}},
-	{"fig", "11a", false, func(h *harness) error {
+	{"fig", "11a", nil, func(h *harness, _ []experiments.Dataset) error {
 		results, err := experiments.Fig11a(h.ctx, h.eng, h.seed, experiments.Fig11aSizes(at(h, 10, 40)))
 		return show(results, err, experiments.Fig11aTable)
 	}},
-	{"fig", "11b", false, func(h *harness) error {
+	{"fig", "11b", nil, func(h *harness, _ []experiments.Dataset) error {
 		d, ranks := at(h, [3]int{200, 200, 60}, [3]int{60, 50, 10}), at(h, []int{10, 20, 30, 40, 50}, []int{5, 10})
 		results, err := experiments.Fig11b(h.ctx, h.eng, h.seed, d[0], d[1], d[2], ranks)
 		return show(results, err, experiments.Fig11bTable)
 	}},
-	{"fig", "11c", false, func(h *harness) error {
+	{"fig", "11c", nil, func(h *harness, _ []experiments.Dataset) error {
 		d, threads := at(h, [3]int{200, 200, 60}, [3]int{60, 50, 10}), at(h, []int{1, 2, 4, 6, 8, 10}, []int{1, 2})
 		pts, err := experiments.Fig11c(h.ctx, h.eng, h.seed, d[0], d[1], d[2], threads)
 		return show(pts, err, experiments.Fig11cTable)
 	}},
-	{"fig", "tall", false, func(h *harness) error {
+	{"fig", "tall", nil, func(h *harness, _ []experiments.Dataset) error {
 		d, srs := at(h, [3]int{32768, 64, 6}, [3]int{4096, 32, 4}), at(h, []int{-1, 8192, 4096}, []int{-1, 1024, 512})
 		pts, err := experiments.TallSlice(h.ctx, h.eng, h.seed, d[0], d[1], d[2], srs)
 		return show(pts, err, experiments.TallSliceTable)
 	}},
-	{"fig", "12", true, func(h *harness) error {
-		for _, name := range []string{"US Stock", "KR Stock"} {
-			corr, labels, err := experiments.Fig12(h.ctx, h.eng, h.dataset(name))
+	{"fig", "12", stocks, func(h *harness, ds []experiments.Dataset) error {
+		for _, d := range ds {
+			corr, labels, err := experiments.Fig12(h.ctx, h.eng, d)
 			if err != nil {
 				return err
 			}
-			experiments.Fig12Table("Fig. 12: "+name+" feature correlations", corr, labels).Fprint(os.Stdout)
+			experiments.Fig12Table("Fig. 12: "+d.Name+" feature correlations", corr, labels).Fprint(os.Stdout)
 		}
 		return nil
 	}},
-	{"table", "3", true, func(h *harness) error {
-		d := h.dataset("US Stock")
+	{"table", "3", []string{"US Stock"}, func(h *harness, ds []experiments.Dataset) error {
+		d := ds[0]
 		res, err := experiments.TableIII(h.ctx, h.eng, d, lowerQuartileRowsIndex(d), 10, 0.01)
 		if err != nil {
 			return err
@@ -113,15 +119,16 @@ func show[T any](v T, err error, renders ...func(T) *experiments.Table) error {
 	return nil
 }
 
-// harness is what the outputs run on. datasets is nil unless a selected
-// output reads them; fig9 runs the measurement Figs. 9 and 10 share once.
+// harness is what the outputs run on. loaded holds the Table II datasets
+// generated so far, by name; fig9 runs the measurement Figs. 9 and 10 share
+// once.
 type harness struct {
-	ctx      context.Context
-	eng      *repro.Engine
-	seed     uint64
-	sc       experiments.Scale
-	datasets []experiments.Dataset
-	fig9     func() ([]experiments.MethodResult, error)
+	ctx    context.Context
+	eng    *repro.Engine
+	seed   uint64
+	sc     experiments.Scale
+	loaded map[string]experiments.Dataset
+	fig9   func() ([]experiments.MethodResult, error)
 }
 
 // at returns bench at -scale bench and test at -scale test.
@@ -132,9 +139,20 @@ func at[T any](h *harness, bench, test T) T {
 	return bench
 }
 
-// dataset returns the named Table II dataset, for an output that reads them.
-func (h *harness) dataset(name string) experiments.Dataset {
-	return h.datasets[slices.IndexFunc(h.datasets, func(d experiments.Dataset) bool { return d.Name == name })]
+// datasets returns the named Table II datasets in order, generating through
+// experiments.Load each one not yet loaded.
+func (h *harness) datasets(names []string) []experiments.Dataset {
+	ds := make([]experiments.Dataset, len(names))
+	for i, name := range names {
+		d, ok := h.loaded[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "generating %s...\n", name)
+			d, _ = experiments.Load(h.seed, h.sc, name)
+			h.loaded[name] = d
+		}
+		ds[i] = d
+	}
+	return ds
 }
 
 // scales maps the -scale values to dataset scales.
@@ -209,15 +227,13 @@ func main() {
 	eng := repro.NewEngine(repro.WithEngineThreads(*threads), repro.WithBaseConfig(cfg))
 	defer eng.Close()
 
-	h := &harness{ctx: ctx, eng: eng, seed: *seed, sc: sc}
-	h.fig9 = sync.OnceValues(func() ([]experiments.MethodResult, error) { return experiments.Fig9(ctx, eng, h.datasets) })
-	if slices.ContainsFunc(picked, func(o output) bool { return o.datasets }) {
-		fmt.Fprintln(os.Stderr, "generating datasets...")
-		h.datasets = experiments.LoadAll(*seed, sc)
-	}
+	h := &harness{ctx: ctx, eng: eng, seed: *seed, sc: sc, loaded: map[string]experiments.Dataset{}}
+	h.fig9 = sync.OnceValues(func() ([]experiments.MethodResult, error) {
+		return experiments.Fig9(ctx, eng, h.datasets(tableII))
+	})
 	for _, o := range picked {
 		fmt.Fprintf(os.Stderr, "running -%s %s...\n", o.kind, o.name)
-		if err := o.run(h); err != nil {
+		if err := o.run(h, h.datasets(o.datasets)); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}

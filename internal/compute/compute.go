@@ -22,11 +22,11 @@
 //
 // A nil *Pool is valid everywhere and means "run serially"; so does a pool of
 // width 1. There is one clamping rule, applied by NewPool: a width <= 0
-// means serial, any positive width is taken verbatim. parafac2.Config.Threads
-// is the single source of truth for pool width: decomposition entry points
-// build a transient pool of that width when Config.Pool is nil, and callers
-// that want to share one pool across many decompositions (servers, rank
-// sweeps, streaming) set Config.Pool explicitly. There is no package-global
+// means serial, any positive width is taken verbatim. The repro Engine's
+// pool is the single parallelism knob: every production call runs on it,
+// handed down as parafac2.Config.Pool. Only direct parafac2 callers (tests
+// and root benchmarks) leave Config.Pool nil, and get a transient pool of
+// width Config.Threads for the call. There is no package-global
 // parallelism knob and no process-wide default pool.
 //
 // Pool additionally implements mat.Runner, so it can be handed directly to

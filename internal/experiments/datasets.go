@@ -106,6 +106,16 @@ func (s standIn) build(seed uint64, sc Scale) Dataset {
 	return d
 }
 
+// Names lists the eight Table II datasets in print order, the order LoadAll
+// returns them in.
+func Names() []string {
+	names := make([]string, len(catalogue))
+	for i, s := range catalogue {
+		names[i] = s.meta.Name
+	}
+	return names
+}
+
 // LoadAll generates the eight evaluation datasets of Table II.
 func LoadAll(seed uint64, sc Scale) []Dataset {
 	out := make([]Dataset, len(catalogue))

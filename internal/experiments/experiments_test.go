@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -310,6 +311,85 @@ func TestFig12MarketContrast(t *testing.T) {
 	krOBV := PriceIndicatorCorrelations(krCorr, krLabels)["OBV"]
 	if usOBV <= krOBV {
 		t.Fatalf("expected US OBV-price correlation (%v) above KR (%v)", usOBV, krOBV)
+	}
+}
+
+// --- Per-figure benchmarks: each runner at the -scale test sizes on testEngine
+
+// benchRuns runs run b.N times after the set-up and returns the last run's
+// value.
+func benchRuns[T any](b *testing.B, run func() (T, error)) T {
+	b.ResetTimer()
+	var v T
+	for i := 0; i < b.N; i++ {
+		var err error
+		if v, err = run(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return v
+}
+
+// reportMethods reports, for each of methods in order, the mean of v over
+// the points of results, in unit prefixed with the method's label.
+func reportMethods(b *testing.B, results []MethodResult, methods []string, unit string, v func(MethodResult) float64) {
+	for _, m := range methods {
+		var sum, n float64
+		for p := range points(results) {
+			sum, n = sum+v(of(p, repro.MethodID(m))), n+1
+		}
+		b.ReportMetric(sum/n, label(repro.MethodID(m))+"-"+unit)
+	}
+}
+
+// BenchmarkLoadAll times generating the eight Table II stand-ins.
+func BenchmarkLoadAll(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		LoadAll(1, ScaleTest)
+	}
+}
+
+func BenchmarkFig1(b *testing.B) {
+	ds, eng := LoadAll(1, ScaleTest), testEngine(b)
+	results := benchRuns(b, func() ([]MethodResult, error) { return Fig1(context.Background(), eng, ds, []int{5}) })
+	reportMethods(b, results, repro.Methods(), "fitness", func(r MethodResult) float64 { return r.Fitness })
+}
+
+// BenchmarkFig9 reports Fig. 9(a)'s preprocessing time and Fig. 10's input
+// over preprocessed size for the two methods that preprocess, and Fig.
+// 9(b)'s time per iteration for every method.
+func BenchmarkFig9(b *testing.B) {
+	ds, eng := LoadAll(1, ScaleTest), testEngine(b)
+	results := benchRuns(b, func() ([]MethodResult, error) { return Fig9(context.Background(), eng, ds) })
+	pre := []string{string(repro.MethodDPar2), string(repro.MethodRDALS)}
+	reportMethods(b, results, pre, "preprocess-ms", func(r MethodResult) float64 { return r.PreprocessTime.Seconds() * 1e3 })
+	reportMethods(b, results, repro.Methods(), "ms/als-iter", func(r MethodResult) float64 { return r.TimePerIter.Seconds() * 1e3 })
+	reportMethods(b, results, pre, "input/compressed", func(r MethodResult) float64 {
+		return float64(r.InputBytes) / float64(r.PreprocessedBytes)
+	})
+}
+
+func BenchmarkFig11a(b *testing.B) {
+	eng := testEngine(b)
+	results := benchRuns(b, func() ([]MethodResult, error) { return Fig11a(context.Background(), eng, 1, Fig11aSizes(40)) })
+	reportMethods(b, results, repro.Methods(), "s", totalSecs)
+}
+
+func BenchmarkFig11b(b *testing.B) {
+	eng := testEngine(b)
+	results := benchRuns(b, func() ([]MethodResult, error) {
+		return Fig11b(context.Background(), eng, 1, 60, 50, 10, []int{5, 10})
+	})
+	reportMethods(b, results, repro.Methods(), "s", totalSecs)
+}
+
+func BenchmarkFig11c(b *testing.B) {
+	eng := testEngine(b)
+	pts := benchRuns(b, func() ([]ThreadPoint, error) {
+		return Fig11c(context.Background(), eng, 1, 60, 50, 10, []int{1, 2})
+	})
+	for _, p := range pts {
+		b.ReportMetric(p.Time.Seconds(), fmt.Sprintf("threads%d-s", p.Threads))
 	}
 }
 

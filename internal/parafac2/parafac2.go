@@ -78,10 +78,10 @@ type Config struct {
 	// Tol stops iteration when the relative change of the convergence
 	// measure between iterations falls below it.
 	Tol float64
-	// Threads is the worker-pool width for parallel phases and the single
-	// source of truth for parallelism: when Pool is nil, every entry point
-	// builds a transient compute.Pool of this width for the duration of
-	// the call. Threads <= 0 means serial.
+	// Threads is the width of the transient compute.Pool an entry point
+	// builds for the call when Pool is nil, as for direct parafac2 callers
+	// (tests, root benchmarks); the repro Engine always sets Pool to its
+	// own. Threads <= 0 means serial.
 	Threads int
 	// Pool, when non-nil, is the long-lived compute runtime all parallel
 	// phases run on; it overrides Threads. Set it to share one pool (and

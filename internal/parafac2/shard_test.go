@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/compute"
 	"repro/internal/datagen"
+	"repro/internal/lapack"
 	"repro/internal/rng"
 	"repro/internal/rsvd"
 	"repro/internal/tensor"
@@ -62,11 +63,18 @@ func TestShardedCompressKeepsAkOrthonormal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k, a := range comp.A {
-		if a.Rows != ten.Slices[k].Rows || a.Cols != 5 {
-			t.Fatalf("A_%d is %dx%d, want %dx5", k, a.Rows, a.Cols, ten.Slices[k].Rows)
+		x := ten.Slices[k]
+		if a.Rows != x.Rows || a.Cols != 5 {
+			t.Fatalf("A_%d is %dx%d, want %dx5", k, a.Rows, a.Cols, x.Rows)
 		}
 		if !a.IsOrthonormalCols(1e-8) {
 			t.Fatalf("A_%d lost column orthonormality under sharding", k)
+		}
+		// On noisy data the sharded sketch stays within 10% of the best
+		// rank-5 approximation, the truncated SVD.
+		best := lapack.Truncated(x, 5).Reconstruct().FrobDist(x)
+		if got := comp.SliceApprox(k).FrobDist(x); got > 1.1*best {
+			t.Fatalf("slice %d: compression error %g vs truncated SVD %g", k, got, best)
 		}
 	}
 	// The factored Q_k = A_k Z_k P_kᵀ inherit the property end to end.
@@ -118,18 +126,20 @@ func TestShardEightTimesThreshold(t *testing.T) {
 
 func TestShardedCompressBitReproducible(t *testing.T) {
 	g := rng.New(54)
-	ten := datagen.LowRank(g, []int{1100, 450}, 30, 4, 0.05)
-	mk := func(threads int) *Compressed {
+	// The 200-row slice sits exactly at the threshold, so it takes the flat
+	// path: its A_k must match the unsharded run's bit for bit.
+	ten := datagen.LowRank(g, []int{1100, 450, 200}, 30, 4, 0.05)
+	mk := func(threads, shardRows int) *Compressed {
 		cfg := shardTestConfig(4)
 		cfg.Threads = threads
-		cfg.ShardRows = 200
+		cfg.ShardRows = shardRows
 		c, err := CompressCtx(context.Background(), ten, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return c
 	}
-	c1, c2, c4 := mk(1), mk(1), mk(4)
+	c1, c2, c4, flat := mk(1, 200), mk(1, 200), mk(4, 200), mk(1, -1)
 	for k := range c1.A {
 		for i, v := range c1.A[k].Data {
 			if c2.A[k].Data[i] != v {
@@ -138,6 +148,11 @@ func TestShardedCompressBitReproducible(t *testing.T) {
 			if c4.A[k].Data[i] != v {
 				t.Fatalf("A_%d depends on pool width", k)
 			}
+		}
+	}
+	for i, v := range c1.A[2].Data {
+		if flat.A[2].Data[i] != v {
+			t.Fatal("A_2 at the threshold differs from the unsharded run")
 		}
 	}
 }

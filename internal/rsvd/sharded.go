@@ -22,6 +22,11 @@ import (
 // in-flight shard instead of O(I·(R+s)) for the whole matrix. For an exactly
 // rank-R matrix every shard sketch captures its (≤R-dimensional) row space,
 // so the hierarchical result is exact up to round-off, like the flat sketch.
+//
+// The pieces below are composed in one place, parafac2's stage-1 sketches:
+// NumShards and ShardBounds plan the shards, ShardGens draws their
+// generators, each shard is a SketchShard work unit on the pool, and
+// MergeShards combines a slice's sketches. rsvd's tests call each directly.
 
 // NumShards returns how many row shards an rows-by-cols matrix is split into
 // under threshold shardRows: 1 when sharding is disabled (shardRows <= 0),
@@ -154,32 +159,4 @@ func MergeShards(g *rng.RNG, sketches []ShardSketch, r int, opts Options) lapack
 		wOff += s.B.Rows
 	}
 	return lapack.SVD{U: u, S: inner.S, V: inner.V}
-}
-
-// DecomposeSharded computes a rank-r randomized SVD of a with the same
-// contract as Decompose, but splits a into row shards of at most shardRows
-// rows, sketches each independently, and merges the shard bases with a
-// second small randomized SVD. Peak scratch drops from O(I·(r+Oversample))
-// to O(shardRows·(r+Oversample)) per in-flight shard. shardRows <= 0 or a
-// matrix no taller than shardRows falls back to the flat Decompose.
-//
-// Results are deterministic for a fixed (g, shardRows) pair via per-shard
-// Split children (ShardGens); different shard counts draw different sketches
-// and so yield different — equally valid — factorizations.
-func DecomposeSharded(g *rng.RNG, a *mat.Dense, r, shardRows int, opts Options) lapack.SVD {
-	opts = opts.normalize()
-	if r <= 0 {
-		panic("rsvd: non-positive rank")
-	}
-	m := NumShards(a.Rows, a.Cols, shardRows, r+opts.Oversample)
-	if m <= 1 {
-		return Decompose(g, a, r, opts)
-	}
-	gens, mergeGen := ShardGens(g, m)
-	bounds := ShardBounds(a.Rows, m)
-	sketches := make([]ShardSketch, m)
-	for i := range sketches {
-		sketches[i] = SketchShard(gens[i], a.RowView(bounds[i], bounds[i+1]), r, opts)
-	}
-	return MergeShards(mergeGen, sketches, r, opts)
 }

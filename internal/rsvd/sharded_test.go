@@ -46,90 +46,52 @@ func TestShardBoundsCoverContiguously(t *testing.T) {
 	}
 }
 
-func TestDecomposeShardedMatchesContract(t *testing.T) {
-	g := rng.New(31)
-	a := lowRankPlusNoise(g, 1600, 60, 5, 0)
-	for _, shardRows := range []int{-1, 800, 230} {
-		d := DecomposeSharded(rng.New(7), a, 5, shardRows, DefaultOptions())
-		if len(d.S) != 5 {
-			t.Fatalf("shardRows %d: want 5 singular values, got %d", shardRows, len(d.S))
-		}
-		if d.U.Rows != 1600 || d.U.Cols != 5 || d.V.Rows != 60 || d.V.Cols != 5 {
-			t.Fatalf("shardRows %d: bad shapes U %dx%d V %dx%d", shardRows, d.U.Rows, d.U.Cols, d.V.Rows, d.V.Cols)
-		}
-		if !d.U.IsOrthonormalCols(1e-8) || !d.V.IsOrthonormalCols(1e-8) {
-			t.Fatalf("shardRows %d: factors not orthonormal", shardRows)
-		}
-		// Exactly rank-5 input: each shard sketch captures the full row
-		// space, so the hierarchical result is exact up to round-off.
-		if rel := d.Reconstruct().FrobDist(a) / a.FrobNorm(); rel > 1e-8 {
-			t.Fatalf("shardRows %d: rel err %g", shardRows, rel)
-		}
-	}
-}
-
 func TestDecomposeShardedNoisyNearOptimal(t *testing.T) {
+	// Four shards of a noisy rank-6 matrix, sketched and merged directly,
+	// stay within 10% of the truncated SVD's error. Planning and the flat
+	// fallback belong to the one composition, parafac2's stage-1 sketches,
+	// whose shard tests hold its compression to the same bound.
 	g := rng.New(32)
 	a := lowRankPlusNoise(g, 1200, 70, 6, 0.01)
-	det := lapack.Truncated(a, 6)
-	sh := DecomposeSharded(rng.New(9), a, 6, 300, DefaultOptions())
-	errDet := det.Reconstruct().FrobDist(a)
+	opts := DefaultOptions()
+	b := ShardBounds(a.Rows, 4)
+	gens, merge := ShardGens(rng.New(9), 4)
+	sk := make([]ShardSketch, 4)
+	for i := range sk {
+		sk[i] = SketchShard(gens[i], a.RowView(b[i], b[i+1]), 6, opts)
+	}
+	sh := MergeShards(merge, sk, 6, opts)
+	if !sh.U.IsOrthonormalCols(1e-8) || !sh.V.IsOrthonormalCols(1e-8) {
+		t.Fatal("merged factors not orthonormal")
+	}
+	errDet := lapack.Truncated(a, 6).Reconstruct().FrobDist(a)
 	errSh := sh.Reconstruct().FrobDist(a)
 	if errSh > errDet*1.1+1e-12 {
 		t.Fatalf("sharded SVD error %g vs deterministic %g", errSh, errDet)
 	}
 }
 
-func TestDecomposeShardedReproducible(t *testing.T) {
-	g := rng.New(33)
-	a := lowRankPlusNoise(g, 900, 50, 4, 0.05)
-	mk := func() lapack.SVD { return DecomposeSharded(rng.New(5), a, 4, 200, DefaultOptions()) }
-	d1, d2 := mk(), mk()
-	for i := range d1.S {
-		if d1.S[i] != d2.S[i] {
-			t.Fatal("sharded SVD singular values not bit-reproducible")
-		}
-	}
-	for i, v := range d1.U.Data {
-		if v != d2.U.Data[i] {
-			t.Fatal("sharded SVD U not bit-reproducible")
-		}
-	}
-}
-
 func TestDecomposeShardedFallsBackWhenShort(t *testing.T) {
-	// A matrix no taller than the threshold must take the flat path and be
-	// bit-identical to Decompose with the same generator.
-	g := rng.New(34)
-	a := lowRankPlusNoise(g, 300, 40, 4, 0.02)
-	flat := Decompose(rng.New(3), a, 4, DefaultOptions())
-	sh := DecomposeSharded(rng.New(3), a, 4, 300, DefaultOptions())
-	for i := range flat.S {
-		if flat.S[i] != sh.S[i] {
-			t.Fatal("fallback path diverged from Decompose")
-		}
+	// A matrix no taller than the threshold is planned as one shard, which
+	// stage 1 sketches flat (parafac2's TestShardedCompressBitReproducible
+	// holds those bits to the unsharded run's); one row more splits it.
+	sketch := DefaultOptions().SketchWidth(4)
+	if m := NumShards(300, 40, 300, sketch); m != 1 {
+		t.Fatalf("at the threshold: planned %d shards, want 1", m)
+	}
+	if m := NumShards(301, 40, 300, sketch); m != 2 {
+		t.Fatalf("one row over the threshold: planned %d shards, want 2", m)
 	}
 }
 
-func TestDecomposeShardedNarrowSlicesStayFlat(t *testing.T) {
-	// Regression: a tall slice whose column count is below the sketch width
-	// (J < r+Oversample) must take the flat degenerate path — the shard
-	// sketch's power-iteration QR would otherwise see a Cols×w matrix with
-	// w > Cols and panic.
+func TestSketchShardClampsNarrowShard(t *testing.T) {
+	// A shard narrower than the sketch width (J=12 < r+Oversample=18) must
+	// clamp the width to its column count instead of panicking in the
+	// power-iteration QR. NumShards never plans such a shard (narrow slices
+	// stay flat: TestNarrowTallSliceDoesNotPanic in parafac2), so this is
+	// the direct call.
 	g := rng.New(37)
 	a := lowRankPlusNoise(g, 3000, 12, 4, 0.01)
-	d := DecomposeSharded(rng.New(13), a, 10, 1000, DefaultOptions())
-	flat := Decompose(rng.New(13), a, 10, DefaultOptions())
-	if len(d.S) != 10 {
-		t.Fatalf("want 10 singular values, got %d", len(d.S))
-	}
-	for i := range d.S {
-		if d.S[i] != flat.S[i] {
-			t.Fatal("narrow tall matrix diverged from the flat degenerate path")
-		}
-	}
-	// Even called directly on a narrow shard, SketchShard must clamp the
-	// sketch width instead of panicking.
 	sk := SketchShard(rng.New(14), a.RowView(0, 1000), 10, DefaultOptions())
 	if sk.B.Rows != 12 { // clamped to cols
 		t.Fatalf("narrow shard sketch width %d, want 12", sk.B.Rows)

@@ -180,50 +180,6 @@ func (t *Dense3) Matricize(mode int) *mat.Dense {
 	}
 }
 
-// FoldMode1 rebuilds a Dense3 from its mode-1 unfolding.
-func FoldMode1(m *mat.Dense, j, k int) *Dense3 {
-	if m.Cols != j*k {
-		panic("tensor: FoldMode1 shape mismatch")
-	}
-	slices := make([]*mat.Dense, k)
-	for kk := 0; kk < k; kk++ {
-		slices[kk] = m.SubMatrix(0, kk*j, m.Rows, j)
-	}
-	return MustDense3(slices)
-}
-
-// FoldMode2 rebuilds a Dense3 from its mode-2 unfolding (J × IK).
-func FoldMode2(m *mat.Dense, i, k int) *Dense3 {
-	if m.Cols != i*k {
-		panic("tensor: FoldMode2 shape mismatch")
-	}
-	slices := make([]*mat.Dense, k)
-	for kk := 0; kk < k; kk++ {
-		slices[kk] = m.SubMatrix(0, kk*i, m.Rows, i).T()
-	}
-	return MustDense3(slices)
-}
-
-// FoldMode3 rebuilds a Dense3 from its mode-3 unfolding (K × IJ, rows are
-// column-major vectorizations).
-func FoldMode3(m *mat.Dense, i, j int) *Dense3 {
-	if m.Cols != i*j {
-		panic("tensor: FoldMode3 shape mismatch")
-	}
-	slices := make([]*mat.Dense, m.Rows)
-	for kk := 0; kk < m.Rows; kk++ {
-		s := mat.New(i, j)
-		row := m.Row(kk)
-		for jj := 0; jj < j; jj++ {
-			for ii := 0; ii < i; ii++ {
-				s.Set(ii, jj, row[jj*i+ii])
-			}
-		}
-		slices[kk] = s
-	}
-	return MustDense3(slices)
-}
-
 // CPReconstruct evaluates the CP model [[A, B, C]]: the tensor with frontal
 // slices A · diag(C(k, :)) · Bᵀ. A is I×R, B is J×R, C is K×R.
 func CPReconstruct(a, b, c *mat.Dense) *Dense3 {

@@ -142,17 +142,6 @@ func TestMatricizePanicsOnBadMode(t *testing.T) {
 	randomDense3(g, 2, 2, 2).Matricize(4)
 }
 
-func TestFoldMode1RoundTrip(t *testing.T) {
-	g := rng.New(5)
-	y := randomDense3(g, 3, 4, 5)
-	back := FoldMode1(y.Matricize(1), 4, 5)
-	for k := 0; k < 5; k++ {
-		if !back.Slices[k].EqualApprox(y.Slices[k], 0) {
-			t.Fatal("fold(unfold) != identity")
-		}
-	}
-}
-
 func TestCPReconstructMatchesUnfoldingIdentity(t *testing.T) {
 	// X(1) = A (C ⊙ B)ᵀ for X = [[A,B,C]].
 	g := rng.New(6)
@@ -243,44 +232,5 @@ func TestQuickIrregularNormMatchesSliceSum(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestFoldMode2RoundTrip(t *testing.T) {
-	g := rng.New(20)
-	y := randomDense3(g, 3, 4, 5)
-	back := FoldMode2(y.Matricize(2), 3, 5)
-	for k := 0; k < 5; k++ {
-		if !back.Slices[k].EqualApprox(y.Slices[k], 0) {
-			t.Fatal("fold2(unfold2) != identity")
-		}
-	}
-}
-
-func TestFoldMode3RoundTrip(t *testing.T) {
-	g := rng.New(21)
-	y := randomDense3(g, 3, 4, 5)
-	back := FoldMode3(y.Matricize(3), 3, 4)
-	for k := 0; k < 5; k++ {
-		if !back.Slices[k].EqualApprox(y.Slices[k], 0) {
-			t.Fatal("fold3(unfold3) != identity")
-		}
-	}
-}
-
-func TestFoldPanicsOnShapeMismatch(t *testing.T) {
-	for name, f := range map[string]func(){
-		"mode1": func() { FoldMode1(mat.New(2, 7), 3, 2) },
-		"mode2": func() { FoldMode2(mat.New(2, 7), 3, 2) },
-		"mode3": func() { FoldMode3(mat.New(2, 7), 3, 2) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s: expected panic", name)
-				}
-			}()
-			f()
-		}()
 	}
 }

@@ -48,16 +48,17 @@
 # same convention cmd/reprolint -json uses). Presence checks for the
 # guarded benchmark set emit value 1 (seen) or 0 (missing) against budget 1.
 #
-# Usage: scripts/benchsmoke.sh [max-allocs-per-iter] [max-allocs-per-absorb] [max-hi-qwait-ms] [max-allocs-per-batch] [max-allocs-per-cache-hit] [max-cache-hit-ms] [max-service-overhead-ms]
+# Usage: scripts/benchsmoke.sh
 set -eu
 
-budget="${1:-150}"
-absorb_budget="${2:-1500}"
-qwait_budget="${3:-250}"
-batch_budget="${4:-8}"
-cachehit_budget="${5:-300}"
-cachems_budget="${6:-25}"
-svc_budget="${7:-250}"
+# Budgets (see the list above for what each guards and why it has headroom).
+budget=150          # allocs per ALS iteration
+absorb_budget=1500  # allocs per absorbed batch
+qwait_budget=250    # high-priority mean queue wait, ms
+batch_budget=8      # allocs per batched SVD sweep
+cachehit_budget=300 # allocs per cache hit
+cachems_budget=25   # cache hit latency, ms
+svc_budget=250      # HTTP service transport overhead, ms
 # Largest allowed BenchmarkAbsorb K64 − K8 allocs/op gap. Both variants absorb
 # the same batch; the slack covers arena and sync.Pool jitter only.
 absorb_k_growth=32

@@ -232,8 +232,10 @@ func BenchmarkEngineContendedQueue(b *testing.B) {
 
 // BenchmarkCacheHit guards the content-addressed result cache's hot path: a
 // repeated Decompose on an Engine with WithResultCache is served from disk —
-// key derivation (one sha256 pass over the serialized tensor), one cached-file
-// read, checksum verification, and result decode, but never the method.
+// key derivation (DigestTensor: a DPT2 encode of the tensor and two sha256
+// passes over it, one for its trailer and one for the digest), one
+// cached-file read, checksum verification, and result decode, but never the
+// method.
 // scripts/benchsmoke.sh budgets both allocs/op and latency; the counter check
 // below makes a silently-bypassed cache a hard failure rather than a bench of
 // the wrong path.

@@ -69,24 +69,47 @@ func (e *Engine) ResumeStream(ctx context.Context, path string, opts ...Option) 
 	return parafac2.RestoreStream(f, cfg)
 }
 
+// TensorDigest is a tensor's content digest: the sha256 of its canonical
+// DPT2 serialization (dataio.WriteTensor, checksum trailer included). It is
+// the tensor part of the result-cache key, and internal/service derives its
+// tensor IDs from it.
+type TensorDigest [sha256.Size]byte
+
+// DigestTensor computes t's TensorDigest. It costs a DPT2 encode of the
+// whole tensor and two sha256 passes over it: WriteTensor's own trailer
+// checksum and the digest.
+func DigestTensor(t *Irregular) (TensorDigest, error) {
+	var d TensorDigest
+	h := sha256.New()
+	if err := dataio.WriteTensor(h, t); err != nil {
+		return d, err
+	}
+	h.Sum(d[:0])
+	return d, nil
+}
+
 // resultCacheKey derives the cache key for one decomposition, or reports the
 // call uncacheable: caching is off, or a Progress callback must run. The key
 // is a sha256 over a format tag, the numerics epoch, the method name, the
 // request's canonical Spec (every deterministic knob, with ShardRows
-// resolved to its effective threshold), and a digest of the tensor's
-// serialized content — so any change to input data, to a result-affecting
-// parameter or to the arithmetic (parafac2.NumericsEpoch) misses, while
-// Threads/Pool (which never change the computed bits) do not split the
-// cache. Because the key reads only the Spec, an HTTP request resolved to
-// the same Spec (internal/service) hits the same entry as the equivalent
-// in-process call.
+// resolved to its effective threshold), and the tensor's TensorDigest — the
+// one the request carries (Job.Digest), else DigestTensor(t) — so any change
+// to input data, to a result-affecting parameter or to the arithmetic
+// (parafac2.NumericsEpoch) misses, while Threads/Pool (which never change
+// the computed bits) do not split the cache. Because the key reads only the
+// Spec, an HTTP request resolved to the same Spec (internal/service) hits
+// the same entry as the equivalent in-process call.
 func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (string, bool) {
 	if e.cache == nil || js.progress != nil {
 		return "", false
 	}
-	th := sha256.New()
-	if err := dataio.WriteTensor(th, t); err != nil {
-		return "", false
+	digest := js.digest
+	if digest == nil {
+		d, err := DigestTensor(t)
+		if err != nil {
+			return "", false
+		}
+		digest = &d
 	}
 	spec := js.spec
 	var knobs, epoch bytes.Buffer
@@ -106,7 +129,7 @@ func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (st
 		epoch.Bytes(),
 		[]byte(m.Name()),
 		knobs.Bytes(),
-		th.Sum(nil),
+		digest[:],
 	), true
 }
 

@@ -136,6 +136,73 @@ func TestEngineResultCacheHit(t *testing.T) {
 	}
 }
 
+// TestEngineJobDigestKeysTheCache: a Job's Digest stands in for hashing its
+// tensor. The key is the same with and without the supplied digest, a Job
+// carrying DigestTensor(a) hits the entry an in-process Decompose(a)
+// stored, and a Job carrying b's digest over tensor a is served b's entry —
+// so the key reads the digest and never hashes the tensor again.
+func TestEngineJobDigestKeysTheCache(t *testing.T) {
+	cm := countingDPar2(t)
+	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	defer eng.Close()
+	ctx := context.Background()
+	a, b := engineTestTensor(21), engineTestTensor(22)
+	opts := []Option{WithMethod(MethodID(cm.Name()))}
+	da, err := DigestTensor(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := DigestTensor(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	_, m, js, _, err := eng.prepare(ctx, opts, false, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hashed, ok := eng.resultCacheKey(m, a, js)
+	js.digest = &da
+	supplied, ok2 := eng.resultCacheKey(m, a, js)
+	if !ok || !ok2 || hashed != supplied {
+		t.Fatalf("key with supplied digest %q (%v), hashed %q (%v)", supplied, ok2, hashed, ok)
+	}
+
+	before := cm.calls.Load()
+	wantA, err := eng.Decompose(ctx, a, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantB, err := eng.Decompose(ctx, b, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantA.Fitness == wantB.Fitness {
+		t.Fatal("the two tensors' results are indistinguishable")
+	}
+
+	jr := <-eng.Submit(ctx, Job{Tensor: a, Digest: &da, Options: opts, Tenant: "digest"})
+	if jr.Err != nil {
+		t.Fatal(jr.Err)
+	}
+	resultsEqualBits(t, wantA, jr.Result)
+	if st := eng.Stats().Tenant("digest"); st.CacheHits != 1 || st.CacheMisses != 0 {
+		t.Fatalf("digest tenant cache counters = (%d, %d), want (1, 0)", st.CacheHits, st.CacheMisses)
+	}
+
+	jr = <-eng.Submit(ctx, Job{Tensor: a, Digest: &db, Options: opts, Tenant: "digest"})
+	if jr.Err != nil {
+		t.Fatal(jr.Err)
+	}
+	resultsEqualBits(t, wantB, jr.Result)
+	if got := cm.calls.Load() - before; got != 2 {
+		t.Fatalf("method ran %d times, want 2 (the two in-process misses)", got)
+	}
+	if hits := eng.Stats().Tenant("digest").CacheHits; hits != 2 {
+		t.Fatalf("digest tenant cache hits = %d, want 2", hits)
+	}
+}
+
 // TestEngineNonFiniteNotCached: a tensor with one NaN entry fails with
 // ErrNonFinite on every call. Only successes are cached, so the second call
 // is no cache hit and fails the same way.

@@ -450,26 +450,30 @@ func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*
 	if e.isClosed() {
 		return nil, ErrEngineClosed
 	}
-	return e.decompose(ctx, t, opts, "")
+	return e.decompose(ctx, Job{Tensor: t, Options: opts})
 }
 
-// decompose is Decompose without the closed check — the path drained jobs
-// take after Close has begun. prepare would re-reject those, so its closed
-// check is skipped by construction: a drained job was accepted before Close.
-// tenant attributes cache hits and misses in the Engine's stats (Decompose
-// passes the default bucket, runJob the job's tenant).
-func (e *Engine) decompose(ctx context.Context, t *Irregular, opts []Option, tenant string) (*Result, error) {
+// decompose runs one Job's decomposition synchronously: Decompose without
+// the closed check — the path drained jobs take after Close has begun.
+// prepare would re-reject those, so its closed check is skipped by
+// construction: a drained job was accepted before Close. The job's Tenant
+// attributes cache hits and misses in the Engine's stats (Decompose passes
+// the default bucket), and its Digest, when set, spares the cache key a
+// hash of the tensor.
+func (e *Engine) decompose(ctx context.Context, job Job) (*Result, error) {
+	t := job.Tensor
 	if t == nil {
 		return nil, errors.New("repro: Decompose with nil tensor")
 	}
-	ctx, m, js, cfg, err := e.prepareOpen(ctx, opts, false, "Decompose")
+	ctx, m, js, cfg, err := e.prepareOpen(ctx, job.Options, false, "Decompose")
 	if err != nil {
 		return nil, err
 	}
+	js.digest = job.Digest
 	key, cacheable := e.resultCacheKey(m, t, js)
 	if cacheable {
 		res := e.cacheLookup(key)
-		e.sched.NoteCache(tenant, res != nil)
+		e.sched.NoteCache(job.Tenant, res != nil)
 		if res != nil {
 			return res, nil
 		}
@@ -565,6 +569,14 @@ type Job struct {
 	// WHEN a job runs, never what it computes — results are bit-identical
 	// for a fixed tensor and options at any priority and any queue state.
 	Priority int
+
+	// Digest, when non-nil, is Tensor's DigestTensor value from a caller
+	// that already holds it (internal/service computes it once, at upload):
+	// the result-cache key reads it instead of hashing Tensor again. It is
+	// trusted, never checked, so a digest from another tensor makes the
+	// cache answer for that tensor. Nil hashes Tensor, as Decompose does on
+	// every cacheable call.
+	Digest *TensorDigest
 }
 
 // JobResult is the outcome of one submitted Job. Exactly one of Result/Err
@@ -633,6 +645,6 @@ func (e *Engine) runJob(pj pendingJob) JobResult {
 	if err := pj.ctx.Err(); err != nil {
 		return JobResult{Tag: pj.job.Tag, Err: err}
 	}
-	res, err := e.decompose(pj.ctx, pj.job.Tensor, pj.job.Options, pj.job.Tenant)
+	res, err := e.decompose(pj.ctx, pj.job)
 	return JobResult{Tag: pj.job.Tag, Result: res, Err: err}
 }

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -62,4 +63,48 @@ func BenchmarkServiceDecomposeRoundTrip(b *testing.B) {
 	b.ReportMetric(directMS, "direct-ms")
 	b.ReportMetric(httpMS, "http-ms")
 	b.ReportMetric(httpMS-directMS, "overhead-ms")
+}
+
+// BenchmarkServiceCacheHit measures a served result-cache hit at perfbench
+// serve-mixed's shape: K=40 slices with long-tailed heights of 100-1200
+// rows (11,314 in all), J=88, rank 10, 32 iterations — an 8.0 MB tensor.
+// Each op is one loopback POST /v1/decompose round trip: JSON request,
+// admission queue, cache key, cached-file read and checksum, DPF2 decode,
+// re-encode and base64 reply, and the client's decode. The one miss that
+// fills the entry runs before the timer. The key reads the digest kept at
+// upload; hashing the tensor again instead (a DPT2 encode plus two sha256
+// passes over it) would add most of a hit. scripts/benchsmoke.sh holds
+// ns/op under its latency budget.
+func BenchmarkServiceCacheHit(b *testing.B) {
+	ts := newTestServer(b, Config{}, repro.WithEngineThreads(2),
+		repro.WithStateDir(b.TempDir()), repro.WithResultCache(1<<28))
+	ctx := context.Background()
+	const k, lo, hi = 40, 100, 1200
+	rows := make([]int, k)
+	for i := range rows {
+		u := (float64(i) + 0.5) / k
+		rows[i] = lo + int(float64(hi-lo)*math.Pow(u, 5))
+	}
+	info, err := ts.client.UploadTensor(ctx, repro.LowRankTensor(repro.NewRNG(7), rows, 88, 10, 0.02))
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := DecomposeRequest{
+		TensorID: info.TensorID,
+		Spec:     SpecRequest{Rank: intp(10), Seed: u64p(1), MaxIters: intp(32), Tol: f64p(0)},
+	}
+	if _, _, err := ts.client.Decompose(ctx, req); err != nil { // warm: the one miss
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := ts.client.Decompose(ctx, req); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := ts.eng.Stats().Tenant(""); st.CacheMisses != 1 || st.CacheHits != int64(b.N) {
+		b.Fatalf("cache did not serve the loop: %d hits, %d misses", st.CacheHits, st.CacheMisses)
+	}
 }

@@ -298,13 +298,16 @@ func (s *Server) handleTensorUpload(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err) // *dataio.CorruptError → 400
 		return
 	}
-	s.mu.Lock()
-	info, err := s.tensors.put(t)
-	s.mu.Unlock()
+	// Hash before locking: the encode and two sha256 passes over the whole
+	// tensor must not hold up every other handler.
+	d, err := repro.DigestTensor(t)
 	if err != nil {
-		writeError(w, err)
+		writeError(w, fmt.Errorf("service: hash tensor: %w", err))
 		return
 	}
+	s.mu.Lock()
+	info := s.tensors.put(t, d)
+	s.mu.Unlock()
 	writeJSON(w, http.StatusOK, info)
 }
 
@@ -321,7 +324,7 @@ func (s *Server) handleTensorGet(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookupTensor resolves a request's tensor id.
-func (s *Server) lookupTensor(id string) (*repro.Irregular, error) {
+func (s *Server) lookupTensor(id string) (*storedTensor, error) {
 	if id == "" {
 		return nil, apiErrf(CodeBadRequest, http.StatusBadRequest, "tensor_id is required")
 	}
@@ -331,17 +334,17 @@ func (s *Server) lookupTensor(id string) (*repro.Irregular, error) {
 	if !ok {
 		return nil, errNotFound("tensor", id)
 	}
-	return st.tensor, nil
+	return st, nil
 }
 
 // ----- decomposition ---------------------------------------------------------
 
-// resolveRequest turns a DecomposeRequest into the tensor it names and the
-// canonical Spec it resolves to — the same resolution an in-process
+// resolveRequest turns a DecomposeRequest into the stored tensor it names
+// and the canonical Spec it resolves to — the same resolution an in-process
 // Engine.Decompose would perform, done eagerly so invalid parameters are a
 // 400 before any queueing.
-func (s *Server) resolveRequest(tensorID string, sr SpecRequest) (*repro.Irregular, repro.Spec, error) {
-	t, err := s.lookupTensor(tensorID)
+func (s *Server) resolveRequest(tensorID string, sr SpecRequest) (*storedTensor, repro.Spec, error) {
+	st, err := s.lookupTensor(tensorID)
 	if err != nil {
 		return nil, repro.Spec{}, err
 	}
@@ -352,7 +355,7 @@ func (s *Server) resolveRequest(tensorID string, sr SpecRequest) (*repro.Irregul
 		}
 		return nil, repro.Spec{}, apiErrf(CodeBadRequest, http.StatusBadRequest, "invalid spec: %v", err)
 	}
-	return t, spec, nil
+	return st, spec, nil
 }
 
 // encodeResult serializes a result to DPF2 bytes.
@@ -375,7 +378,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	t, spec, err := s.resolveRequest(req.TensorID, req.Spec)
+	st, spec, err := s.resolveRequest(req.TensorID, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -387,7 +390,8 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	jr := <-s.eng.Submit(ctx, repro.Job{
-		Tensor:   t,
+		Tensor:   st.tensor,
+		Digest:   &st.digest,
 		Options:  []repro.Option{repro.WithSpec(spec)},
 		Tenant:   req.Tenant,
 		Priority: req.Priority,
@@ -446,7 +450,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	t, spec, err := s.resolveRequest(req.TensorID, req.Spec)
+	st, spec, err := s.resolveRequest(req.TensorID, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -459,7 +463,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		jobCtx, cancel = context.WithCancel(context.Background())
 	}
 	ch := s.eng.Submit(jobCtx, repro.Job{
-		Tensor:   t,
+		Tensor:   st.tensor,
+		Digest:   &st.digest,
 		Options:  []repro.Option{repro.WithSpec(spec)},
 		Tenant:   req.Tenant,
 		Priority: req.Priority,
@@ -591,7 +596,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	t, spec, err := s.resolveRequest(req.TensorID, req.Spec)
+	st, spec, err := s.resolveRequest(req.TensorID, req.Spec)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -624,7 +629,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 	}
 
-	st, err := s.eng.NewStream(r.Context(), t, repro.WithSpec(spec))
+	stream, err := s.eng.NewStream(r.Context(), st.tensor, repro.WithSpec(spec))
 	if err != nil {
 		if errors.Is(err, repro.ErrEngineClosed) || isCtxErr(err, r.Context()) {
 			fail(err)
@@ -633,8 +638,8 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	rec.st = st
-	if err := s.checkpointLocked(rec, st); err != nil {
+	rec.st = stream
+	if err := s.checkpointLocked(rec, stream); err != nil {
 		fail(err)
 		return
 	}
@@ -681,11 +686,11 @@ func (s *Server) absorbSlices(r *http.Request) ([]*repro.Matrix, error) {
 		if err := decodeJSON(r, &req); err != nil {
 			return nil, err
 		}
-		t, err := s.lookupTensor(req.TensorID)
+		st, err := s.lookupTensor(req.TensorID)
 		if err != nil {
 			return nil, err
 		}
-		return t.Slices, nil
+		return st.tensor.Slices, nil
 	}
 	t, err := dataio.ReadTensor(r.Body)
 	if err != nil {

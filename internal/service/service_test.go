@@ -826,6 +826,77 @@ func TestTensorStoreContentAddressedAndEvicting(t *testing.T) {
 	}
 }
 
+// TestServedPathsLeaveStoredTensorUnchanged: every served job on a stored
+// tensor is keyed by the digest kept at upload, so no served path may
+// mutate the tensor, or that digest would silently go stale. After a sync
+// decompose (a miss, then a hit), an async job, a stream create and a JSON
+// absorb naming the tensor, hashing it again must give the digest kept at
+// upload, which still spells its tensor_id.
+func TestServedPathsLeaveStoredTensorUnchanged(t *testing.T) {
+	ts := newTestServer(t, Config{}, repro.WithEngineThreads(2),
+		repro.WithStateDir(t.TempDir()), repro.WithResultCache(1<<24))
+	ctx := context.Background()
+	info, err := ts.client.UploadTensor(ctx, testTensor(81))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := DecomposeRequest{
+		TensorID: info.TensorID,
+		Spec:     SpecRequest{Rank: intp(4), Seed: u64p(5), MaxIters: intp(6), Tol: f64p(0)},
+	}
+	for i := 0; i < 2; i++ { // a miss, then a hit
+		if _, _, err := ts.client.Decompose(ctx, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	req.Spec.Seed = u64p(6) // a fresh key: the async job runs the method
+	job, err := ts.client.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500 && job.Status == JobPending; i++ {
+		time.Sleep(10 * time.Millisecond)
+		if job, err = ts.client.JobStatus(ctx, job.JobID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if job.Status != JobDone {
+		t.Fatalf("job ended %q", job.Status)
+	}
+	if _, err := ts.client.CreateStream(ctx, StreamCreateRequest{
+		StreamID: "s", TensorID: info.TensorID, Spec: SpecRequest{Rank: intp(4), MaxIters: intp(4)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ts.client.AbsorbTensor(ctx, "s", info.TensorID); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ts.client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Hits != 1 || st.Cache.Misses != 2 {
+		t.Fatalf("cache counters (%d, %d), want (1, 2)", st.Cache.Hits, st.Cache.Misses)
+	}
+
+	ts.srv.mu.Lock()
+	stored, ok := ts.srv.tensors.get(info.TensorID)
+	ts.srv.mu.Unlock()
+	if !ok {
+		t.Fatal("uploaded tensor left the store")
+	}
+	got, err := repro.DigestTensor(stored.tensor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != stored.digest {
+		t.Fatalf("stored tensor changed: digest %x, kept at upload %x", got, stored.digest)
+	}
+	if id := tensorID(got); id != info.TensorID {
+		t.Fatalf("digest spells %s, tensor_id %s", id, info.TensorID)
+	}
+}
+
 // TestStatsEndpoint: the Engine's traffic snapshot flows through with
 // deterministic tenant ordering and the server's own resource counts.
 func TestStatsEndpoint(t *testing.T) {

@@ -1,12 +1,9 @@
 package service
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 
 	"repro"
-	"repro/internal/dataio"
 )
 
 // This file is the server's in-memory resource tables. All three are plain
@@ -16,15 +13,20 @@ import (
 
 // ----- tensors ---------------------------------------------------------------
 
-// storedTensor is one uploaded tensor: the parsed form plus its wire info.
+// storedTensor is one uploaded tensor: the parsed form, its content digest
+// (computed once, at upload, and handed to the Engine with every job on the
+// tensor so the result-cache key never hashes it again) plus its wire info.
+// No served path mutates the tensor, so the digest stays valid.
 type storedTensor struct {
 	tensor *repro.Irregular
+	digest repro.TensorDigest
 	info   TensorInfo
 }
 
 // tensorStore is a content-addressed tensor table with LRU eviction by
-// count. Uploads are idempotent: the ID is the sha256 of the canonical DPT2
-// serialization, so the same tensor re-uploaded lands on the same entry.
+// count. Uploads are idempotent: the ID is a prefix of the tensor's
+// repro.TensorDigest, the sha256 of its canonical DPT2 serialization, so
+// the same tensor re-uploaded lands on the same entry.
 type tensorStore struct {
 	max   int
 	byID  map[string]*storedTensor
@@ -35,27 +37,21 @@ func newTensorStore(max int) *tensorStore {
 	return &tensorStore{max: max, byID: make(map[string]*storedTensor)}
 }
 
-// tensorID derives the content address of a parsed tensor. The canonical
-// serialization (not the uploaded bytes) is hashed, so any byte stream that
-// decodes to the same tensor gets the same ID.
-func tensorID(t *repro.Irregular) (string, error) {
-	h := sha256.New()
-	if err := dataio.WriteTensor(h, t); err != nil {
-		return "", fmt.Errorf("service: hash tensor: %w", err)
-	}
-	return "t-" + hex.EncodeToString(h.Sum(nil)[:16]), nil
+// tensorID derives the content address of a tensor from its digest: the
+// hex of its first 16 bytes. The digest covers the canonical serialization
+// (not the uploaded bytes), so any byte stream that decodes to the same
+// tensor gets the same ID.
+func tensorID(d repro.TensorDigest) string {
+	return "t-" + hex.EncodeToString(d[:16])
 }
 
-// put inserts (or refreshes) a tensor and returns its info, evicting the
-// least-recently-used entries beyond the cap.
-func (ts *tensorStore) put(t *repro.Irregular) (TensorInfo, error) {
-	id, err := tensorID(t)
-	if err != nil {
-		return TensorInfo{}, err
-	}
+// put inserts (or refreshes) a tensor under its digest d and returns its
+// info, evicting the least-recently-used entries beyond the cap.
+func (ts *tensorStore) put(t *repro.Irregular, d repro.TensorDigest) TensorInfo {
+	id := tensorID(d)
 	if st, ok := ts.byID[id]; ok {
 		ts.touch(id)
-		return st.info, nil
+		return st.info
 	}
 	info := TensorInfo{
 		TensorID: id,
@@ -65,14 +61,14 @@ func (ts *tensorStore) put(t *repro.Irregular) (TensorInfo, error) {
 		Elements: int64(t.NumElements()),
 		Bytes:    t.SizeBytes(),
 	}
-	ts.byID[id] = &storedTensor{tensor: t, info: info}
+	ts.byID[id] = &storedTensor{tensor: t, digest: d, info: info}
 	ts.order = append(ts.order, id)
 	for len(ts.order) > ts.max {
 		victim := ts.order[0]
 		ts.order = ts.order[1:]
 		delete(ts.byID, victim)
 	}
-	return info, nil
+	return info
 }
 
 // get looks a tensor up and marks it recently used.

@@ -32,10 +32,12 @@ func Methods() []string { return parafac2.MethodNames() }
 // in-process callers layer WithProgress over any Spec. Options mutate the
 // jobSpec; the Engine materializes a Config and pins it to the shared pool
 // afterwards (a per-call Pool/Threads cannot override the Engine's — that is
-// the point of the Engine).
+// the point of the Engine). digest is a submitted Job's Digest, which the
+// result-cache key reads instead of hashing the tensor; no Option sets it.
 type jobSpec struct {
 	spec     Spec
 	progress func(iter int, measure float64) bool
+	digest   *TensorDigest
 }
 
 // Option configures one decomposition request (Engine.Decompose, a submitted

@@ -4,8 +4,9 @@
 # allocation budget, BenchmarkDPar2TallSlice for the sharded stage-1 path,
 # BenchmarkAbsorb for the streaming absorb path, BenchmarkFactorBatch for
 # the fused batched small-SVD sweep, BenchmarkEngineContendedQueue for
-# the admission scheduler, and BenchmarkServiceDecomposeRoundTrip for the
-# HTTP front end's transport overhead) and fails when
+# the admission scheduler, BenchmarkServiceDecomposeRoundTrip for the
+# HTTP front end's transport overhead, and BenchmarkServiceCacheHit for a
+# served cache hit at perfbench serve-mixed's size) and fails when
 #   - any expected benchmark is missing from the output or its metrics do
 #     not parse — a renamed benchmark or an empty result line is a hard
 #     failure, never a vacuous pass;
@@ -35,6 +36,12 @@
 #     checksum verify + decode, never the method) regresses above its
 #     allocation or latency budget (~105 allocs / ~0.9ms measured when the
 #     cache landed; budgets allow headroom to 300 allocs / 25ms);
+#   - a served cache hit on an 8.0 MB tensor (BenchmarkServiceCacheHit: one
+#     loopback round trip whose cache key reads the digest kept at upload)
+#     regresses above its latency budget. It read 26-32ms on a 2-core host
+#     when the digest began travelling with the job, and 46-52ms when each
+#     hit re-encoded and twice hashed the tensor, a cost the 235 KB tensor
+#     of BenchmarkCacheHit cannot show; the budget sits between the two;
 #   - the HTTP service's transport tax regresses: the loopback round trip of
 #     BenchmarkServiceDecomposeRoundTrip (JSON request + admission queue +
 #     DPF2 response, minus the in-process decomposition time) must stay
@@ -46,7 +53,8 @@
 #   {"gate":"benchsmoke","check":"...","bench":"...","value":V,"budget":B,"pass":true|false}
 # so CI tooling can consume the gate results without scraping prose (the
 # same convention cmd/reprolint -json uses). Presence checks for the
-# guarded benchmark set emit value 1 (seen) or 0 (missing) against budget 1.
+# guarded benchmark set emit value 1 (seen) or 0 (missing) against budget 1;
+# the priority-inversion check emits hi − lo queue wait against budget 0.
 #
 # Usage: scripts/benchsmoke.sh
 set -eu
@@ -59,14 +67,15 @@ batch_budget=8      # allocs per batched SVD sweep
 cachehit_budget=300 # allocs per cache hit
 cachems_budget=25   # cache hit latency, ms
 svc_budget=250      # HTTP service transport overhead, ms
+svchit_budget=40    # served cache hit at serve-mixed size, ms
 # Largest allowed BenchmarkAbsorb K64 − K8 allocs/op gap. Both variants absorb
 # the same batch; the slack covers arena and sync.Pool jitter only.
 absorb_k_growth=32
 out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit)$' -benchtime 2x -benchmem .)
-$(go test -run '^$' -bench '^BenchmarkServiceDecomposeRoundTrip$' -benchtime 2x -benchmem ./internal/service/)"
+$(go test -run '^$' -bench '^(BenchmarkServiceDecomposeRoundTrip|BenchmarkServiceCacheHit)$' -benchtime 10x -benchmem ./internal/service/)"
 echo "$out"
 
-echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" -v absorb_k_growth="$absorb_k_growth" '
+echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" -v svchit_budget="$svchit_budget" -v absorb_k_growth="$absorb_k_growth" '
 function metric(name,   i) {
     # value of a named benchmark metric on the current line, or "" if absent
     for (i = 2; i <= NF; i++) if ($i == name) return $(i - 1)
@@ -160,13 +169,23 @@ $1 ~ /^BenchmarkServiceDecomposeRoundTrip(-[0-9]+)?$/ {
         bad = 1
     }
 }
+$1 ~ /^BenchmarkServiceCacheHit(-[0-9]+)?$/ {
+    seen["BenchmarkServiceCacheHit"] = 1
+    ms = require(metric("ns/op"), "ns/op") / 1e6
+    printf "benchsmoke: %s %.2fms per served cache hit (budget %dms)\n", $1, ms, svchit_budget
+    gatejson("service-cache-hit-ms", "BenchmarkServiceCacheHit", ms, svchit_budget, ms <= svchit_budget)
+    if (ms > svchit_budget) {
+        printf "benchsmoke: FAIL — served cache hit %.2fms above %dms budget\n", ms, svchit_budget > "/dev/stderr"
+        bad = 1
+    }
+}
 $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
     seen["BenchmarkEngineContendedQueue"] = 1
     hi = require(metric("hi-qwait-ms"), "hi-qwait-ms")
     lo = require(metric("lo-qwait-ms"), "lo-qwait-ms")
     printf "benchsmoke: %s hi-qwait %.2fms lo-qwait %.2fms (hi budget %dms)\n", $1, hi, lo, qwait_budget
     gatejson("hi-qwait", "BenchmarkEngineContendedQueue", hi, qwait_budget, hi <= qwait_budget)
-    gatejson("priority-inversion", "BenchmarkEngineContendedQueue", hi, lo, hi <= lo)
+    gatejson("priority-inversion", "BenchmarkEngineContendedQueue", hi - lo, 0, hi <= lo)
     if (hi > qwait_budget) {
         printf "benchsmoke: FAIL — high-priority queue wait %.2fms above %dms budget\n", hi, qwait_budget > "/dev/stderr"
         bad = 1
@@ -179,7 +198,7 @@ $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
 END {
     # Every guarded benchmark must have produced a parseable result line:
     # a rename or an empty run is a hard failure, not a silent skip.
-    n = split("BenchmarkDPar2 BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkServiceDecomposeRoundTrip", want, " ")
+    n = split("BenchmarkDPar2 BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkServiceDecomposeRoundTrip BenchmarkServiceCacheHit", want, " ")
     for (i = 1; i <= n; i++) {
         present = (want[i] in seen)
         gatejson("present", want[i], present ? 1 : 0, 1, present)

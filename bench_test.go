@@ -233,9 +233,10 @@ func BenchmarkEngineContendedQueue(b *testing.B) {
 // BenchmarkCacheHit guards the content-addressed result cache's hot path: a
 // repeated Decompose on an Engine with WithResultCache is served from disk —
 // key derivation (DigestTensor: a DPT2 encode of the tensor and two sha256
-// passes over it, one for its trailer and one for the digest), one
-// cached-file read, checksum verification, and result decode, but never the
-// method.
+// passes over it, one for its trailer and one for the digest), the entry
+// read whole in one read and checked in one sha256 pass, and the decode
+// Decompose makes of a hit (which repeats DPF2's own trailer check), but
+// never the method.
 // scripts/benchsmoke.sh budgets both allocs/op and latency; the counter check
 // below makes a silently-bypassed cache a hard failure rather than a bench of
 // the wrong path.

@@ -163,21 +163,25 @@ func TestPersistedBytesPinned(t *testing.T) {
 		if key != pinnedBytes["cache-key"] {
 			t.Errorf("cache key changed: %s, pinned %q\n\t%q: %q,", key, pinnedBytes["cache-key"], "cache-key", key)
 		}
-		eng.cacheStore(key, pinResult(true))
+		eng.cacheStore(key, mustEncode(t, pinResult(true)))
 		entry, err := os.ReadFile(filepath.Join(dir, "cache", key+".cache"))
 		if err != nil {
 			t.Fatal(err)
 		}
 		checkPin(t, "cache-entry", entry)
-		hit := eng.cacheLookup(key)
-		if hit == nil {
+		rec, ok := eng.cacheLookup(key)
+		if !ok {
 			t.Fatal("pinned entry does not read back")
+		}
+		hit, err := rec.decode()
+		if err != nil {
+			t.Fatal(err)
 		}
 		resultsEqualBits(t, hit, pinResult(true))
 		if hit.PreprocessedBytes != 12345 {
 			t.Fatalf("PreprocessedBytes %d, want 12345", hit.PreprocessedBytes)
 		}
-		eng.cacheStore(key, hit)
+		eng.cacheStore(key, mustEncode(t, hit))
 		again, err := os.ReadFile(filepath.Join(dir, "cache", key+".cache"))
 		if err != nil {
 			t.Fatal(err)

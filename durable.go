@@ -1,11 +1,11 @@
 package repro
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -133,55 +133,78 @@ func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (st
 	), true
 }
 
-// Cached-entry payload: a small run-metadata header — Fitness,
-// FitnessKind, Iters and PreprocessedBytes, one word each — then the dataio
-// result format. ReadResult deliberately drops run artifacts (fitness,
-// iteration count), but a cache hit stands in for the run itself, so those
-// must come back; the header carries them. Timings stay zero on a hit — the
-// work they would measure never happened.
-
-// cacheLookup fetches and decodes a cached result, or returns nil on a miss;
-// any corruption is handled inside state.Cache (entry dropped, reported as a
-// miss).
-func (e *Engine) cacheLookup(key string) *Result {
-	var res *Result
-	if !e.cache.Get(key, func(r io.Reader) error {
-		br := bufio.NewReaderSize(r, 1<<20) // ReadResult reads on through br
-		dec := state.NewDecoder(br)
-		fitness := dec.F64()
-		kind := FitnessKind(dec.U64())
-		iters := int(dec.U64())
-		pre := dec.I64()
-		if err := dec.Err(); err != nil {
-			return err
-		}
-		got, err := dataio.ReadResult(br)
-		if err != nil {
-			return err
-		}
-		got.Fitness, got.FitnessKind, got.Iters, got.PreprocessedBytes = fitness, kind, iters, pre
-		res = got
-		return nil
-	}) {
-		return nil
-	}
-	return res
+// EncodedResult is a successful decomposition in the form the result cache
+// stores it: the run metadata a DPF2 payload does not carry (Fitness,
+// FitnessKind, Iters, PreprocessedBytes) plus the factors' DPF2 bytes,
+// exactly as dataio.WriteResult writes them. JobResult.Encoded returns it.
+type EncodedResult struct {
+	Fitness           float64
+	FitnessKind       FitnessKind
+	Iters             int
+	PreprocessedBytes int64
+	DPF2              []byte
 }
 
-// cacheStore persists a successful result. Best-effort: a full disk or
+// encodeResult encodes res, metadata and factors.
+func encodeResult(res *Result) (EncodedResult, error) {
+	var buf bytes.Buffer
+	if err := dataio.WriteResult(&buf, res); err != nil {
+		return EncodedResult{}, fmt.Errorf("repro: encode result: %w", err)
+	}
+	return EncodedResult{Fitness: res.Fitness, FitnessKind: res.FitnessKind, Iters: res.Iters,
+		PreprocessedBytes: res.PreprocessedBytes, DPF2: buf.Bytes()}, nil
+}
+
+// decode rebuilds the Result r holds: the DPF2 factors with r's metadata.
+// Timings stay zero, as on any deserialized result: the work they would
+// measure did not happen here.
+func (r EncodedResult) decode() (*Result, error) {
+	res, err := dataio.ReadResult(bytes.NewReader(r.DPF2))
+	if err != nil {
+		return nil, err
+	}
+	res.Fitness, res.FitnessKind, res.Iters, res.PreprocessedBytes = r.Fitness, r.FitnessKind, r.Iters, r.PreprocessedBytes
+	return res, nil
+}
+
+// A cache entry's payload is an EncodedResult: its run metadata as a
+// four-word header, then the DPF2 bytes. ReadResult deliberately drops run
+// artifacts (fitness, iteration count), but a cache hit stands in for the
+// run itself, so the header carries them.
+
+// cacheLookup fetches the entry under key, or reports a miss. The entry is
+// checked against its trailer (state.Cache drops a corrupt one and reports
+// a miss) and its DPF2 bytes are returned as read, never decoded.
+func (e *Engine) cacheLookup(key string) (EncodedResult, bool) {
+	payload, ok := e.cache.Get(key)
+	if !ok {
+		return EncodedResult{}, false
+	}
+	rd := bytes.NewReader(payload)
+	dec := state.NewDecoder(rd)
+	var r EncodedResult
+	r.Fitness = dec.F64()
+	r.FitnessKind = FitnessKind(dec.U64())
+	r.Iters = int(dec.U64())
+	r.PreprocessedBytes = dec.I64()
+	if dec.Err() != nil {
+		return EncodedResult{}, false
+	}
+	r.DPF2 = payload[len(payload)-rd.Len():]
+	return r, true
+}
+
+// cacheStore persists an encoded result. Best-effort: a full disk or
 // unwritable cache directory must not fail the decomposition that produced
 // the result, so the error is dropped (the next lookup simply misses).
-func (e *Engine) cacheStore(key string, res *Result) {
+func (e *Engine) cacheStore(key string, r EncodedResult) {
 	_ = e.cache.Put(key, func(w io.Writer) error {
-		bw := bufio.NewWriterSize(w, 1<<20) // WriteResult writes on through bw
-		enc := state.NewEncoder(bw)
-		enc.F64(res.Fitness)
-		enc.U64(uint64(res.FitnessKind))
-		enc.U64(uint64(res.Iters))
-		enc.I64(res.PreprocessedBytes)
-		if err := enc.Err(); err != nil {
-			return err
-		}
-		return dataio.WriteResult(bw, res)
+		enc := state.NewEncoder(w)
+		enc.F64(r.Fitness)
+		enc.U64(uint64(r.FitnessKind))
+		enc.U64(uint64(r.Iters))
+		enc.I64(r.PreprocessedBytes)
+		enc.Bytes(r.DPF2)
+		return enc.Err()
 	})
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/dataio"
 	"repro/internal/parafac2"
 	"repro/internal/tensor"
 )
@@ -72,6 +74,26 @@ func resultsEqualBits(t *testing.T, a, b *Result) {
 	}
 }
 
+// jobRes returns a job's Result, failing the test on an error.
+func jobRes(t *testing.T, jr JobResult) *Result {
+	t.Helper()
+	res, err := jr.Result()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// mustEncode returns res as the result cache stores it.
+func mustEncode(t *testing.T, res *Result) EncodedResult {
+	t.Helper()
+	enc, err := encodeResult(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
 // TestEngineResultCacheHit is the tentpole acceptance test: a repeated
 // Decompose is served from the cache without invoking the method, with
 // hit/miss counters surfaced through Engine.Stats, per tenant on the Submit
@@ -122,7 +144,7 @@ func TestEngineResultCacheHit(t *testing.T) {
 	if got := cm.calls.Load() - before; got != 1 {
 		t.Fatalf("submitted job missed the cache (%d total calls)", got)
 	}
-	resultsEqualBits(t, first, jr.Result)
+	resultsEqualBits(t, first, jobRes(t, jr))
 	if acme := eng.Stats().Tenant("acme"); acme.CacheHits != 1 {
 		t.Fatalf("tenant acme cache hits = %d, want 1", acme.CacheHits)
 	}
@@ -185,7 +207,7 @@ func TestEngineJobDigestKeysTheCache(t *testing.T) {
 	if jr.Err != nil {
 		t.Fatal(jr.Err)
 	}
-	resultsEqualBits(t, wantA, jr.Result)
+	resultsEqualBits(t, wantA, jobRes(t, jr))
 	if st := eng.Stats().Tenant("digest"); st.CacheHits != 1 || st.CacheMisses != 0 {
 		t.Fatalf("digest tenant cache counters = (%d, %d), want (1, 0)", st.CacheHits, st.CacheMisses)
 	}
@@ -194,12 +216,76 @@ func TestEngineJobDigestKeysTheCache(t *testing.T) {
 	if jr.Err != nil {
 		t.Fatal(jr.Err)
 	}
-	resultsEqualBits(t, wantB, jr.Result)
+	resultsEqualBits(t, wantB, jobRes(t, jr))
 	if got := cm.calls.Load() - before; got != 2 {
 		t.Fatalf("method ran %d times, want 2 (the two in-process misses)", got)
 	}
 	if hits := eng.Stats().Tenant("digest").CacheHits; hits != 2 {
 		t.Fatalf("digest tenant cache hits = %d, want 2", hits)
+	}
+}
+
+// TestJobResultForms: a JobResult holds a success in the form the Engine
+// produced it and converts only when asked. A cacheable miss keeps its
+// computed Result and the bytes it stored; a hit holds only its entry's
+// bytes, undecoded until Result; a run without the cache is never encoded
+// until Encoded. Every form reads back as the computed result: Result bit
+// for bit, Encoded as WriteResult's bytes and the run metadata. A failed
+// job reports its Err from both.
+func TestJobResultForms(t *testing.T) {
+	ctx := context.Background()
+	ten := engineTestTensor(23)
+	cached := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	defer cached.Close()
+	plain := NewEngine(WithBaseConfig(engineTestConfig()))
+	defer plain.Close()
+
+	forms := map[string]JobResult{
+		"miss": <-cached.Submit(ctx, Job{Tensor: ten}),
+		"hit":  <-cached.Submit(ctx, Job{Tensor: ten}),
+	}
+	forms["uncached"] = <-plain.Submit(ctx, Job{Tensor: ten})
+	if st := cached.Stats().Tenant(""); st.CacheHits != 1 || st.CacheMisses != 1 {
+		t.Fatalf("cache counters (%d, %d), want (1, 1)", st.CacheHits, st.CacheMisses)
+	}
+	if jr := forms["miss"]; jr.res == nil || jr.enc.DPF2 == nil {
+		t.Fatal("a cacheable miss did not keep both its result and its stored bytes")
+	}
+	if forms["hit"].res != nil {
+		t.Fatal("a cache hit was decoded before Result was called")
+	}
+	if forms["uncached"].enc.DPF2 != nil {
+		t.Fatal("a run without the cache was encoded before Encoded was called")
+	}
+
+	computed := jobRes(t, forms["uncached"])
+	var want bytes.Buffer
+	if err := dataio.WriteResult(&want, computed); err != nil {
+		t.Fatal(err)
+	}
+	for name, jr := range forms {
+		resultsEqualBits(t, computed, jobRes(t, jr))
+		enc, err := jr.Encoded()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(enc.DPF2, want.Bytes()) {
+			t.Errorf("%s: encoded bytes differ from WriteResult of the computed result", name)
+		}
+		if enc.Fitness != computed.Fitness || enc.FitnessKind != computed.FitnessKind ||
+			enc.Iters != computed.Iters || enc.PreprocessedBytes != computed.PreprocessedBytes {
+			t.Errorf("%s: encoded metadata %v/%v/%d/%d, computed %v/%v/%d/%d", name,
+				enc.Fitness, enc.FitnessKind, enc.Iters, enc.PreprocessedBytes,
+				computed.Fitness, computed.FitnessKind, computed.Iters, computed.PreprocessedBytes)
+		}
+	}
+
+	failed := <-cached.Submit(ctx, Job{})
+	if _, err := failed.Result(); err == nil || err != failed.Err {
+		t.Fatalf("failed job: Result error %v, Err %v", err, failed.Err)
+	}
+	if _, err := failed.Encoded(); err == nil || err != failed.Err {
+		t.Fatalf("failed job: Encoded error %v, Err %v", err, failed.Err)
 	}
 }
 

@@ -257,7 +257,9 @@ func WithStateDir(dir string) EngineOption {
 //
 // Lookups with a Progress callback bypass the cache (its side effects must
 // run). A cache hit restores the factors plus Iters/Fitness/FitnessKind/
-// PreprocessedBytes; timings are zero, as in any deserialized result.
+// PreprocessedBytes; timings are zero, as in any deserialized result. A
+// submitted job's hit stays in its entry's encoded form until
+// JobResult.Result decodes it; JobResult.Encoded serves its bytes as read.
 func WithResultCache(maxBytes int64) EngineOption {
 	return func(s *engineSettings) {
 		if maxBytes <= 0 {
@@ -445,12 +447,13 @@ func (e *Engine) resolve(opts []Option) (parafac2.Method, jobSpec, error) {
 // Decompose runs one decomposition synchronously on the shared pool: the
 // Engine's base Config plus opts select the algorithm (default MethodDPar2)
 // and its parameters. It is the single entry point every algorithm runs
-// through, dispatched by name via the method registry.
+// through, dispatched by name via the method registry. A result-cache hit
+// comes back decoded.
 func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*Result, error) {
 	if e.isClosed() {
 		return nil, ErrEngineClosed
 	}
-	return e.decompose(ctx, Job{Tensor: t, Options: opts})
+	return e.decompose(ctx, Job{Tensor: t, Options: opts}).Result()
 }
 
 // decompose runs one Job's decomposition synchronously: Decompose without
@@ -460,29 +463,43 @@ func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*
 // attributes cache hits and misses in the Engine's stats (Decompose passes
 // the default bucket), and its Digest, when set, spares the cache key a
 // hash of the tensor.
-func (e *Engine) decompose(ctx context.Context, job Job) (*Result, error) {
+//
+// The success comes back in the form it was produced: a cache hit as the
+// entry's EncodedResult, never decoded here; a cacheable miss as the
+// computed Result plus the EncodedResult it was encoded to, once, for the
+// store; an uncached run as the computed Result alone, never encoded.
+func (e *Engine) decompose(ctx context.Context, job Job) JobResult {
 	t := job.Tensor
 	if t == nil {
-		return nil, errors.New("repro: Decompose with nil tensor")
+		return JobResult{Tag: job.Tag, Err: errors.New("repro: Decompose with nil tensor")}
 	}
 	ctx, m, js, cfg, err := e.prepareOpen(ctx, job.Options, false, "Decompose")
 	if err != nil {
-		return nil, err
+		return JobResult{Tag: job.Tag, Err: err}
 	}
 	js.digest = job.Digest
 	key, cacheable := e.resultCacheKey(m, t, js)
 	if cacheable {
-		res := e.cacheLookup(key)
-		e.sched.NoteCache(job.Tenant, res != nil)
-		if res != nil {
-			return res, nil
+		enc, hit := e.cacheLookup(key)
+		e.sched.NoteCache(job.Tenant, hit)
+		if hit {
+			return JobResult{Tag: job.Tag, enc: enc}
 		}
 	}
 	res, err := m.Decompose(ctx, t, cfg)
-	if err == nil && cacheable {
-		e.cacheStore(key, res)
+	if err != nil {
+		return JobResult{Tag: job.Tag, Err: err}
 	}
-	return res, err
+	jr := JobResult{Tag: job.Tag, res: res}
+	if cacheable {
+		// Best-effort, like the store: a failed encode leaves the result
+		// uncached, and Encoded reports the error if it is asked for.
+		if enc, err := encodeResult(res); err == nil {
+			e.cacheStore(key, enc)
+			jr.enc = enc
+		}
+	}
+	return jr
 }
 
 // Compress runs only the two-stage compression on the shared pool, for
@@ -579,15 +596,44 @@ type Job struct {
 	Digest *TensorDigest
 }
 
-// JobResult is the outcome of one submitted Job. Exactly one of Result/Err
-// is set. Err is one of: the job context's error (ctx.Err(), if cancelled
-// while queued or mid-run), ErrEngineClosed (submitted after Close), a
-// *QuotaError matching ErrQuotaExceeded (the tenant was over its queued
-// quota), or the decomposition's own error.
+// JobResult is the outcome of one submitted Job: Err, or a success held in
+// the form the Engine produced it, which Result and Encoded convert only
+// when called. Err is one of: the job context's error (ctx.Err(), if
+// cancelled while queued or mid-run), ErrEngineClosed (submitted after
+// Close), a *QuotaError matching ErrQuotaExceeded (the tenant was over its
+// queued quota), or the decomposition's own error.
 type JobResult struct {
-	Tag    string
-	Result *Result
-	Err    error
+	Tag string
+	Err error
+
+	res *Result       // the computed result; nil on a cache hit
+	enc EncodedResult // the cache record (hit or cacheable miss); DPF2 nil otherwise
+}
+
+// Result returns the job's result, or Err: a computed result as is, a
+// result-cache hit decoded from its bytes (each call decodes anew).
+func (jr JobResult) Result() (*Result, error) {
+	switch {
+	case jr.Err != nil:
+		return nil, jr.Err
+	case jr.res != nil:
+		return jr.res, nil
+	}
+	return jr.enc.decode()
+}
+
+// Encoded returns the job's result as the result cache stores it, or Err: a
+// hit's entry bytes verbatim, a cacheable miss's stored bytes, or, for a
+// result the cache did not see, an encoding made on the call. Bytes it
+// returns are shared, not copied: do not modify them.
+func (jr JobResult) Encoded() (EncodedResult, error) {
+	switch {
+	case jr.Err != nil:
+		return EncodedResult{}, jr.Err
+	case jr.enc.DPF2 != nil:
+		return jr.enc, nil
+	}
+	return encodeResult(jr.res)
 }
 
 // Submit runs a Job through the admission-controlled queue and returns a
@@ -645,6 +691,5 @@ func (e *Engine) runJob(pj pendingJob) JobResult {
 	if err := pj.ctx.Err(); err != nil {
 		return JobResult{Tag: pj.job.Tag, Err: err}
 	}
-	res, err := e.decompose(pj.ctx, pj.job)
-	return JobResult{Tag: pj.job.Tag, Result: res, Err: err}
+	return e.decompose(pj.ctx, pj.job)
 }

@@ -118,17 +118,18 @@ func TestEngineSubmitConcurrentBitIdentical(t *testing.T) {
 	}
 	for i, ch := range pending {
 		jr := <-ch
-		if jr.Err != nil {
-			t.Fatalf("job %d: %v", i, jr.Err)
+		res, err := jr.Result()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
 		}
 		if jr.Tag != fmt.Sprint(i) {
 			t.Fatalf("job %d: tag %q echoed wrong", i, jr.Tag)
 		}
-		if jr.Result.Fitness != baselines[i].Fitness {
+		if res.Fitness != baselines[i].Fitness {
 			t.Fatalf("job %d (%s): concurrent fitness %v != serial %v",
-				i, cases[i].method, jr.Result.Fitness, baselines[i].Fitness)
+				i, cases[i].method, res.Fitness, baselines[i].Fitness)
 		}
-		if !jr.Result.H.EqualApprox(baselines[i].H, 0) || !jr.Result.V.EqualApprox(baselines[i].V, 0) {
+		if !res.H.EqualApprox(baselines[i].H, 0) || !res.V.EqualApprox(baselines[i].V, 0) {
 			t.Fatalf("job %d (%s): concurrent factors differ from serial run", i, cases[i].method)
 		}
 	}
@@ -631,14 +632,14 @@ func TestEnginePriorityDeterminism(t *testing.T) {
 		})
 	}
 	for i, ch := range pending {
-		jr := <-ch
-		if jr.Err != nil {
-			t.Fatalf("job %d: %v", i, jr.Err)
+		res, err := (<-ch).Result()
+		if err != nil {
+			t.Fatalf("job %d: %v", i, err)
 		}
-		if jr.Result.Fitness != baselines[i].Fitness {
-			t.Fatalf("job %d: fitness %v != serial %v", i, jr.Result.Fitness, baselines[i].Fitness)
+		if res.Fitness != baselines[i].Fitness {
+			t.Fatalf("job %d: fitness %v != serial %v", i, res.Fitness, baselines[i].Fitness)
 		}
-		if !jr.Result.H.EqualApprox(baselines[i].H, 0) || !jr.Result.V.EqualApprox(baselines[i].V, 0) {
+		if !res.H.EqualApprox(baselines[i].H, 0) || !res.V.EqualApprox(baselines[i].V, 0) {
 			t.Fatalf("job %d: factors differ from serial run", i)
 		}
 	}

@@ -49,10 +49,11 @@ func ExampleEngine_Submit() {
 	}
 	for _, ch := range pending {
 		jr := <-ch
-		if jr.Err != nil {
-			panic(jr.Err)
+		res, err := jr.Result()
+		if err != nil {
+			panic(err)
 		}
-		fmt.Printf("%s fit>0.9: %v\n", jr.Tag, jr.Result.Fitness > 0.9)
+		fmt.Printf("%s fit>0.9: %v\n", jr.Tag, res.Fitness > 0.9)
 	}
 	// Output:
 	// job-0 fit>0.9: true

@@ -67,14 +67,17 @@ func BenchmarkServiceDecomposeRoundTrip(b *testing.B) {
 
 // BenchmarkServiceCacheHit measures a served result-cache hit at perfbench
 // serve-mixed's shape: K=40 slices with long-tailed heights of 100-1200
-// rows (11,314 in all), J=88, rank 10, 32 iterations — an 8.0 MB tensor.
-// Each op is one loopback POST /v1/decompose round trip: JSON request,
-// admission queue, cache key, cached-file read and checksum, DPF2 decode,
-// re-encode and base64 reply, and the client's decode. The one miss that
-// fills the entry runs before the timer. The key reads the digest kept at
-// upload; hashing the tensor again instead (a DPT2 encode plus two sha256
-// passes over it) would add most of a hit. scripts/benchsmoke.sh holds
-// ns/op under its latency budget.
+// rows (11,308 in all), J=88, rank 10, 32 iterations — an 8.0 MB tensor
+// whose 980,080-byte DPF2 sits in a 980,148-byte entry. Each op is one
+// loopback POST /v1/decompose round trip: JSON request, admission queue,
+// cache key, the entry read whole and checked in one sha256 pass, its DPF2
+// bytes base64'd into the reply as read (never decoded or encoded on the
+// server), and the client's decode. The one miss that fills the entry runs
+// before the timer. The key reads the digest kept at upload; hashing the
+// tensor again instead (a DPT2 encode plus two sha256 passes over it) would
+// add most of a hit. scripts/benchsmoke.sh holds ns/op, allocs/op and B/op
+// under its budgets, which a server-side decode or re-encode of the hit
+// would exceed.
 func BenchmarkServiceCacheHit(b *testing.B) {
 	ts := newTestServer(b, Config{}, repro.WithEngineThreads(2),
 		repro.WithStateDir(b.TempDir()), repro.WithResultCache(1<<28))

@@ -358,15 +358,6 @@ func (s *Server) resolveRequest(tensorID string, sr SpecRequest) (*storedTensor,
 	return st, spec, nil
 }
 
-// encodeResult serializes a result to DPF2 bytes.
-func encodeResult(res *repro.Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := dataio.WriteResult(&buf, res); err != nil {
-		return nil, fmt.Errorf("service: encode result: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
 // handleDecompose is the synchronous path: resolve, run through the Engine's
 // admission-controlled queue (so tenant quotas and priorities govern HTTP
 // traffic exactly like in-process Submit traffic), and reply with the
@@ -396,16 +387,12 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 		Tenant:   req.Tenant,
 		Priority: req.Priority,
 	})
-	if jr.Err != nil {
-		writeError(w, jr.Err)
-		return
-	}
-	raw, err := encodeResult(jr.Result)
+	enc, err := jr.Encoded()
 	if err != nil {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, DecomposeResponse{Spec: spec, Meta: metaOf(jr.Result), ResultDPF2: raw})
+	writeJSON(w, http.StatusOK, DecomposeResponse{Spec: spec, Meta: encodedMeta(enc), ResultDPF2: enc.DPF2})
 }
 
 // ----- async jobs ------------------------------------------------------------
@@ -418,22 +405,21 @@ func (s *Server) nextID(prefix string) string {
 	return id
 }
 
-// finishJob records a job's outcome and releases its context.
+// finishJob records a job's outcome and releases its context. The encoded
+// form is fetched before s.mu is taken: for a result the cache did not see,
+// that is a whole DPF2 encode.
 func (s *Server) finishJob(rec *jobRec, jr repro.JobResult) {
+	enc, err := jr.Encoded()
 	s.mu.Lock()
-	if jr.Err != nil {
-		rec.status = JobFailed
-		body := errBodyFor(jr.Err)
-		rec.errBody = &body
-	} else if raw, err := encodeResult(jr.Result); err != nil {
+	if err != nil {
 		rec.status = JobFailed
 		body := errBodyFor(err)
 		rec.errBody = &body
 	} else {
 		rec.status = JobDone
-		meta := metaOf(jr.Result)
+		meta := encodedMeta(enc)
 		rec.meta = &meta
-		rec.resultDPF2 = raw
+		rec.resultDPF2 = enc.DPF2
 	}
 	s.mu.Unlock()
 	rec.cancel()
@@ -743,13 +729,14 @@ func (s *Server) handleStreamResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	raw, err := encodeResult(rec.st.Result())
+	var buf bytes.Buffer
+	err = dataio.WriteResult(&buf, rec.st.Result())
 	release(rec)
 	if err != nil {
-		writeError(w, err)
+		writeError(w, fmt.Errorf("service: encode result: %w", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(raw)
+	_, _ = w.Write(buf.Bytes())
 }

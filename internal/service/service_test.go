@@ -57,6 +57,26 @@ func resultBytes(t *testing.T, res *repro.Result) []byte {
 	return buf.Bytes()
 }
 
+// awaitJob submits req as an async job and polls it until it is done.
+func awaitJob(t *testing.T, c *Client, req DecomposeRequest) JobStatus {
+	t.Helper()
+	ctx := context.Background()
+	job, err := c.SubmitJob(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500 && job.Status == JobPending; i++ {
+		time.Sleep(10 * time.Millisecond)
+		if job, err = c.JobStatus(ctx, job.JobID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if job.Status != JobDone {
+		t.Fatalf("job ended %q", job.Status)
+	}
+	return job
+}
+
 func intp(v int) *int         { return &v }
 func u64p(v uint64) *uint64   { return &v }
 func f64p(v float64) *float64 { return &v }
@@ -141,19 +161,7 @@ func TestAsyncJobRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	job, err := ts.client.SubmitJob(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500 && job.Status == JobPending; i++ {
-		time.Sleep(10 * time.Millisecond)
-		if job, err = ts.client.JobStatus(ctx, job.JobID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if job.Status != JobDone {
-		t.Fatalf("job stuck in %q", job.Status)
-	}
+	job := awaitJob(t, ts.client, req)
 	if job.Spec != sync.Spec {
 		t.Fatalf("job spec %+v, want %+v", job.Spec, sync.Spec)
 	}
@@ -850,19 +858,7 @@ func TestServedPathsLeaveStoredTensorUnchanged(t *testing.T) {
 		}
 	}
 	req.Spec.Seed = u64p(6) // a fresh key: the async job runs the method
-	job, err := ts.client.SubmitJob(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500 && job.Status == JobPending; i++ {
-		time.Sleep(10 * time.Millisecond)
-		if job, err = ts.client.JobStatus(ctx, job.JobID); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if job.Status != JobDone {
-		t.Fatalf("job ended %q", job.Status)
-	}
+	awaitJob(t, ts.client, req)
 	if _, err := ts.client.CreateStream(ctx, StreamCreateRequest{
 		StreamID: "s", TensorID: info.TensorID, Spec: SpecRequest{Rank: intp(4), MaxIters: intp(4)},
 	}); err != nil {
@@ -894,6 +890,141 @@ func TestServedPathsLeaveStoredTensorUnchanged(t *testing.T) {
 	}
 	if id := tensorID(got); id != info.TensorID {
 		t.Fatalf("digest spells %s, tensor_id %s", id, info.TensorID)
+	}
+}
+
+// TestCachedRepliesAreComputedBytes: with the result cache on, a hit is
+// served as its entry's bytes, so every way of getting one decomposition —
+// a sync miss, a sync hit, an async job's result served from the cache, the
+// in-process Decompose's WriteResult, and a cacheless server's reply —
+// yields the same DPF2 bytes and the same run metadata.
+func TestCachedRepliesAreComputedBytes(t *testing.T) {
+	cached := newTestServer(t, Config{}, repro.WithEngineThreads(2),
+		repro.WithStateDir(t.TempDir()), repro.WithResultCache(1<<24))
+	plain := newTestServer(t, Config{}, repro.WithEngineThreads(2))
+	ctx := context.Background()
+	ten := testTensor(91)
+	spec := SpecRequest{Rank: intp(4), Seed: u64p(2), MaxIters: intp(7), Tol: f64p(0)}
+	type reply struct {
+		name string
+		raw  []byte
+		meta ResultMeta
+	}
+	var replies []reply
+	decompose := func(name string, ts *testServer) string {
+		info, err := ts.client.UploadTensor(ctx, ten)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, resp, err := ts.client.Decompose(ctx, DecomposeRequest{TensorID: info.TensorID, Spec: spec})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		replies = append(replies, reply{name, resp.ResultDPF2, resp.Meta})
+		return info.TensorID
+	}
+	decompose("sync miss", cached)
+	id := decompose("sync hit", cached)
+	decompose("cacheless server", plain)
+
+	job := awaitJob(t, cached.client, DecomposeRequest{TensorID: id, Spec: spec})
+	var raw []byte
+	if err := cached.client.do(ctx, http.MethodGet, "/v1/jobs/"+job.JobID+"/result", nil, &raw); err != nil {
+		t.Fatal(err)
+	}
+	replies = append(replies, reply{"async job from the cache", raw, *job.Meta})
+
+	direct, err := plain.eng.Decompose(ctx, ten, repro.WithRank(4), repro.WithSeed(2),
+		repro.WithMaxIters(7), repro.WithTolerance(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replies = append(replies, reply{"in-process Decompose", resultBytes(t, direct), metaOf(direct)})
+
+	st, err := cached.client.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Cache.Hits != 2 || st.Cache.Misses != 1 {
+		t.Fatalf("cache counters (%d, %d), want (2, 1)", st.Cache.Hits, st.Cache.Misses)
+	}
+	want := replies[0]
+	for _, r := range replies[1:] {
+		if !bytes.Equal(r.raw, want.raw) {
+			t.Errorf("%s: DPF2 bytes differ from the %s's", r.name, want.name)
+		}
+		if r.meta != want.meta {
+			t.Errorf("%s: meta %+v, %s %+v", r.name, r.meta, want.name, want.meta)
+		}
+	}
+}
+
+// TestDamagedCacheEntryIsNeverServed: a hit goes from disk to the wire with
+// the entry's trailer checksum as the only check, so an entry damaged on
+// disk — one byte flipped inside its DPF2 region, or the file truncated —
+// must read as a miss: the request recomputes, replies the right bytes and
+// rewrites the entry, which then serves the next hit.
+func TestDamagedCacheEntryIsNeverServed(t *testing.T) {
+	for name, damage := range map[string]func(entry []byte) []byte{
+		"flip-dpf2": func(entry []byte) []byte { entry[len(entry)/2] ^= 0x01; return entry },
+		"truncate":  func(entry []byte) []byte { return entry[:len(entry)/2] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			ts := newTestServer(t, Config{}, repro.WithEngineThreads(2),
+				repro.WithStateDir(dir), repro.WithResultCache(1<<24))
+			ctx := context.Background()
+			info, err := ts.client.UploadTensor(ctx, testTensor(92))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req := DecomposeRequest{
+				TensorID: info.TensorID,
+				Spec:     SpecRequest{Rank: intp(4), Seed: u64p(8), MaxIters: intp(6), Tol: f64p(0)},
+			}
+			_, want, err := ts.client.Decompose(ctx, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			paths, err := filepath.Glob(filepath.Join(dir, "cache", "*.cache"))
+			if err != nil || len(paths) != 1 {
+				t.Fatalf("cache entries %v (%v), want one", paths, err)
+			}
+			entry, err := os.ReadFile(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The flipped byte lies past the 32-byte metadata header and
+			// before the trailers: inside the DPF2 bytes a hit is served as.
+			if err := os.WriteFile(paths[0], damage(bytes.Clone(entry)), 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			for i, wantHits := range []uint64{0, 1} {
+				_, got, err := ts.client.Decompose(ctx, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.ResultDPF2, want.ResultDPF2) || got.Meta != want.Meta {
+					t.Fatalf("request %d after the damage: reply differs from the computed one", i)
+				}
+				st, err := ts.client.Stats(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Cache.Hits != wantHits || st.Cache.Misses != 2 {
+					t.Fatalf("request %d after the damage: cache counters (%d, %d), want (%d, 2)",
+						i, st.Cache.Hits, st.Cache.Misses, wantHits)
+				}
+				again, err := os.ReadFile(paths[0])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(again, entry) {
+					t.Fatalf("request %d after the damage: entry on disk not rewritten", i)
+				}
+			}
+		})
 	}
 }
 

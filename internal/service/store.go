@@ -174,6 +174,16 @@ func metaOf(res *repro.Result) ResultMeta {
 	}
 }
 
+// encodedMeta extracts the wire metadata of an encoded result.
+func encodedMeta(enc repro.EncodedResult) ResultMeta {
+	return ResultMeta{
+		Fitness:           enc.Fitness,
+		FitnessKind:       enc.FitnessKind.String(),
+		Iters:             enc.Iters,
+		PreprocessedBytes: enc.PreprocessedBytes,
+	}
+}
+
 // validStreamID enforces the documented name shape: 1–64 bytes of letters,
 // digits, '_', '-' (it becomes a checkpoint file name, so path metacharacters
 // must never pass).

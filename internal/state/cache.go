@@ -127,50 +127,30 @@ func (c *Cache) path(key string) string {
 	return filepath.Join(c.dir, key+cacheSuffix)
 }
 
-// Get looks up key and, on a hit, streams the entry's payload (checksum
-// verified) into read, reporting whether the entry was served. An entry that
-// is unreadable, fails its checksum, or whose payload read rejects is
-// dropped from the cache and reported as a miss, like an absent key.
-func (c *Cache) Get(key string, read func(r io.Reader) error) bool {
+// Get looks key up and, on a hit, returns the entry's payload: the file is
+// read whole in one read sized by its length, and its trailer is checked in
+// one sha256 pass over the payload. An entry that is unreadable or fails its
+// checksum is dropped from the cache and reported as a miss, like an absent
+// key. The caller owns the returned bytes.
+func (c *Cache) Get(key string) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		return false
+		return nil, false
 	}
-	f, err := os.Open(c.path(key))
+	raw, err := os.ReadFile(c.path(key))
+	if err == nil {
+		raw, err = cutTrailer(raw)
+	}
 	if err != nil {
+		// The entry is corrupt on disk or unreadable: drop it and report a
+		// miss, not an error.
 		c.dropLocked(el)
-		return false
-	}
-	defer f.Close()
-	info, err := f.Stat()
-	if err != nil || info.Size() < int64(TrailerSize) {
-		c.dropLocked(el)
-		return false
-	}
-	// Bound the callback to the payload (everything before the trailer) so it
-	// may freely ReadAll or buffer without consuming trailer bytes.
-	sr := NewSumReader(f)
-	lr := io.LimitReader(sr, info.Size()-int64(TrailerSize))
-	rerr := read(lr)
-	if rerr == nil {
-		// Drain any payload the callback left unread so the digest covers the
-		// whole payload, then check the trailer.
-		if _, derr := io.Copy(io.Discard, lr); derr != nil {
-			rerr = derr
-		} else {
-			rerr = sr.VerifyTrailer()
-		}
-	}
-	if rerr != nil {
-		// The entry is corrupt on disk or the decoder rejected it: drop it
-		// and report a miss, not an error.
-		c.dropLocked(el)
-		return false
+		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	return true
+	return raw, true
 }
 
 // Put stores the payload produced by write under key, atomically and with a

@@ -113,3 +113,21 @@ func (s *SumReader) VerifyTrailer() error {
 	}
 	return nil
 }
+
+// cutTrailer checks the checksum trailer that ends b against the sha256 of
+// the bytes before it, in one pass, and returns those bytes: the payload.
+// Its errors wrap ErrChecksum, as VerifyTrailer's do; a b too short to hold
+// a trailer is one of them.
+func cutTrailer(b []byte) ([]byte, error) {
+	if len(b) < TrailerSize {
+		return nil, fmt.Errorf("%w: truncated trailer (%d of %d bytes)", ErrChecksum, len(b), TrailerSize)
+	}
+	payload, tr := b[:len(b)-TrailerSize], b[len(b)-TrailerSize:]
+	if string(tr[:len(trailerMagic)]) != trailerMagic {
+		return nil, fmt.Errorf("%w: bad trailer magic %q", ErrChecksum, tr[:len(trailerMagic)])
+	}
+	if sum := sha256.Sum256(payload); !bytes.Equal(tr[len(trailerMagic):], sum[:]) {
+		return nil, fmt.Errorf("%w: payload digest does not match trailer", ErrChecksum)
+	}
+	return payload, nil
+}

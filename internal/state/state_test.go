@@ -222,17 +222,6 @@ func putEntry(t *testing.T, c *Cache, key string, payload []byte) {
 	}
 }
 
-func getEntry(t *testing.T, c *Cache, key string) ([]byte, bool) {
-	t.Helper()
-	var out []byte
-	ok := c.Get(key, func(r io.Reader) error {
-		b, err := io.ReadAll(r)
-		out = b
-		return err
-	})
-	return out, ok
-}
-
 func TestCacheHitMissCounters(t *testing.T) {
 	dir := t.TempDir()
 	c, err := OpenCache(dir, 1<<20)
@@ -240,12 +229,12 @@ func TestCacheHitMissCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := Key([]byte("tensor-digest"), []byte("dpar2"), []byte("r=8"))
-	if _, ok := getEntry(t, c, key); ok {
+	if _, ok := c.Get(key); ok {
 		t.Fatal("unexpected hit on empty cache")
 	}
 	payload := []byte("serialized result")
 	putEntry(t, c, key, payload)
-	got, ok := getEntry(t, c, key)
+	got, ok := c.Get(key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("hit=%v payload=%q", ok, got)
 	}
@@ -265,7 +254,7 @@ func TestCacheReopenPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := getEntry(t, c2, key)
+	got, ok := c2.Get(key)
 	if !ok || !bytes.Equal(got, payload) {
 		t.Fatalf("after reopen: hit=%v payload=%q", ok, got)
 	}
@@ -285,11 +274,11 @@ func TestCacheLRUEviction(t *testing.T) {
 		putEntry(t, c, keys[i], bytes.Repeat([]byte{byte('a' + i)}, 100))
 	}
 	// The third Put pushed the cache over budget; the oldest entry goes.
-	if _, ok := getEntry(t, c, keys[0]); ok {
+	if _, ok := c.Get(keys[0]); ok {
 		t.Fatal("oldest entry should have been evicted")
 	}
 	for _, k := range keys[1:] {
-		if _, ok := getEntry(t, c, k); !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Fatalf("entry %s evicted unexpectedly", k)
 		}
 	}
@@ -298,45 +287,55 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 
 	// Recency matters: touch keys[1], add a new entry, keys[2] is the victim.
-	getEntry(t, c, keys[1])
+	c.Get(keys[1])
 	k3 := Key([]byte("entry-3"))
 	putEntry(t, c, k3, bytes.Repeat([]byte{'d'}, 100))
-	if _, ok := getEntry(t, c, keys[2]); ok {
+	if _, ok := c.Get(keys[2]); ok {
 		t.Fatal("least-recently-used entry survived eviction")
 	}
-	if _, ok := getEntry(t, c, keys[1]); !ok {
+	if _, ok := c.Get(keys[1]); !ok {
 		t.Fatal("recently-touched entry was evicted")
 	}
 }
 
+// TestCacheCorruptEntryIsMiss: an entry damaged on disk behind the cache's
+// back, by a flipped payload byte or a truncation (into the trailer, or
+// below a trailer's size), is never served: Get reports a miss and drops
+// the file.
 func TestCacheCorruptEntryIsMiss(t *testing.T) {
-	dir := t.TempDir()
-	c, err := OpenCache(dir, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := Key([]byte("will-rot"))
-	putEntry(t, c, key, []byte("pristine bytes"))
+	for name, damage := range map[string]func(raw []byte) []byte{
+		"flip":     func(raw []byte) []byte { raw[3] ^= 0xff; return raw },
+		"truncate": func(raw []byte) []byte { return raw[:len(raw)-1] },
+		"short":    func(raw []byte) []byte { return raw[:TrailerSize-1] },
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := OpenCache(dir, 1<<20)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := Key([]byte("will-rot"))
+			putEntry(t, c, key, []byte("pristine bytes"))
 
-	// Flip a payload byte on disk behind the cache's back.
-	path := filepath.Join(dir, key+cacheSuffix)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[3] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+			path := filepath.Join(dir, key+cacheSuffix)
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, damage(raw), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	if _, ok := getEntry(t, c, key); ok {
-		t.Fatal("corrupt entry served as a hit")
-	}
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatal("corrupt entry not dropped from disk")
-	}
-	if _, ok := getEntry(t, c, key); ok {
-		t.Fatal("dropped entry reappeared")
+			if _, ok := c.Get(key); ok {
+				t.Fatal("corrupt entry served as a hit")
+			}
+			if _, err := os.Stat(path); !os.IsNotExist(err) {
+				t.Fatal("corrupt entry not dropped from disk")
+			}
+			if _, ok := c.Get(key); ok {
+				t.Fatal("dropped entry reappeared")
+			}
+		})
 	}
 }
 

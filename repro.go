@@ -69,8 +69,11 @@
 // tenants — until one of its running jobs completes. Quota is released when
 // a job finishes and when a queued job's context is cancelled.
 //
-// JobResult.Err taxonomy — exactly one of Result/Err is set, and Err is one
-// of:
+// A JobResult holds Err or a success, kept in the form the Engine produced
+// it: a computed Result, or a result-cache hit's entry bytes. Result()
+// returns a *Result, decoding a hit; Encoded() returns the run metadata
+// plus DPF2 bytes the cache stores, a hit's verbatim, which is what the
+// HTTP front end serves. JobResult.Err taxonomy — Err is one of:
 //
 //   - the job context's error (ctx.Err()), if cancelled while queued or
 //     mid-run; a job cancelled while queued releases its tenant's quota and

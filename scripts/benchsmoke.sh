@@ -37,11 +37,18 @@
 #     allocation or latency budget (~105 allocs / ~0.9ms measured when the
 #     cache landed; budgets allow headroom to 300 allocs / 25ms);
 #   - a served cache hit on an 8.0 MB tensor (BenchmarkServiceCacheHit: one
-#     loopback round trip whose cache key reads the digest kept at upload)
-#     regresses above its latency budget. It read 26-32ms on a 2-core host
-#     when the digest began travelling with the job, and 46-52ms when each
-#     hit re-encoded and twice hashed the tensor, a cost the 235 KB tensor
-#     of BenchmarkCacheHit cannot show; the budget sits between the two;
+#     loopback round trip whose cache key reads the digest kept at upload,
+#     and whose reply carries the entry's DPF2 bytes as read) regresses
+#     above its latency, allocation or byte budget. Latency read 26-32ms on
+#     a 2-core host when the digest began travelling with the job, and
+#     46-52ms when each hit re-encoded and twice hashed the tensor, a cost
+#     the 235 KB tensor of BenchmarkCacheHit cannot show; the budget sits
+#     between the two. Once hits were served as their entry's bytes it read
+#     555-574 allocs and 8.8-9.9 MB per op over 31 runs (885-904 allocs and
+#     12.6-14.2 MB while each hit was decoded into a Result and encoded
+#     again). At this shape the decode alone costs ~306 allocs and 2.3 MB
+#     and the encode 16 allocs and 2.26 MB, so the budgets of 700 allocs
+#     and 11 MB fail if either comes back;
 #   - the HTTP service's transport tax regresses: the loopback round trip of
 #     BenchmarkServiceDecomposeRoundTrip (JSON request + admission queue +
 #     DPF2 response, minus the in-process decomposition time) must stay
@@ -68,6 +75,8 @@ cachehit_budget=300 # allocs per cache hit
 cachems_budget=25   # cache hit latency, ms
 svc_budget=250      # HTTP service transport overhead, ms
 svchit_budget=40    # served cache hit at serve-mixed size, ms
+svchit_allocs=700   # served cache hit, allocs
+svchit_bytes=11000000 # served cache hit, bytes allocated
 # Largest allowed BenchmarkAbsorb K64 − K8 allocs/op gap. Both variants absorb
 # the same batch; the slack covers arena and sync.Pool jitter only.
 absorb_k_growth=32
@@ -75,7 +84,7 @@ out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2IterationAllocs|
 $(go test -run '^$' -bench '^(BenchmarkServiceDecomposeRoundTrip|BenchmarkServiceCacheHit)$' -benchtime 10x -benchmem ./internal/service/)"
 echo "$out"
 
-echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" -v svchit_budget="$svchit_budget" -v absorb_k_growth="$absorb_k_growth" '
+echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" -v svchit_budget="$svchit_budget" -v svchit_allocs="$svchit_allocs" -v svchit_bytes="$svchit_bytes" -v absorb_k_growth="$absorb_k_growth" '
 function metric(name,   i) {
     # value of a named benchmark metric on the current line, or "" if absent
     for (i = 2; i <= NF; i++) if ($i == name) return $(i - 1)
@@ -172,10 +181,22 @@ $1 ~ /^BenchmarkServiceDecomposeRoundTrip(-[0-9]+)?$/ {
 $1 ~ /^BenchmarkServiceCacheHit(-[0-9]+)?$/ {
     seen["BenchmarkServiceCacheHit"] = 1
     ms = require(metric("ns/op"), "ns/op") / 1e6
-    printf "benchsmoke: %s %.2fms per served cache hit (budget %dms)\n", $1, ms, svchit_budget
+    allocs = require(metric("allocs/op"), "allocs/op")
+    bytes = require(metric("B/op"), "B/op")
+    printf "benchsmoke: %s %.2fms, %.0f allocs, %.2f MB per served cache hit (budgets %dms, %d allocs, %.2f MB)\n", $1, ms, allocs, bytes / 1e6, svchit_budget, svchit_allocs, svchit_bytes / 1e6
     gatejson("service-cache-hit-ms", "BenchmarkServiceCacheHit", ms, svchit_budget, ms <= svchit_budget)
+    gatejson("service-cache-hit-allocs", "BenchmarkServiceCacheHit", allocs, svchit_allocs, allocs <= svchit_allocs)
+    gatejson("service-cache-hit-bytes", "BenchmarkServiceCacheHit", bytes, svchit_bytes, bytes <= svchit_bytes)
     if (ms > svchit_budget) {
         printf "benchsmoke: FAIL — served cache hit %.2fms above %dms budget\n", ms, svchit_budget > "/dev/stderr"
+        bad = 1
+    }
+    if (allocs > svchit_allocs) {
+        printf "benchsmoke: FAIL — served cache hit %.0f allocs above %d budget\n", allocs, svchit_allocs > "/dev/stderr"
+        bad = 1
+    }
+    if (bytes > svchit_bytes) {
+        printf "benchsmoke: FAIL — served cache hit %.0f bytes above %d budget\n", bytes, svchit_bytes > "/dev/stderr"
         bad = 1
     }
 }

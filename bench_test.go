@@ -177,20 +177,20 @@ func BenchmarkEngineContendedQueue(b *testing.B) {
 	base.Rank = 3
 	base.MaxIters = 3
 	base.Tol = 0
+	knobs := withConfig(base)
 	// hi and lo sum every iteration's queue waits (no job is cancelled), so
 	// the reported means are over every job of the run.
 	var hi, lo TenantStats
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng := NewEngine(WithEngineThreads(1), WithBaseConfig(base),
-			WithJobConcurrency(1), WithQueueDepth(4*perClass))
+		eng := NewEngine(WithEngineThreads(1), WithJobConcurrency(1), WithQueueDepth(4*perClass))
 		running := make(chan struct{})
 		release := make(chan struct{})
 		var once sync.Once
 		gate := eng.Submit(context.Background(), Job{
 			Tensor: ten, Tag: "gate", Tenant: "gate",
-			Options: []Option{WithProgress(func(int, float64) bool {
+			Options: []Option{knobs, WithProgress(func(int, float64) bool {
 				once.Do(func() { close(running) })
 				<-release
 				return true
@@ -201,13 +201,13 @@ func BenchmarkEngineContendedQueue(b *testing.B) {
 		for j := 0; j < perClass; j++ {
 			pending = append(pending, eng.Submit(context.Background(), Job{
 				Tensor: ten, Tenant: "lo", Priority: 0,
-				Options: []Option{WithSeed(uint64(j))},
+				Options: []Option{knobs, WithSeed(uint64(j))},
 			}))
 		}
 		for j := 0; j < perClass; j++ {
 			pending = append(pending, eng.Submit(context.Background(), Job{
 				Tensor: ten, Tenant: "hi", Priority: 10,
-				Options: []Option{WithSeed(uint64(j))},
+				Options: []Option{knobs, WithSeed(uint64(j))},
 			}))
 		}
 		close(release)
@@ -246,16 +246,17 @@ func BenchmarkCacheHit(b *testing.B) {
 	base := benchConfig(8)
 	base.MaxIters = 6
 	base.Tol = 0
-	eng := NewEngine(WithBaseConfig(base), WithStateDir(b.TempDir()), WithResultCache(1<<28))
+	knobs := withConfig(base)
+	eng := NewEngine(WithEngineThreads(base.Threads), WithStateDir(b.TempDir()), WithResultCache(1<<28))
 	defer eng.Close()
 	ctx := context.Background()
-	if _, err := eng.Decompose(ctx, ten); err != nil { // warm: the one miss
+	if _, err := eng.Decompose(ctx, ten, knobs); err != nil { // warm: the one miss
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Decompose(ctx, ten); err != nil {
+		if _, err := eng.Decompose(ctx, ten, knobs); err != nil {
 			b.Fatal(err)
 		}
 	}

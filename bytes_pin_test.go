@@ -149,14 +149,14 @@ func TestPersistedBytesPinned(t *testing.T) {
 		dir := t.TempDir()
 		eng := NewEngine(WithEngineThreads(1), WithStateDir(dir), WithResultCache(1<<20))
 		defer eng.Close()
-		_, m, js, _, err := eng.prepare(context.Background(),
+		_, m, cfg, err := eng.prepare(context.Background(),
 			[]Option{WithRank(2), WithSeed(9), WithMaxIters(5), WithTolerance(0.5),
 				WithRidge(1e-3), WithShardRows(-1), WithNonnegativeS()},
 			false, "pin")
 		if err != nil {
 			t.Fatal(err)
 		}
-		key, ok := eng.resultCacheKey(m, pinTensor(t), js)
+		key, ok := eng.resultCacheKey(m, pinTensor(t), cfg, nil)
 		if !ok {
 			t.Fatal("pinned request is uncacheable")
 		}

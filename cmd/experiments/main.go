@@ -54,7 +54,7 @@ var outputs = []output{
 	{"table", "2", tableII, func(_ *harness, ds []experiments.Dataset) error { return show(ds, nil, experiments.TableII) }},
 	{"fig", "8", stocks, func(_ *harness, ds []experiments.Dataset) error { return show(ds, nil, experiments.Fig8Table) }},
 	{"fig", "1", tableII, func(h *harness, ds []experiments.Dataset) error {
-		results, err := experiments.Fig1(h.ctx, h.eng, ds, at(h, []int{10, 15, 20}, []int{5}))
+		results, err := experiments.Fig1(h.ctx, h.eng, ds, at(h, []int{10, 15, 20}, []int{5}), h.opts...)
 		return show(results, err, experiments.Fig1Table)
 	}},
 	{"fig", "9", tableII, func(h *harness, _ []experiments.Dataset) error {
@@ -66,27 +66,27 @@ var outputs = []output{
 		return show(results, err, experiments.Fig10Table)
 	}},
 	{"fig", "11a", nil, func(h *harness, _ []experiments.Dataset) error {
-		results, err := experiments.Fig11a(h.ctx, h.eng, h.seed, experiments.Fig11aSizes(at(h, 10, 40)))
+		results, err := experiments.Fig11a(h.ctx, h.eng, h.seed, experiments.Fig11aSizes(at(h, 10, 40)), h.opts...)
 		return show(results, err, experiments.Fig11aTable)
 	}},
 	{"fig", "11b", nil, func(h *harness, _ []experiments.Dataset) error {
 		d, ranks := at(h, [3]int{200, 200, 60}, [3]int{60, 50, 10}), at(h, []int{10, 20, 30, 40, 50}, []int{5, 10})
-		results, err := experiments.Fig11b(h.ctx, h.eng, h.seed, d[0], d[1], d[2], ranks)
+		results, err := experiments.Fig11b(h.ctx, h.eng, h.seed, d[0], d[1], d[2], ranks, h.opts...)
 		return show(results, err, experiments.Fig11bTable)
 	}},
 	{"fig", "11c", nil, func(h *harness, _ []experiments.Dataset) error {
 		d, threads := at(h, [3]int{200, 200, 60}, [3]int{60, 50, 10}), at(h, []int{1, 2, 4, 6, 8, 10}, []int{1, 2})
-		pts, err := experiments.Fig11c(h.ctx, h.eng, h.seed, d[0], d[1], d[2], threads)
+		pts, err := experiments.Fig11c(h.ctx, h.eng, h.seed, d[0], d[1], d[2], threads, h.opts...)
 		return show(pts, err, experiments.Fig11cTable)
 	}},
 	{"fig", "tall", nil, func(h *harness, _ []experiments.Dataset) error {
 		d, srs := at(h, [3]int{32768, 64, 6}, [3]int{4096, 32, 4}), at(h, []int{-1, 8192, 4096}, []int{-1, 1024, 512})
-		pts, err := experiments.TallSlice(h.ctx, h.eng, h.seed, d[0], d[1], d[2], srs)
+		pts, err := experiments.TallSlice(h.ctx, h.eng, h.seed, d[0], d[1], d[2], srs, h.opts...)
 		return show(pts, err, experiments.TallSliceTable)
 	}},
 	{"fig", "12", stocks, func(h *harness, ds []experiments.Dataset) error {
 		for _, d := range ds {
-			corr, labels, err := experiments.Fig12(h.ctx, h.eng, d)
+			corr, labels, err := experiments.Fig12(h.ctx, h.eng, d, h.opts...)
 			if err != nil {
 				return err
 			}
@@ -96,7 +96,7 @@ var outputs = []output{
 	}},
 	{"table", "3", []string{"US Stock"}, func(h *harness, ds []experiments.Dataset) error {
 		d := ds[0]
-		res, err := experiments.TableIII(h.ctx, h.eng, d, lowerQuartileRowsIndex(d), 10, 0.01)
+		res, err := experiments.TableIII(h.ctx, h.eng, d, lowerQuartileRowsIndex(d), 10, 0.01, h.opts...)
 		if err != nil {
 			return err
 		}
@@ -119,12 +119,14 @@ func show[T any](v T, err error, renders ...func(T) *experiments.Table) error {
 	return nil
 }
 
-// harness is what the outputs run on. loaded holds the Table II datasets
-// generated so far, by name; fig9 runs the measurement Figs. 9 and 10 share
-// once.
+// harness is what the outputs run on. opts are the per-call options the
+// -rank, -iters, -seed and -shardrows flags compile to, which every runner
+// decomposes under; loaded holds the Table II datasets generated so far, by
+// name; fig9 runs the measurement Figs. 9 and 10 share once.
 type harness struct {
 	ctx    context.Context
 	eng    *repro.Engine
+	opts   []repro.Option
 	seed   uint64
 	sc     experiments.Scale
 	loaded map[string]experiments.Dataset
@@ -219,17 +221,14 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	cfg := repro.DefaultConfig()
-	cfg.Rank = *rank
-	cfg.MaxIters = *iters
-	cfg.Seed = *seed
-	cfg.ShardRows = *shardRows
-	eng := repro.NewEngine(repro.WithEngineThreads(*threads), repro.WithBaseConfig(cfg))
+	eng := repro.NewEngine(repro.WithEngineThreads(*threads))
 	defer eng.Close()
 
-	h := &harness{ctx: ctx, eng: eng, seed: *seed, sc: sc, loaded: map[string]experiments.Dataset{}}
+	opts := []repro.Option{repro.WithRank(*rank), repro.WithMaxIters(*iters),
+		repro.WithSeed(*seed), repro.WithShardRows(*shardRows)}
+	h := &harness{ctx: ctx, eng: eng, opts: opts, seed: *seed, sc: sc, loaded: map[string]experiments.Dataset{}}
 	h.fig9 = sync.OnceValues(func() ([]experiments.MethodResult, error) {
-		return experiments.Fig9(ctx, eng, h.datasets(tableII))
+		return experiments.Fig9(ctx, eng, h.datasets(tableII), opts...)
 	})
 	for _, o := range picked {
 		fmt.Fprintf(os.Stderr, "running -%s %s...\n", o.kind, o.name)

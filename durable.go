@@ -57,7 +57,7 @@ func (e *Engine) SaveStream(path string, s *StreamingDPar2) error {
 // may adjust only runtime bindings the same way NewStream accepts them (an
 // option that names a non-DPar2 method is an error, like NewStream).
 func (e *Engine) ResumeStream(ctx context.Context, path string, opts ...Option) (*StreamingDPar2, error) {
-	_, _, _, cfg, err := e.prepare(ctx, opts, true, "ResumeStream")
+	_, _, cfg, err := e.prepare(ctx, opts, true, "ResumeStream")
 	if err != nil {
 		return nil, err
 	}
@@ -88,22 +88,22 @@ func DigestTensor(t *Irregular) (TensorDigest, error) {
 	return d, nil
 }
 
-// resultCacheKey derives the cache key for one decomposition, or reports the
-// call uncacheable: caching is off, or a Progress callback must run. The key
-// is a sha256 over a format tag, the numerics epoch, the method name, the
-// request's canonical Spec (every deterministic knob, with ShardRows
-// resolved to its effective threshold), and the tensor's TensorDigest — the
-// one the request carries (Job.Digest), else DigestTensor(t) — so any change
-// to input data, to a result-affecting parameter or to the arithmetic
-// (parafac2.NumericsEpoch) misses, while Threads/Pool (which never change
-// the computed bits) do not split the cache. Because the key reads only the
-// Spec, an HTTP request resolved to the same Spec (internal/service) hits
-// the same entry as the equivalent in-process call.
-func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (string, bool) {
-	if e.cache == nil || js.progress != nil {
+// resultCacheKey derives the cache key for one decomposition of t under the
+// Config cfg the call runs, or reports the call uncacheable: caching is off,
+// or a Progress callback must run. The key is a sha256 over a format tag,
+// the numerics epoch, the method name, cfg's nine deterministic knobs
+// (Config.EncodeKnobs, with ShardRows resolved to its effective threshold),
+// and the tensor's TensorDigest — digest, the one the request carries
+// (Job.Digest), else DigestTensor(t) — so any change to input data, to a
+// result-affecting parameter or to the arithmetic (parafac2.NumericsEpoch)
+// misses, while Threads/Pool (which never change the computed bits) do not
+// split the cache. Because the key reads only the knobs, an HTTP request
+// resolved to the same Spec (internal/service) hits the same entry as the
+// equivalent in-process call.
+func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, cfg Config, digest *TensorDigest) (string, bool) {
+	if e.cache == nil || cfg.Progress != nil {
 		return "", false
 	}
-	digest := js.digest
 	if digest == nil {
 		d, err := DigestTensor(t)
 		if err != nil {
@@ -111,18 +111,9 @@ func (e *Engine) resultCacheKey(m parafac2.Method, t *Irregular, js jobSpec) (st
 		}
 		digest = &d
 	}
-	spec := js.spec
+	cfg.ShardRows = cfg.ShardRowsThreshold()
 	var knobs, epoch bytes.Buffer
-	enc := state.NewEncoder(&knobs)
-	enc.U64(uint64(spec.Rank))
-	enc.U64(uint64(spec.MaxIters))
-	enc.F64(spec.Tol)
-	enc.U64(spec.Seed)
-	enc.U64(uint64(spec.Oversample))
-	enc.U64(uint64(spec.PowerIters))
-	enc.I64(int64(spec.shardRowsThreshold()))
-	enc.F64(spec.Ridge)
-	enc.Bool(spec.NonnegativeS)
+	cfg.EncodeKnobs(state.NewEncoder(&knobs))
 	state.NewEncoder(&epoch).U64(parafac2.NumericsEpoch)
 	return state.Key(
 		[]byte("repro:result-cache:v1"),

@@ -102,17 +102,18 @@ func TestEngineResultCacheHit(t *testing.T) {
 	cm := countingDPar2(t)
 	dir := t.TempDir()
 	eng := NewEngine(
-		WithBaseConfig(engineTestConfig()),
+		WithEngineThreads(2),
 		WithStateDir(dir),
 		WithResultCache(1<<22),
 	)
 	defer eng.Close()
 	ctx := context.Background()
 	ten := engineTestTensor(11)
+	knobs := withConfig(engineTestConfig())
 	opt := WithMethod(MethodID(cm.Name()))
 
 	before := cm.calls.Load()
-	first, err := eng.Decompose(ctx, ten, opt)
+	first, err := eng.Decompose(ctx, ten, knobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestEngineResultCacheHit(t *testing.T) {
 		t.Fatalf("first Decompose invoked the method %d times", got)
 	}
 
-	second, err := eng.Decompose(ctx, ten, opt)
+	second, err := eng.Decompose(ctx, ten, knobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestEngineResultCacheHit(t *testing.T) {
 
 	// The Submit path consults the same cache and attributes the hit to the
 	// job's tenant.
-	jr := <-eng.Submit(ctx, Job{Tensor: ten, Options: []Option{opt}, Tenant: "acme"})
+	jr := <-eng.Submit(ctx, Job{Tensor: ten, Options: []Option{knobs, opt}, Tenant: "acme"})
 	if jr.Err != nil {
 		t.Fatal(jr.Err)
 	}
@@ -150,7 +151,7 @@ func TestEngineResultCacheHit(t *testing.T) {
 	}
 
 	// A different knob is a different key: changing the rank must miss.
-	if _, err := eng.Decompose(ctx, ten, opt, WithRank(3)); err != nil {
+	if _, err := eng.Decompose(ctx, ten, knobs, opt, WithRank(3)); err != nil {
 		t.Fatal(err)
 	}
 	if got := cm.calls.Load() - before; got != 2 {
@@ -165,11 +166,11 @@ func TestEngineResultCacheHit(t *testing.T) {
 // so the key reads the digest and never hashes the tensor again.
 func TestEngineJobDigestKeysTheCache(t *testing.T) {
 	cm := countingDPar2(t)
-	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	eng := NewEngine(WithEngineThreads(2), WithStateDir(t.TempDir()), WithResultCache(1<<22))
 	defer eng.Close()
 	ctx := context.Background()
 	a, b := engineTestTensor(21), engineTestTensor(22)
-	opts := []Option{WithMethod(MethodID(cm.Name()))}
+	opts := []Option{withConfig(engineTestConfig()), WithMethod(MethodID(cm.Name()))}
 	da, err := DigestTensor(a)
 	if err != nil {
 		t.Fatal(err)
@@ -179,13 +180,12 @@ func TestEngineJobDigestKeysTheCache(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, m, js, _, err := eng.prepare(ctx, opts, false, "test")
+	_, m, cfg, err := eng.prepare(ctx, opts, false, "test")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashed, ok := eng.resultCacheKey(m, a, js)
-	js.digest = &da
-	supplied, ok2 := eng.resultCacheKey(m, a, js)
+	hashed, ok := eng.resultCacheKey(m, a, cfg, nil)
+	supplied, ok2 := eng.resultCacheKey(m, a, cfg, &da)
 	if !ok || !ok2 || hashed != supplied {
 		t.Fatalf("key with supplied digest %q (%v), hashed %q (%v)", supplied, ok2, hashed, ok)
 	}
@@ -235,16 +235,17 @@ func TestEngineJobDigestKeysTheCache(t *testing.T) {
 func TestJobResultForms(t *testing.T) {
 	ctx := context.Background()
 	ten := engineTestTensor(23)
-	cached := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	knobs := []Option{withConfig(engineTestConfig())}
+	cached := NewEngine(WithEngineThreads(2), WithStateDir(t.TempDir()), WithResultCache(1<<22))
 	defer cached.Close()
-	plain := NewEngine(WithBaseConfig(engineTestConfig()))
+	plain := NewEngine(WithEngineThreads(2))
 	defer plain.Close()
 
 	forms := map[string]JobResult{
-		"miss": <-cached.Submit(ctx, Job{Tensor: ten}),
-		"hit":  <-cached.Submit(ctx, Job{Tensor: ten}),
+		"miss": <-cached.Submit(ctx, Job{Tensor: ten, Options: knobs}),
+		"hit":  <-cached.Submit(ctx, Job{Tensor: ten, Options: knobs}),
 	}
-	forms["uncached"] = <-plain.Submit(ctx, Job{Tensor: ten})
+	forms["uncached"] = <-plain.Submit(ctx, Job{Tensor: ten, Options: knobs})
 	if st := cached.Stats().Tenant(""); st.CacheHits != 1 || st.CacheMisses != 1 {
 		t.Fatalf("cache counters (%d, %d), want (1, 1)", st.CacheHits, st.CacheMisses)
 	}
@@ -280,7 +281,7 @@ func TestJobResultForms(t *testing.T) {
 		}
 	}
 
-	failed := <-cached.Submit(ctx, Job{})
+	failed := <-cached.Submit(ctx, Job{Options: knobs})
 	if _, err := failed.Result(); err == nil || err != failed.Err {
 		t.Fatalf("failed job: Result error %v, Err %v", err, failed.Err)
 	}
@@ -293,12 +294,12 @@ func TestJobResultForms(t *testing.T) {
 // ErrNonFinite on every call. Only successes are cached, so the second call
 // is no cache hit and fails the same way.
 func TestEngineNonFiniteNotCached(t *testing.T) {
-	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(t.TempDir()), WithResultCache(1<<22))
+	eng := NewEngine(WithEngineThreads(2), WithStateDir(t.TempDir()), WithResultCache(1<<22))
 	defer eng.Close()
 	ten := engineTestTensor(12)
 	ten.Slices[1].Data[3] = math.NaN()
 	for call := 1; call <= 2; call++ {
-		res, err := eng.Decompose(context.Background(), ten)
+		res, err := eng.Decompose(context.Background(), ten, withConfig(engineTestConfig()))
 		if !errors.Is(err, ErrNonFinite) || res != nil {
 			t.Fatalf("call %d: err %v (result returned: %v), want ErrNonFinite", call, err, res != nil)
 		}
@@ -314,20 +315,21 @@ func TestEngineNonFiniteNotCached(t *testing.T) {
 func TestEngineCacheBypassesSideEffectRuns(t *testing.T) {
 	cm := countingDPar2(t)
 	eng := NewEngine(
-		WithBaseConfig(engineTestConfig()),
+		WithEngineThreads(2),
 		WithStateDir(t.TempDir()),
 		WithResultCache(1<<22),
 	)
 	defer eng.Close()
 	ctx := context.Background()
 	ten := engineTestTensor(12)
+	knobs := withConfig(engineTestConfig())
 	opt := WithMethod(MethodID(cm.Name()))
 
 	before := cm.calls.Load()
 	for i := 0; i < 3; i++ {
 		calls := 0
 		progress := WithProgress(func(int, float64) bool { calls++; return true })
-		if _, err := eng.Decompose(ctx, ten, opt, progress); err != nil {
+		if _, err := eng.Decompose(ctx, ten, knobs, opt, progress); err != nil {
 			t.Fatal(err)
 		}
 		if calls == 0 {
@@ -348,13 +350,14 @@ func TestEngineCachePersistsAcrossEngines(t *testing.T) {
 	cm := countingDPar2(t)
 	dir := t.TempDir()
 	ten := engineTestTensor(13)
+	knobs := withConfig(engineTestConfig())
 	opt := WithMethod(MethodID(cm.Name()))
 	build := func() *Engine {
-		return NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(dir), WithResultCache(1<<22))
+		return NewEngine(WithEngineThreads(2), WithStateDir(dir), WithResultCache(1<<22))
 	}
 
 	eng1 := build()
-	first, err := eng1.Decompose(context.Background(), ten, opt)
+	first, err := eng1.Decompose(context.Background(), ten, knobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +366,7 @@ func TestEngineCachePersistsAcrossEngines(t *testing.T) {
 	before := cm.calls.Load()
 	eng2 := build()
 	defer eng2.Close()
-	second, err := eng2.Decompose(context.Background(), ten, opt)
+	second, err := eng2.Decompose(context.Background(), ten, knobs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +384,7 @@ func TestEngineCachePersistsAcrossEngines(t *testing.T) {
 // and bit-identical continuation.
 func TestEngineSaveResumeStream(t *testing.T) {
 	dir := t.TempDir()
-	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(dir))
+	eng := NewEngine(WithEngineThreads(2), WithStateDir(dir))
 	defer eng.Close()
 	ctx := context.Background()
 
@@ -421,7 +424,7 @@ func TestEngineSaveResumeStream(t *testing.T) {
 // TestEngineSaveStreamNeedsDirForRelative: SaveStream must also work with no
 // state dir when given an explicit path, and reject nil streams.
 func TestEngineSaveStreamValidation(t *testing.T) {
-	eng := NewEngine(WithBaseConfig(engineTestConfig()))
+	eng := NewEngine(WithEngineThreads(2))
 	defer eng.Close()
 	if err := eng.SaveStream(filepath.Join(t.TempDir(), "x.dpc2"), nil); err == nil {
 		t.Fatal("expected error for nil stream")
@@ -481,7 +484,7 @@ func TestNewEngineSweepsStaleTemps(t *testing.T) {
 		}
 	}
 
-	eng := NewEngine(WithBaseConfig(engineTestConfig()), WithStateDir(dir))
+	eng := NewEngine(WithEngineThreads(2), WithStateDir(dir))
 	defer eng.Close()
 
 	if _, err := os.Stat(orphan); !os.IsNotExist(err) {

@@ -59,6 +59,12 @@ type EngineStatsSnapshot = admission.StatsSnapshot
 //	res, err := eng.Decompose(ctx, tensor,
 //		repro.WithMethod(repro.MethodDPar2), repro.WithRank(10))
 //
+// An Engine holds no decomposition knobs: every call resolves its own
+// Options over DefaultSpec, so equal options select equal knobs on any
+// Engine. What an Engine does hold is runtime: the pool (one width rule,
+// WithEngineThreads or WithEnginePool), the Submit queue and its quotas,
+// and the durable state.
+//
 // Every call accepts a context, checked between ALS iterations and between
 // the parallel phases inside one, so jobs are cancellable and
 // deadline-bounded; on cancellation the unwrapped ctx.Err() comes back.
@@ -78,7 +84,6 @@ type EngineStatsSnapshot = admission.StatsSnapshot
 type Engine struct {
 	pool    *compute.Pool
 	ownPool bool
-	base    Config
 
 	// stateDir is the durable-state root (WithStateDir): relative
 	// SaveStream/ResumeStream paths resolve under it and the result cache
@@ -118,8 +123,6 @@ type pendingJob struct {
 type engineSettings struct {
 	pool       *compute.Pool
 	threads    int
-	threadsSet bool
-	base       Config
 	queueDepth int
 	jobWorkers int
 
@@ -133,28 +136,18 @@ type engineSettings struct {
 // EngineOption configures NewEngine.
 type EngineOption func(*engineSettings)
 
-// WithEngineThreads sizes the Engine's own pool from a thread count under
-// the repository's single clamping rule (n <= 0 means serial). Ignored when
-// WithEnginePool is also given.
+// WithEngineThreads sizes the Engine's own pool from a thread count
+// (default DefaultConfig().Threads, the paper's 6) under the repository's
+// single clamping rule (n <= 0 means serial). Ignored when WithEnginePool is
+// also given.
 func WithEngineThreads(n int) EngineOption {
-	return func(s *engineSettings) {
-		s.threads = n
-		s.threadsSet = true
-	}
+	return func(s *engineSettings) { s.threads = n }
 }
 
 // WithEnginePool hands the Engine an existing pool instead of building one.
 // The caller keeps ownership: Close will not close it.
 func WithEnginePool(p *Pool) EngineOption {
 	return func(s *engineSettings) { s.pool = p }
-}
-
-// WithBaseConfig sets the Config every call starts from before per-call
-// Options apply (default DefaultConfig()). Its Pool field is ignored — the
-// Engine's pool always applies — and its Threads field only sizes the
-// Engine's pool when neither WithEngineThreads nor WithEnginePool is given.
-func WithBaseConfig(cfg Config) EngineOption {
-	return func(s *engineSettings) { s.base = cfg }
 }
 
 // WithQueueDepth bounds the Submit queue (default 32). When the queue is
@@ -270,12 +263,12 @@ func WithResultCache(maxBytes int64) EngineOption {
 }
 
 // NewEngine builds an Engine. With no options it owns a pool of width
-// DefaultConfig().Threads (the paper's 6), a base Config of DefaultConfig(),
-// a Submit queue of depth 32, 4 concurrent job workers, and no tenant
-// quotas.
+// DefaultConfig().Threads (the paper's 6), a Submit queue of depth 32, 4
+// concurrent job workers, and no tenant quotas. Every call resolves its
+// knobs from DefaultSpec plus its own Options; the Engine holds none.
 func NewEngine(opts ...EngineOption) *Engine {
 	s := engineSettings{
-		base:       DefaultConfig(),
+		threads:    DefaultConfig().Threads,
 		queueDepth: 32,
 		jobWorkers: 4,
 	}
@@ -285,7 +278,7 @@ func NewEngine(opts ...EngineOption) *Engine {
 		}
 	}
 
-	e := &Engine{base: s.base, stateDir: s.stateDir}
+	e := &Engine{pool: s.pool, stateDir: s.stateDir}
 	if s.stateDir != "" {
 		if err := os.MkdirAll(s.stateDir, 0o755); err != nil {
 			panic(fmt.Sprintf("repro: WithStateDir(%q): %v", s.stateDir, err))
@@ -307,19 +300,10 @@ func NewEngine(opts ...EngineOption) *Engine {
 		}
 		e.cache = cache
 	}
-	switch {
-	case s.pool != nil:
-		e.pool = s.pool
-	case s.threadsSet:
+	if e.pool == nil {
 		e.pool = compute.NewPool(s.threads)
 		e.ownPool = true
-	default:
-		e.pool = compute.NewPool(s.base.Threads)
-		e.ownPool = true
 	}
-	// The Engine's pool is the single parallelism knob from here on.
-	e.base.Pool = nil
-	e.base.Threads = 0
 
 	e.sched = admission.New[pendingJob](admission.Config{
 		Capacity:     s.queueDepth,
@@ -384,50 +368,41 @@ func (e *Engine) isClosed() bool {
 	return e.closed
 }
 
-// newJobSpec seeds a jobSpec from the Engine's base configuration: the
-// base Config's deterministic knobs become the starting Spec (method
-// defaulting to DPar2) and its Progress the starting callback. Options then
-// mutate either.
-func (e *Engine) newJobSpec() jobSpec {
-	return jobSpec{spec: specFromConfig(MethodDPar2, e.base), progress: e.base.Progress}
-}
-
 // prepare is the shared preamble of every Engine call: reject a closed
-// engine, default a nil ctx, compile the per-call options over the base
-// into a jobSpec (canonical Spec + Progress callback), resolve the method
-// against the registry, and materialize the Config pinned to the shared
-// pool. Callers that cannot run all methods pass dpar2Only.
-func (e *Engine) prepare(ctx context.Context, opts []Option, dpar2Only bool, op string) (context.Context, parafac2.Method, jobSpec, Config, error) {
+// engine, default a nil ctx, resolve the per-call options (see resolve),
+// and materialize the Config the call runs: the resolved knobs and
+// Progress callback, pinned to the shared pool. Callers that cannot run all
+// methods pass dpar2Only.
+func (e *Engine) prepare(ctx context.Context, opts []Option, dpar2Only bool, op string) (context.Context, parafac2.Method, Config, error) {
 	if e.isClosed() {
-		return ctx, nil, jobSpec{}, Config{}, ErrEngineClosed
+		return ctx, nil, Config{}, ErrEngineClosed
 	}
 	return e.prepareOpen(ctx, opts, dpar2Only, op)
 }
 
 // prepareOpen is prepare without the closed check — the path jobs drained
 // after Close take (they were accepted before Close and must still run).
-func (e *Engine) prepareOpen(ctx context.Context, opts []Option, dpar2Only bool, op string) (context.Context, parafac2.Method, jobSpec, Config, error) {
+func (e *Engine) prepareOpen(ctx context.Context, opts []Option, dpar2Only bool, op string) (context.Context, parafac2.Method, Config, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m, js, err := e.resolve(opts)
+	m, js, err := resolve(opts)
 	if err != nil {
-		return ctx, nil, js, Config{}, err
+		return ctx, nil, Config{}, err
 	}
 	if dpar2Only && m.Name() != string(MethodDPar2) {
-		return ctx, nil, js, Config{}, fmt.Errorf("repro: %s supports only %s, got %s", op, MethodDPar2, m.Name())
+		return ctx, nil, Config{}, fmt.Errorf("repro: %s supports only %s, got %s", op, MethodDPar2, m.Name())
 	}
 	cfg := js.spec.config(js.progress)
 	cfg.Pool = e.pool
-	cfg.Threads = e.pool.Workers()
-	return ctx, m, js, cfg, nil
+	return ctx, m, cfg, nil
 }
 
-// resolve applies per-call options over the base into a jobSpec, looks the
-// method up (canonicalizing its name) and checks every knob, so an invalid
-// request fails here, before any work starts.
-func (e *Engine) resolve(opts []Option) (parafac2.Method, jobSpec, error) {
-	js := e.newJobSpec()
+// resolve applies per-call options in order over DefaultSpec into a
+// jobSpec, looks the method up (canonicalizing its name) and checks every
+// knob, so an invalid request fails here, before any work starts.
+func resolve(opts []Option) (parafac2.Method, jobSpec, error) {
+	js := jobSpec{spec: DefaultSpec()}
 	for _, o := range opts {
 		if o != nil {
 			o(&js)
@@ -444,11 +419,11 @@ func (e *Engine) resolve(opts []Option) (parafac2.Method, jobSpec, error) {
 	return m, js, nil
 }
 
-// Decompose runs one decomposition synchronously on the shared pool: the
-// Engine's base Config plus opts select the algorithm (default MethodDPar2)
-// and its parameters. It is the single entry point every algorithm runs
-// through, dispatched by name via the method registry. A result-cache hit
-// comes back decoded.
+// Decompose runs one decomposition synchronously on the shared pool: opts
+// over DefaultSpec select the algorithm (default MethodDPar2) and its
+// parameters. It is the single entry point every algorithm runs through,
+// dispatched by name via the method registry. A result-cache hit comes back
+// decoded.
 func (e *Engine) Decompose(ctx context.Context, t *Irregular, opts ...Option) (*Result, error) {
 	if e.isClosed() {
 		return nil, ErrEngineClosed
@@ -473,12 +448,11 @@ func (e *Engine) decompose(ctx context.Context, job Job) JobResult {
 	if t == nil {
 		return JobResult{Tag: job.Tag, Err: errors.New("repro: Decompose with nil tensor")}
 	}
-	ctx, m, js, cfg, err := e.prepareOpen(ctx, job.Options, false, "Decompose")
+	ctx, m, cfg, err := e.prepareOpen(ctx, job.Options, false, "Decompose")
 	if err != nil {
 		return JobResult{Tag: job.Tag, Err: err}
 	}
-	js.digest = job.Digest
-	key, cacheable := e.resultCacheKey(m, t, js)
+	key, cacheable := e.resultCacheKey(m, t, cfg, job.Digest)
 	if cacheable {
 		enc, hit := e.cacheLookup(key)
 		e.sched.NoteCache(job.Tenant, hit)
@@ -509,7 +483,7 @@ func (e *Engine) Compress(ctx context.Context, t *Irregular, opts ...Option) (*C
 	if t == nil {
 		return nil, errors.New("repro: Compress with nil tensor")
 	}
-	ctx, _, _, cfg, err := e.prepare(ctx, opts, true, "Compress")
+	ctx, _, cfg, err := e.prepare(ctx, opts, true, "Compress")
 	if err != nil {
 		return nil, err
 	}
@@ -527,7 +501,7 @@ func (e *Engine) DecomposeCompressed(ctx context.Context, c *Compressed, opts ..
 	if c == nil {
 		return nil, errors.New("repro: DecomposeCompressed with nil Compressed")
 	}
-	ctx, _, _, cfg, err := e.prepare(ctx, opts, true, "DecomposeCompressed")
+	ctx, _, cfg, err := e.prepare(ctx, opts, true, "DecomposeCompressed")
 	if err != nil {
 		return nil, err
 	}
@@ -544,7 +518,7 @@ func (e *Engine) NewStream(ctx context.Context, initial *Irregular, opts ...Opti
 	if initial == nil {
 		return nil, errors.New("repro: NewStream with nil tensor")
 	}
-	ctx, _, _, cfg, err := e.prepare(ctx, opts, true, "NewStream")
+	ctx, _, cfg, err := e.prepare(ctx, opts, true, "NewStream")
 	if err != nil {
 		return nil, err
 	}

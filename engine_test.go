@@ -26,6 +26,10 @@ func engineTestConfig() Config {
 	return cfg
 }
 
+// withConfig is the option that runs a call under cfg's deterministic
+// knobs: the Engine tests pass it first, before each call's own options.
+func withConfig(cfg Config) Option { return WithSpec(specFromConfig(MethodDPar2, cfg)) }
+
 // TestEngineDecomposeMatchesFreeFunctions: all four algorithms run through
 // Engine.Decompose via the registry, bit-identical to calling each
 // algorithm's function directly (which also satisfies the < 1e-9
@@ -34,7 +38,7 @@ func TestEngineDecomposeMatchesFreeFunctions(t *testing.T) {
 	ten := engineTestTensor(1)
 	cfg := engineTestConfig()
 
-	eng := NewEngine(WithEngineThreads(3), WithBaseConfig(cfg))
+	eng := NewEngine(WithEngineThreads(3))
 	defer eng.Close()
 	ctx := context.Background()
 
@@ -49,7 +53,7 @@ func TestEngineDecomposeMatchesFreeFunctions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Decompose(ctx, ten, WithMethod(id))
+		got, err := eng.Decompose(ctx, ten, withConfig(cfg), WithMethod(id))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -63,12 +67,43 @@ func TestEngineDecomposeMatchesFreeFunctions(t *testing.T) {
 	}
 }
 
+// TestEngineWidthRule: the Engine's pool width has one rule. It starts at
+// DefaultConfig().Threads (the paper's 6); WithEngineThreads sets it under
+// compute.NewPool's clamping (n <= 0 is serial); WithEnginePool supplies
+// the pool itself, whatever thread count is also given.
+func TestEngineWidthRule(t *testing.T) {
+	shared := NewEngine(WithEngineThreads(3))
+	defer shared.Close()
+	p := shared.Pool()
+	for _, c := range []struct {
+		name  string
+		opts  []EngineOption
+		width int
+		pool  *Pool
+	}{
+		{name: "default", width: 6},
+		{name: "threads 2", opts: []EngineOption{WithEngineThreads(2)}, width: 2},
+		{name: "threads 0", opts: []EngineOption{WithEngineThreads(0)}, width: 1},
+		{name: "pool", opts: []EngineOption{WithEnginePool(p)}, width: 3, pool: p},
+		{name: "pool over threads", opts: []EngineOption{WithEngineThreads(2), WithEnginePool(p)}, width: 3, pool: p},
+	} {
+		eng := NewEngine(c.opts...)
+		if got := eng.Pool().Workers(); got != c.width {
+			t.Errorf("%s: width %d, want %d", c.name, got, c.width)
+		}
+		if c.pool != nil && eng.Pool() != c.pool {
+			t.Errorf("%s: the Engine built its own pool instead of using the supplied one", c.name)
+		}
+		eng.Close()
+	}
+}
+
 // TestEngineSubmitConcurrentBitIdentical: >= 8 concurrent jobs (mixed
 // methods and seeds) on one shared pool produce exactly the results of
 // serial runs with the same options.
 func TestEngineSubmitConcurrentBitIdentical(t *testing.T) {
 	cfg := engineTestConfig()
-	eng := NewEngine(WithEngineThreads(4), WithBaseConfig(cfg), WithJobConcurrency(6))
+	eng := NewEngine(WithEngineThreads(4), WithJobConcurrency(6))
 	defer eng.Close()
 	ctx := context.Background()
 
@@ -112,7 +147,7 @@ func TestEngineSubmitConcurrentBitIdentical(t *testing.T) {
 			Tensor: c.ten,
 			Tag:    fmt.Sprint(i),
 			Options: []Option{
-				WithMethod(c.method), WithSeed(c.seed),
+				withConfig(cfg), WithMethod(c.method), WithSeed(c.seed),
 			},
 		})
 	}
@@ -142,14 +177,15 @@ func TestEngineSubmitCancelledWhileQueued(t *testing.T) {
 	cfg.MaxIters = 200
 	cfg.Tol = 0
 	// One worker, so the second job has to wait in the queue.
-	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg), WithJobConcurrency(1))
+	eng := NewEngine(WithEngineThreads(1), WithJobConcurrency(1))
 	defer eng.Close()
+	knobs := []Option{withConfig(cfg)}
 
 	big := engineTestTensor(5)
-	first := eng.Submit(context.Background(), Job{Tensor: big, Tag: "long"})
+	first := eng.Submit(context.Background(), Job{Tensor: big, Tag: "long", Options: knobs})
 
 	ctx, cancel := context.WithCancel(context.Background())
-	queued := eng.Submit(ctx, Job{Tensor: engineTestTensor(6), Tag: "queued"})
+	queued := eng.Submit(ctx, Job{Tensor: engineTestTensor(6), Tag: "queued", Options: knobs})
 	cancel()
 
 	jr := <-queued
@@ -167,7 +203,7 @@ func TestEngineSubmitCancelledMidRun(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.MaxIters = 10000
 	cfg.Tol = 0
-	eng := NewEngine(WithEngineThreads(2), WithBaseConfig(cfg))
+	eng := NewEngine(WithEngineThreads(2))
 	defer eng.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -176,7 +212,7 @@ func TestEngineSubmitCancelledMidRun(t *testing.T) {
 	ch := eng.Submit(ctx, Job{
 		Tensor: engineTestTensor(7),
 		Tag:    "cancel-me",
-		Options: []Option{WithProgress(func(iter int, _ float64) bool {
+		Options: []Option{withConfig(cfg), WithProgress(func(iter int, _ float64) bool {
 			if !once {
 				once = true
 				close(started)
@@ -199,25 +235,25 @@ func TestEngineSubmitCancelledMidRun(t *testing.T) {
 // TestEngineCloseSemantics: accepted jobs finish, later calls fail with
 // ErrEngineClosed, and Close is idempotent.
 func TestEngineCloseSemantics(t *testing.T) {
-	cfg := engineTestConfig()
-	eng := NewEngine(WithBaseConfig(cfg))
+	knobs := []Option{withConfig(engineTestConfig())}
+	eng := NewEngine(WithEngineThreads(2))
 	ctx := context.Background()
 	ten := engineTestTensor(8)
 
-	accepted := eng.Submit(ctx, Job{Tensor: ten, Tag: "accepted"})
+	accepted := eng.Submit(ctx, Job{Tensor: ten, Tag: "accepted", Options: knobs})
 	eng.Close()
 	eng.Close() // idempotent
 
 	if jr := <-accepted; jr.Err != nil {
 		t.Fatalf("job accepted before Close must finish, got %v", jr.Err)
 	}
-	if jr := <-eng.Submit(ctx, Job{Tensor: ten}); !errors.Is(jr.Err, ErrEngineClosed) {
+	if jr := <-eng.Submit(ctx, Job{Tensor: ten, Options: knobs}); !errors.Is(jr.Err, ErrEngineClosed) {
 		t.Fatalf("Submit after Close: err = %v, want ErrEngineClosed", jr.Err)
 	}
-	if _, err := eng.Decompose(ctx, ten); !errors.Is(err, ErrEngineClosed) {
+	if _, err := eng.Decompose(ctx, ten, knobs...); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("Decompose after Close: err = %v, want ErrEngineClosed", err)
 	}
-	if _, err := eng.Compress(ctx, ten); !errors.Is(err, ErrEngineClosed) {
+	if _, err := eng.Compress(ctx, ten, knobs...); !errors.Is(err, ErrEngineClosed) {
 		t.Fatalf("Compress after Close: err = %v, want ErrEngineClosed", err)
 	}
 }
@@ -336,8 +372,8 @@ func TestEngineDPar2OnlyEndpoints(t *testing.T) {
 // ErrEngineClosed promptly instead of deadlocking.
 func TestEngineSubmitFullQueueDoesNotBlockOtherCalls(t *testing.T) {
 	ten := engineTestTensor(7)
-	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(engineTestConfig()),
-		WithQueueDepth(1), WithJobConcurrency(1))
+	knobs := withConfig(engineTestConfig())
+	eng := NewEngine(WithEngineThreads(1), WithQueueDepth(1), WithJobConcurrency(1))
 
 	// Job A occupies the single worker until released.
 	running := make(chan struct{})
@@ -348,13 +384,13 @@ func TestEngineSubmitFullQueueDoesNotBlockOtherCalls(t *testing.T) {
 		<-release
 		return true
 	})
-	chA := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "A", Options: []Option{hold}})
+	chA := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "A", Options: []Option{knobs, hold}})
 	<-running
 
 	// Job B fills the queue's only slot; job C blocks in the queue send.
-	chB := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "B"})
+	chB := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "B", Options: []Option{knobs}})
 	chC := make(chan (<-chan JobResult), 1)
-	go func() { chC <- eng.Submit(context.Background(), Job{Tensor: ten, Tag: "C"}) }()
+	go func() { chC <- eng.Submit(context.Background(), Job{Tensor: ten, Tag: "C", Options: []Option{knobs}}) }()
 	time.Sleep(50 * time.Millisecond) // let C reach the blocking send
 
 	closed := make(chan struct{})
@@ -366,7 +402,7 @@ func TestEngineSubmitFullQueueDoesNotBlockOtherCalls(t *testing.T) {
 	go func() {
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			_, err := eng.Decompose(context.Background(), ten)
+			_, err := eng.Decompose(context.Background(), ten, knobs)
 			if errors.Is(err, ErrEngineClosed) {
 				decided <- nil
 				return
@@ -460,25 +496,26 @@ func TestEnginePriorityUnderSaturation(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 3
+	knobs := withConfig(cfg)
 	rec := &startRecorder{}
-	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg), WithJobConcurrency(1))
+	eng := NewEngine(WithEngineThreads(1), WithJobConcurrency(1))
 	defer eng.Close()
 	ctx := context.Background()
 	ten := engineTestTensor(20)
 
 	hold, running, release := gateJob()
 	gate := eng.Submit(ctx, Job{Tensor: ten, Tag: "gate", Tenant: "gate",
-		Options: []Option{rec.option("gate", hold)}})
+		Options: []Option{knobs, rec.option("gate", hold)}})
 	<-running
 
 	const backlog = 4
 	lo := make([]<-chan JobResult, backlog)
 	for i := range lo {
 		lo[i] = eng.Submit(ctx, Job{Tensor: ten, Tag: fmt.Sprintf("lo-%d", i),
-			Tenant: "batch", Priority: 0, Options: []Option{WithSeed(uint64(i)), rec.option("batch", nil)}})
+			Tenant: "batch", Priority: 0, Options: []Option{knobs, WithSeed(uint64(i)), rec.option("batch", nil)}})
 	}
 	hi := eng.Submit(ctx, Job{Tensor: ten, Tag: "hi", Tenant: "urgent", Priority: 10,
-		Options: []Option{rec.option("urgent", nil)}})
+		Options: []Option{knobs, rec.option("urgent", nil)}})
 
 	close(release)
 	jr := <-hi
@@ -511,18 +548,18 @@ func TestEngineTenantQuotaReject(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 2
-	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg),
-		WithJobConcurrency(1), WithTenantQuota(1, 1))
+	knobs := withConfig(cfg)
+	eng := NewEngine(WithEngineThreads(1), WithJobConcurrency(1), WithTenantQuota(1, 1))
 	defer eng.Close()
 	ctx := context.Background()
 	ten := engineTestTensor(21)
 
 	hold, running, release := gateJob()
-	gate := eng.Submit(ctx, Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{WithProgress(hold)}})
+	gate := eng.Submit(ctx, Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{knobs, WithProgress(hold)}})
 	<-running
 
-	queued := eng.Submit(ctx, Job{Tensor: ten, Tag: "q", Tenant: "noisy"})
-	over := <-eng.Submit(ctx, Job{Tensor: ten, Tag: "over", Tenant: "noisy"})
+	queued := eng.Submit(ctx, Job{Tensor: ten, Tag: "q", Tenant: "noisy", Options: []Option{knobs}})
+	over := <-eng.Submit(ctx, Job{Tensor: ten, Tag: "over", Tenant: "noisy", Options: []Option{knobs}})
 	if !errors.Is(over.Err, ErrQuotaExceeded) {
 		t.Fatalf("over-quota submit err = %v, want ErrQuotaExceeded", over.Err)
 	}
@@ -531,7 +568,7 @@ func TestEngineTenantQuotaReject(t *testing.T) {
 		t.Fatalf("quota error %v must carry the tenant", over.Err)
 	}
 	// The rejection consumed no queue slot: another tenant still fits.
-	other := eng.Submit(ctx, Job{Tensor: ten, Tag: "other", Tenant: "quiet"})
+	other := eng.Submit(ctx, Job{Tensor: ten, Tag: "other", Tenant: "quiet", Options: []Option{knobs}})
 
 	close(release)
 	for tag, ch := range map[string]<-chan JobResult{"gate": gate, "q": queued, "other": other} {
@@ -551,17 +588,17 @@ func TestEngineQuotaReleasedOnCancelWhileQueued(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 2
-	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg),
-		WithJobConcurrency(1), WithTenantQuota(1, 1))
+	knobs := withConfig(cfg)
+	eng := NewEngine(WithEngineThreads(1), WithJobConcurrency(1), WithTenantQuota(1, 1))
 	defer eng.Close()
 	ten := engineTestTensor(22)
 
 	hold, running, release := gateJob()
-	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{WithProgress(hold)}})
+	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Tenant: "gate", Options: []Option{knobs, WithProgress(hold)}})
 	<-running
 
 	ctx, cancel := context.WithCancel(context.Background())
-	queued := eng.Submit(ctx, Job{Tensor: ten, Tag: "q", Tenant: "noisy"})
+	queued := eng.Submit(ctx, Job{Tensor: ten, Tag: "q", Tenant: "noisy", Options: []Option{knobs}})
 	cancel()
 	if jr := <-queued; !errors.Is(jr.Err, context.Canceled) {
 		t.Fatalf("cancelled-while-queued err = %v, want context.Canceled", jr.Err)
@@ -571,7 +608,7 @@ func TestEngineQuotaReleasedOnCancelWhileQueued(t *testing.T) {
 	var retry <-chan JobResult
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		jrCh := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "retry", Tenant: "noisy"})
+		jrCh := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "retry", Tenant: "noisy", Options: []Option{knobs}})
 		select {
 		case jr := <-jrCh:
 			if !errors.Is(jr.Err, ErrQuotaExceeded) {
@@ -602,8 +639,7 @@ func TestEngineQuotaReleasedOnCancelWhileQueued(t *testing.T) {
 // run with the same tensor and options, whatever the queue contention.
 func TestEnginePriorityDeterminism(t *testing.T) {
 	cfg := engineTestConfig()
-	eng := NewEngine(WithEngineThreads(3), WithBaseConfig(cfg),
-		WithJobConcurrency(2), WithQueueDepth(4))
+	eng := NewEngine(WithEngineThreads(3), WithJobConcurrency(2), WithQueueDepth(4))
 	defer eng.Close()
 	ctx := context.Background()
 
@@ -628,7 +664,7 @@ func TestEnginePriorityDeterminism(t *testing.T) {
 			Tag:      fmt.Sprint(i),
 			Tenant:   fmt.Sprintf("t%d", i%3),
 			Priority: (i * 7) % 5, // scrambled priorities reorder the queue
-			Options:  []Option{WithSeed(uint64(i))},
+			Options:  []Option{withConfig(cfg), WithSeed(uint64(i))},
 		})
 	}
 	for i, ch := range pending {
@@ -652,7 +688,7 @@ func TestEngineStatsAccounting(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 2
-	eng := NewEngine(WithEngineThreads(2), WithBaseConfig(cfg), WithJobConcurrency(2))
+	eng := NewEngine(WithEngineThreads(2), WithJobConcurrency(2))
 	ctx := context.Background()
 
 	const jobs = 8
@@ -661,7 +697,7 @@ func TestEngineStatsAccounting(t *testing.T) {
 		pending[i] = eng.Submit(ctx, Job{
 			Tensor:  engineTestTensor(uint64(40 + i)),
 			Tenant:  fmt.Sprintf("tenant-%d", i%2),
-			Options: []Option{WithSeed(uint64(i))},
+			Options: []Option{withConfig(cfg), WithSeed(uint64(i))},
 		})
 	}
 	for _, ch := range pending {
@@ -704,8 +740,7 @@ func TestEngineSubmitVsCloseRace(t *testing.T) {
 	cfg.Rank = 3
 	cfg.MaxIters = 2
 	for round := 0; round < 3; round++ {
-		eng := NewEngine(WithEngineThreads(2), WithBaseConfig(cfg),
-			WithJobConcurrency(2), WithQueueDepth(4), WithTenantQuota(8, 8))
+		eng := NewEngine(WithEngineThreads(2), WithJobConcurrency(2), WithQueueDepth(4), WithTenantQuota(8, 8))
 		ten := engineTestTensor(uint64(50 + round))
 
 		const submitters = 6
@@ -723,7 +758,7 @@ func TestEngineSubmitVsCloseRace(t *testing.T) {
 						Tag:      fmt.Sprintf("%d-%d", s, i),
 						Tenant:   fmt.Sprintf("t%d", s%3),
 						Priority: i % 3,
-						Options:  []Option{WithSeed(uint64(i))},
+						Options:  []Option{withConfig(cfg), WithSeed(uint64(i))},
 					})
 					if i%2 == 0 {
 						cancel()
@@ -757,11 +792,12 @@ func TestEngineDrainedAfterCloseComplete(t *testing.T) {
 	cfg := engineTestConfig()
 	cfg.Rank = 3
 	cfg.MaxIters = 2
-	eng := NewEngine(WithEngineThreads(1), WithBaseConfig(cfg), WithJobConcurrency(1))
+	knobs := withConfig(cfg)
+	eng := NewEngine(WithEngineThreads(1), WithJobConcurrency(1))
 	ten := engineTestTensor(60)
 
 	hold, running, release := gateJob()
-	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Options: []Option{WithProgress(hold)}})
+	gate := eng.Submit(context.Background(), Job{Tensor: ten, Tag: "gate", Options: []Option{knobs, WithProgress(hold)}})
 	<-running
 
 	const backlog = 5
@@ -770,6 +806,7 @@ func TestEngineDrainedAfterCloseComplete(t *testing.T) {
 		pending[i] = eng.Submit(context.Background(), Job{
 			Tensor: ten, Tag: fmt.Sprint(i),
 			Tenant: fmt.Sprintf("t%d", i%2), Priority: i % 3,
+			Options: []Option{knobs},
 		})
 	}
 	closed := make(chan struct{})
@@ -798,9 +835,8 @@ func TestEngineDrainedAfterCloseComplete(t *testing.T) {
 // the identical value.
 func TestEngineFitnessAfterClose(t *testing.T) {
 	ten := engineTestTensor(61)
-	cfg := engineTestConfig()
-	eng := NewEngine(WithEngineThreads(2), WithBaseConfig(cfg))
-	res, err := eng.Decompose(context.Background(), ten)
+	eng := NewEngine(WithEngineThreads(2))
+	res, err := eng.Decompose(context.Background(), ten, withConfig(engineTestConfig()))
 	if err != nil {
 		t.Fatal(err)
 	}

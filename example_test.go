@@ -61,23 +61,18 @@ func ExampleEngine_Submit() {
 	// job-2 fit>0.9: true
 }
 
-// ExampleWithBaseConfig decomposes a small irregular tensor with DPar2 from
-// a Config built up front, and reports the fitness. The Config's Threads
-// field sizes the Engine's pool.
-func ExampleWithBaseConfig() {
+// ExampleOption decomposes a small irregular tensor with DPar2 under
+// per-call options, and reports the fitness. The options apply over
+// DefaultSpec; the Engine's pool width is an EngineOption of its own.
+func ExampleOption() {
 	g := repro.NewRNG(1)
 	// Exact rank-3 PARAFAC2 structure: fitness must reach ~1.
 	ten := repro.LowRankTensor(g, []int{40, 60, 50}, 20, 3, 0)
 
-	cfg := repro.DefaultConfig()
-	cfg.Rank = 3
-	cfg.MaxIters = 200
-	cfg.Tol = 1e-12
-	cfg.Threads = 1
-
-	eng := repro.NewEngine(repro.WithBaseConfig(cfg))
+	eng := repro.NewEngine(repro.WithEngineThreads(1))
 	defer eng.Close()
-	res, err := eng.Decompose(context.Background(), ten)
+	res, err := eng.Decompose(context.Background(), ten,
+		repro.WithRank(3), repro.WithMaxIters(200), repro.WithTolerance(1e-12))
 	if err != nil {
 		panic(err)
 	}

@@ -14,16 +14,16 @@ import (
 	"repro/internal/rng"
 )
 
-// testEngine is a two-wide Engine whose calls default to rank 5 and at most
-// 5 iterations; the test closes it.
+// testEngine is a two-wide Engine; the test closes it.
 func testEngine(tb testing.TB) *repro.Engine {
-	cfg := repro.DefaultConfig()
-	cfg.Rank = 5
-	cfg.MaxIters = 5
-	eng := repro.NewEngine(repro.WithEngineThreads(2), repro.WithBaseConfig(cfg))
+	eng := repro.NewEngine(repro.WithEngineThreads(2))
 	tb.Cleanup(eng.Close)
 	return eng
 }
+
+// testOpts are the per-call options the runners get unless a test sets its
+// own: rank 5 and at most 5 iterations.
+var testOpts = []repro.Option{repro.WithRank(5), repro.WithMaxIters(5)}
 
 func TestLoadAllDatasets(t *testing.T) {
 	ds := LoadAll(1, ScaleTest)
@@ -82,7 +82,7 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 
 func TestFig1OnSubset(t *testing.T) {
 	ds := LoadAll(2, ScaleTest)[:2]
-	results, err := Fig1(context.Background(), testEngine(t), ds, []int{4})
+	results, err := Fig1(context.Background(), testEngine(t), ds, []int{4}, testOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestFig1OnSubset(t *testing.T) {
 
 func TestFig9And10Tables(t *testing.T) {
 	ds := LoadAll(3, ScaleTest)[:2]
-	results, err := Fig9(context.Background(), testEngine(t), ds)
+	results, err := Fig9(context.Background(), testEngine(t), ds, testOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestFig11aSizes(t *testing.T) {
 }
 
 func TestFig11aSweepTiny(t *testing.T) {
-	results, err := Fig11a(context.Background(), testEngine(t), 4, [][3]int{{20, 15, 6}, {25, 15, 8}})
+	results, err := Fig11a(context.Background(), testEngine(t), 4, [][3]int{{20, 15, 6}, {25, 15, 8}}, testOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestFig11aSweepTiny(t *testing.T) {
 }
 
 func TestFig11bSweepTiny(t *testing.T) {
-	results, err := Fig11b(context.Background(), testEngine(t), 5, 25, 20, 6, []int{3, 5})
+	results, err := Fig11b(context.Background(), testEngine(t), 5, 25, 20, 6, []int{3, 5}, testOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestFig11bSweepTiny(t *testing.T) {
 }
 
 func TestFig11cSweepTiny(t *testing.T) {
-	pts, err := Fig11c(context.Background(), testEngine(t), 6, 30, 20, 8, []int{1, 2})
+	pts, err := Fig11c(context.Background(), testEngine(t), 6, 30, 20, 8, []int{1, 2}, testOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestTableII(t *testing.T) {
 
 func TestFig12CorrelationStructure(t *testing.T) {
 	us, _ := Load(9, ScaleTest, "US Stock")
-	corr, labels, err := Fig12(context.Background(), testEngine(t), us)
+	corr, labels, err := Fig12(context.Background(), testEngine(t), us, testOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestTableIIIDiscovery(t *testing.T) {
 			target = i
 		}
 	}
-	res, err := TableIII(context.Background(), testEngine(t), us, target, 3, 0.01)
+	res, err := TableIII(context.Background(), testEngine(t), us, target, 3, 0.01, testOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestFig12MarketContrast(t *testing.T) {
 	}
 }
 
-// --- Per-figure benchmarks: each runner at the -scale test sizes on testEngine
+// --- Per-figure benchmarks: each runner at the -scale test sizes on testEngine, under testOpts
 
 // benchRuns runs run b.N times after the set-up and returns the last run's
 // value.
@@ -351,7 +351,7 @@ func BenchmarkLoadAll(b *testing.B) {
 
 func BenchmarkFig1(b *testing.B) {
 	ds, eng := LoadAll(1, ScaleTest), testEngine(b)
-	results := benchRuns(b, func() ([]MethodResult, error) { return Fig1(context.Background(), eng, ds, []int{5}) })
+	results := benchRuns(b, func() ([]MethodResult, error) { return Fig1(context.Background(), eng, ds, []int{5}, testOpts...) })
 	reportMethods(b, results, repro.Methods(), "fitness", func(r MethodResult) float64 { return r.Fitness })
 }
 
@@ -360,7 +360,7 @@ func BenchmarkFig1(b *testing.B) {
 // 9(b)'s time per iteration for every method.
 func BenchmarkFig9(b *testing.B) {
 	ds, eng := LoadAll(1, ScaleTest), testEngine(b)
-	results := benchRuns(b, func() ([]MethodResult, error) { return Fig9(context.Background(), eng, ds) })
+	results := benchRuns(b, func() ([]MethodResult, error) { return Fig9(context.Background(), eng, ds, testOpts...) })
 	pre := []string{string(repro.MethodDPar2), string(repro.MethodRDALS)}
 	reportMethods(b, results, pre, "preprocess-ms", func(r MethodResult) float64 { return r.PreprocessTime.Seconds() * 1e3 })
 	reportMethods(b, results, repro.Methods(), "ms/als-iter", func(r MethodResult) float64 { return r.TimePerIter.Seconds() * 1e3 })
@@ -371,14 +371,16 @@ func BenchmarkFig9(b *testing.B) {
 
 func BenchmarkFig11a(b *testing.B) {
 	eng := testEngine(b)
-	results := benchRuns(b, func() ([]MethodResult, error) { return Fig11a(context.Background(), eng, 1, Fig11aSizes(40)) })
+	results := benchRuns(b, func() ([]MethodResult, error) {
+		return Fig11a(context.Background(), eng, 1, Fig11aSizes(40), testOpts...)
+	})
 	reportMethods(b, results, repro.Methods(), "s", totalSecs)
 }
 
 func BenchmarkFig11b(b *testing.B) {
 	eng := testEngine(b)
 	results := benchRuns(b, func() ([]MethodResult, error) {
-		return Fig11b(context.Background(), eng, 1, 60, 50, 10, []int{5, 10})
+		return Fig11b(context.Background(), eng, 1, 60, 50, 10, []int{5, 10}, testOpts...)
 	})
 	reportMethods(b, results, repro.Methods(), "s", totalSecs)
 }
@@ -386,7 +388,7 @@ func BenchmarkFig11b(b *testing.B) {
 func BenchmarkFig11c(b *testing.B) {
 	eng := testEngine(b)
 	pts := benchRuns(b, func() ([]ThreadPoint, error) {
-		return Fig11c(context.Background(), eng, 1, 60, 50, 10, []int{1, 2})
+		return Fig11c(context.Background(), eng, 1, 60, 50, 10, []int{1, 2}, testOpts...)
 	})
 	for _, p := range pts {
 		b.ReportMetric(p.Time.Seconds(), fmt.Sprintf("threads%d-s", p.Threads))

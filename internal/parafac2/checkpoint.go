@@ -15,8 +15,7 @@ import (
 // word encoding — see state.Encoder):
 //
 //	"DPC2" | version=1 |
-//	config: R, MaxIters, Tol, Seed, Oversample, PowerIters, ShardRows,
-//	        Ridge, NonnegativeS |
+//	config: the nine knobs as Config.EncodeKnobs writes them |
 //	stream: absorbed, RefreshIters, RNG state (4 words + Box-Muller spare) |
 //	compressed: J, K, I_1..I_K | A_1..A_K | D | E | F_1..F_K |
 //	result: present?, kRes, Iters, Fitness, FitnessKind, PreprocessedBytes |
@@ -40,6 +39,41 @@ const (
 	checkpointMagic   = "DPC2"
 	checkpointVersion = 1
 )
+
+// EncodeKnobs writes c's nine deterministic knobs in their one persisted
+// layout: Rank, MaxIters, Tol, Seed, Oversample, PowerIters, ShardRows,
+// Ridge and NonnegativeS, as U64, U64, F64, U64, U64, U64, I64, F64 and
+// Bool words. A DPC2 checkpoint stores them as configured; the result-cache
+// key encodes a copy whose ShardRows is ShardRowsThreshold(), so a default
+// and an explicit DefaultShardRows share an entry. The runtime bindings
+// (Threads, Pool, Progress) are not knobs and are not written.
+func (c Config) EncodeKnobs(enc *state.Encoder) {
+	enc.U64(uint64(c.Rank))
+	enc.U64(uint64(c.MaxIters))
+	enc.F64(c.Tol)
+	enc.U64(c.Seed)
+	enc.U64(uint64(c.Oversample))
+	enc.U64(uint64(c.PowerIters))
+	enc.I64(int64(c.ShardRows))
+	enc.F64(c.Ridge)
+	enc.Bool(c.NonnegativeS)
+}
+
+// decodeKnobs reads the knobs EncodeKnobs wrote into a Config whose runtime
+// bindings are zero.
+func decodeKnobs(dec *state.Decoder) Config {
+	return Config{
+		Rank:         int(dec.U64()),
+		MaxIters:     int(dec.U64()),
+		Tol:          dec.F64(),
+		Seed:         dec.U64(),
+		Oversample:   int(dec.U64()),
+		PowerIters:   int(dec.U64()),
+		ShardRows:    int(dec.I64()),
+		Ridge:        dec.F64(),
+		NonnegativeS: dec.Bool(),
+	}
+}
 
 // ErrCheckpoint reports a checkpoint payload that could not be decoded —
 // truncated, corrupt, or structurally inconsistent. errors.Is(err,
@@ -78,16 +112,7 @@ func (s *StreamingDPar2) Checkpoint(w io.Writer) error {
 	enc.U64(checkpointVersion)
 
 	// Config (deterministic knobs only — see the format comment).
-	cfg := s.cfg
-	enc.U64(uint64(cfg.Rank))
-	enc.U64(uint64(cfg.MaxIters))
-	enc.F64(cfg.Tol)
-	enc.U64(cfg.Seed)
-	enc.U64(uint64(cfg.Oversample))
-	enc.U64(uint64(cfg.PowerIters))
-	enc.I64(int64(cfg.ShardRows))
-	enc.F64(cfg.Ridge)
-	enc.Bool(cfg.NonnegativeS)
+	s.cfg.EncodeKnobs(enc)
 
 	// Stream position and RNG.
 	enc.U64(uint64(s.absorbed))
@@ -159,21 +184,9 @@ func RestoreStream(r io.Reader, cfg Config) (*StreamingDPar2, error) {
 		return nil, ckptErrf("unsupported version %d", v)
 	}
 
-	stored := Config{
-		Rank:         int(dec.U64()),
-		MaxIters:     int(dec.U64()),
-		Tol:          dec.F64(),
-		Seed:         dec.U64(),
-		Oversample:   int(dec.U64()),
-		PowerIters:   int(dec.U64()),
-		ShardRows:    int(dec.I64()),
-		Ridge:        dec.F64(),
-		NonnegativeS: dec.Bool(),
-		// Runtime bindings from the caller.
-		Threads:  cfg.Threads,
-		Pool:     cfg.Pool,
-		Progress: cfg.Progress,
-	}
+	stored := decodeKnobs(dec)
+	// Runtime bindings from the caller.
+	stored.Threads, stored.Pool, stored.Progress = cfg.Threads, cfg.Pool, cfg.Progress
 	absorbed := int(dec.U64())
 	refreshIters := int(dec.I64())
 	var rngState rng.State

@@ -19,15 +19,16 @@ import (
 )
 
 // SpecRequest is the wire form of a request's decomposition parameters:
-// every field optional, absent fields falling back to the serving Engine's
-// base configuration. Present fields compile to the corresponding repro
-// functional option (and so validate exactly like an in-process call); the
-// server echoes the fully resolved canonical repro.Spec back in responses,
-// which a client may replay verbatim via Full for bit-identical reruns.
+// every field optional, absent fields falling back to repro.DefaultSpec,
+// as an in-process call without that option does. Present fields compile
+// to the corresponding repro functional option (and so validate exactly
+// like an in-process call); the server echoes the fully resolved canonical
+// repro.Spec back in responses, which a client may replay verbatim via
+// Full for bit-identical reruns.
 type SpecRequest struct {
-	// Full, when non-nil, replaces the Engine's base entirely with a
-	// complete canonical Spec (repro.WithSpec); the granular fields below
-	// then apply on top of it.
+	// Full, when non-nil, replaces DefaultSpec entirely with a complete
+	// canonical Spec (repro.WithSpec); the granular fields below then
+	// apply on top of it.
 	Full *repro.Spec `json:"full,omitempty"`
 
 	Method       *string  `json:"method,omitempty"`

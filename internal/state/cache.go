@@ -22,9 +22,11 @@ const cacheSuffix = ".cache"
 // atomically with a checksum trailer, and evicted least-recently-used once
 // total payload bytes exceed the configured bound.
 //
-// All methods are safe for concurrent use. Get and Put hold the cache mutex
-// across their file I/O — entries are small (a factorization, not a tensor),
-// and the simplicity buys a consistent view of the LRU list and byte total.
+// All methods are safe for concurrent use. The cache mutex guards the LRU
+// list and byte total. Get holds it across its one read of an entry. Put
+// writes its entry outside it (the write, two fsyncs and the rename take
+// milliseconds) and takes it only to index the renamed file and evict, so a
+// lookup never waits behind a store.
 type Cache struct {
 	mu       sync.Mutex
 	dir      string
@@ -156,12 +158,14 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // Put stores the payload produced by write under key, atomically and with a
 // checksum trailer, then evicts least-recently-used entries until the cache
 // fits its byte bound again. Overwriting an existing key is allowed.
+//
+// The entry is indexed only if its file is still there once Put holds the
+// mutex: an eviction or a corrupt-entry drop that removed it after the
+// rename leaves neither file nor index entry, and the next lookup misses.
 func (c *Cache) Put(key string, write func(w io.Writer) error) error {
 	if len(key) != 2*sha256.Size || !isHex(key) {
 		return fmt.Errorf("state: invalid cache key %q", key)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	path := c.path(key)
 	err := WriteFileAtomic(path, func(w io.Writer) error {
 		sw := NewSumWriter(w)
@@ -173,6 +177,8 @@ func (c *Cache) Put(key string, write func(w io.Writer) error) error {
 	if err != nil {
 		return err
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	info, err := os.Stat(path)
 	if err != nil {
 		return fmt.Errorf("state: stat cache entry: %w", err)

@@ -8,7 +8,9 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 )
 
 func TestWriteFileAtomicRoundtrip(t *testing.T) {
@@ -336,6 +338,104 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 				t.Fatal("dropped entry reappeared")
 			}
 		})
+	}
+}
+
+// TestCachePutDoesNotBlockGet: a Put writes its entry outside the cache
+// mutex, so while one Put's writer is blocked a Get of another key returns,
+// and the blocked entry is served once its Put completes.
+func TestCachePutDoesNotBlockGet(t *testing.T) {
+	c, err := OpenCache(t.TempDir(), 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ready, slow := Key([]byte("ready")), Key([]byte("slow"))
+	putEntry(t, c, ready, []byte("stored"))
+
+	writing, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	t.Cleanup(unblock)
+	stored := make(chan error, 1)
+	go func() {
+		stored <- c.Put(slow, func(w io.Writer) error {
+			close(writing)
+			<-release
+			_, err := w.Write([]byte("late"))
+			return err
+		})
+	}()
+	<-writing
+
+	got := make(chan []byte, 1)
+	go func() {
+		payload, _ := c.Get(ready)
+		got <- payload
+	}()
+	select {
+	case payload := <-got:
+		if string(payload) != "stored" {
+			t.Fatalf("Get during a blocked Put = %q, want %q", payload, "stored")
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Get of another key waited behind a blocked Put")
+	}
+
+	unblock()
+	if err := <-stored; err != nil {
+		t.Fatal(err)
+	}
+	if payload, ok := c.Get(slow); !ok || string(payload) != "late" {
+		t.Fatalf("entry after its Put: hit=%v payload=%q", ok, payload)
+	}
+}
+
+// TestCachePutIndexesOnlyAFileThatExists: when an entry's file is removed
+// between Put's rename and its indexing (as a racing eviction or
+// corrupt-entry drop removes it), Put reports the failure and indexes
+// nothing, so the cache holds neither file nor entry and a lookup misses.
+func TestCachePutIndexesOnlyAFileThatExists(t *testing.T) {
+	dir := t.TempDir()
+	c, err := OpenCache(dir, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := Key([]byte("raced"))
+	path := filepath.Join(dir, key+cacheSuffix)
+
+	c.mu.Lock() // hold Put at its indexing step
+	stored := make(chan error, 1)
+	go func() {
+		stored <- c.Put(key, func(w io.Writer) error {
+			_, err := w.Write([]byte("gone before indexed"))
+			return err
+		})
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			c.mu.Unlock()
+			t.Fatal("Put never renamed its entry into place")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := os.Remove(path); err != nil {
+		c.mu.Unlock()
+		t.Fatal(err)
+	}
+	c.mu.Unlock()
+
+	if err := <-stored; err == nil {
+		t.Fatal("Put of a file removed before indexing reported success")
+	}
+	if n, b := c.Len(), c.Bytes(); n != 0 || b != 0 {
+		t.Fatalf("cache indexes %d entries (%d bytes) for a removed file", n, b)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Fatal("lookup hit an entry whose file is gone")
 	}
 }
 

@@ -26,24 +26,23 @@ const (
 func Methods() []string { return parafac2.MethodNames() }
 
 // jobSpec is the resolved per-call request an Engine executes: the
-// canonical serializable Spec (method + the nine deterministic knobs) plus
-// the Progress callback, which deliberately does NOT travel with a Spec.
-// Requests arriving over a transport (internal/service) never carry one;
-// in-process callers layer WithProgress over any Spec. Options mutate the
-// jobSpec; the Engine materializes a Config and pins it to the shared pool
-// afterwards (a per-call Pool/Threads cannot override the Engine's — that is
-// the point of the Engine). digest is a submitted Job's Digest, which the
-// result-cache key reads instead of hashing the tensor; no Option sets it.
+// canonical serializable Spec (method + the nine deterministic knobs),
+// starting at DefaultSpec, plus the Progress callback, which deliberately
+// does NOT travel with a Spec. Requests arriving over a transport
+// (internal/service) never carry one; in-process callers layer WithProgress
+// over any Spec. Options mutate the jobSpec; the Engine materializes a
+// Config and pins it to the shared pool afterwards (a per-call Pool/Threads
+// cannot override the Engine's — that is the point of the Engine).
 type jobSpec struct {
 	spec     Spec
 	progress func(iter int, measure float64) bool
-	digest   *TensorDigest
 }
 
 // Option configures one decomposition request (Engine.Decompose, a submitted
-// Job, Engine.Compress, Engine.NewStream). Options apply in order over the
-// Engine's base Config; a later option wins. The resolved request is
-// validated as a whole (method name and knob ranges, see
+// Job, Engine.Compress, Engine.NewStream). Options apply in order over
+// DefaultSpec, which is the same on every Engine; a later option wins, so
+// a WithSpec goes before the options that adjust it. The resolved request
+// is validated as a whole (method name and knob ranges, see
 // parafac2.Config.CheckKnobs): an invalid value surfaces as an error from
 // the call it was passed to, before any work starts — the per-call half of
 // the repository's validation rule. (EngineOptions, which configure

@@ -26,6 +26,10 @@
 //	if err != nil { ... }
 //	fmt.Println(res.Fitness, res.Iters, res.TotalTime)
 //
+// A call's Options apply in order over DefaultSpec, the paper's settings;
+// the Engine holds no decomposition knobs of its own, only the runtime
+// (pool, job queue, durable state) its calls share.
+//
 // The context is honored between ALS iterations and between the parallel
 // phases inside one, so a decomposition is cancellable and deadline-bounded;
 // on cancellation the unwrapped ctx.Err() comes back and no workers leak.
@@ -109,10 +113,11 @@
 //
 // # Threading model
 //
-// The Engine's pool is the single parallelism knob: size it with
-// WithEngineThreads (thread counts <= 0 mean serial — the one clamping rule,
+// The Engine's pool is the single parallelism knob, with one rule: its
+// width is DefaultConfig().Threads (the paper's 6) unless WithEngineThreads
+// sets another (thread counts <= 0 mean serial — the one clamping rule,
 // applied by compute.NewPool everywhere a thread count becomes a pool) or
-// hand an existing pool to WithEnginePool. Every parallel phase
+// WithEnginePool hands it an existing pool. Every parallel phase
 // (slice compression, the ALS iteration kernels, fitness evaluation) of
 // every call runs on that pool. The pool contributes at most width-1 worker
 // goroutines; each submitting goroutine participates in its own work, so N
@@ -238,7 +243,9 @@ type Matrix = mat.Dense
 type Irregular = tensor.Irregular
 
 // Config carries the decomposition parameters (rank, iterations, tolerance,
-// threads, randomized-SVD knobs).
+// threads, randomized-SVD knobs) as the methods run them. Engine calls do
+// not take one: their Options resolve to a Spec, which the Engine turns into
+// the Config it runs on its own pool.
 type Config = parafac2.Config
 
 // Result is the output of a PARAFAC2 decomposition: factors H, V, S_k, Q_k

@@ -14,14 +14,9 @@ func TestPublicQuickstartFlow(t *testing.T) {
 	g := NewRNG(1)
 	ten := LowRankTensor(g, []int{60, 80, 100, 70}, 30, 5, 0.02)
 
-	cfg := DefaultConfig()
-	cfg.Rank = 5
-	cfg.MaxIters = 30
-	cfg.Threads = 2
-
-	eng := NewEngine(WithBaseConfig(cfg))
+	eng := NewEngine(WithEngineThreads(2))
 	defer eng.Close()
-	res, err := eng.Decompose(context.Background(), ten)
+	res, err := eng.Decompose(context.Background(), ten, WithRank(5), WithMaxIters(30))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,22 +60,19 @@ func TestPublicAllMethodsAgree(t *testing.T) {
 func TestPublicCompressedWorkflow(t *testing.T) {
 	g := NewRNG(3)
 	ten := LowRankTensor(g, []int{80, 90, 100}, 40, 5, 0.02)
-	cfg := DefaultConfig()
-	cfg.Rank = 5
-	cfg.MaxIters = 20
-	cfg.Threads = 2
+	opts := []Option{WithRank(5), WithMaxIters(20)}
 
-	eng := NewEngine(WithBaseConfig(cfg))
+	eng := NewEngine(WithEngineThreads(2))
 	defer eng.Close()
 	ctx := context.Background()
-	comp, err := eng.Compress(ctx, ten)
+	comp, err := eng.Compress(ctx, ten, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if comp.SizeBytes() >= ten.SizeBytes() {
 		t.Fatal("compression did not shrink the tensor")
 	}
-	res, err := eng.DecomposeCompressed(ctx, comp)
+	res, err := eng.DecomposeCompressed(ctx, comp, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

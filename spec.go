@@ -81,17 +81,9 @@ func (s Spec) Validate() error {
 	return s.config(nil).CheckKnobs()
 }
 
-// shardRowsThreshold resolves the ShardRows convention (0 = default,
-// negative = off) exactly like Config.ShardRowsThreshold — the value the
-// result-cache key uses, so a default and an explicit DefaultShardRows hit
-// the same entry.
-func (s Spec) shardRowsThreshold() int {
-	return Config{ShardRows: s.ShardRows}.ShardRowsThreshold()
-}
-
 // config materializes the Config a method executes: the Spec's deterministic
-// knobs plus the Progress callback. Pool/Threads stay zero — the Engine pins
-// them to its shared pool afterwards.
+// knobs plus the Progress callback. Pool/Threads stay zero — the Engine sets
+// Pool to its shared pool afterwards.
 func (s Spec) config(progress func(iter int, measure float64) bool) Config {
 	return Config{
 		Rank:         s.Rank,
@@ -116,14 +108,15 @@ func WithSpec(s Spec) Option {
 	return func(j *jobSpec) { j.spec = s }
 }
 
-// ResolveSpec compiles per-call options over the Engine's base configuration
-// into the canonical Spec the same options would execute under — the form
-// that serializes, keys the result cache, and travels over the wire. The
-// method name is canonicalized (aliases like "rdals" resolve to "rd-als"),
-// so equal workloads resolve to equal Specs. ResolveSpec is pure: it neither
-// runs anything nor touches the pool, and works on a closed Engine.
+// ResolveSpec compiles per-call options, in order over DefaultSpec, into the
+// canonical Spec the same options would execute under on any Engine — the
+// form that serializes, keys the result cache, and travels over the wire.
+// The method name is canonicalized (aliases like "rdals" resolve to
+// "rd-als"), so equal workloads resolve to equal Specs. ResolveSpec is pure:
+// it neither runs anything nor touches the pool, and works on a closed
+// Engine.
 func (e *Engine) ResolveSpec(opts ...Option) (Spec, error) {
-	_, js, err := e.resolve(opts)
+	_, js, err := resolve(opts)
 	return js.spec, err
 }
 

@@ -21,7 +21,7 @@ import (
 
 // funcID is the canonical, package-qualified identity of a function across
 // packages: types.Func.FullName(), e.g. "repro/internal/compute.NewPool" or
-// "(*repro/internal/compute.Pool).Do". Identical for the source-checked
+// "(*repro/internal/compute.Pool).Claim". Identical for the source-checked
 // object and the export-data object an importing package sees, which is what
 // makes cross-package summary lookup work.
 func funcID(f *types.Func) string { return f.FullName() }

@@ -10,7 +10,7 @@ import (
 // call graph. Two rules:
 //
 //  1. Inside a function that takes a context.Context, any for/range loop whose
-//     body dispatches heavy work — a blocking compute.Pool dispatch (Do,
+//     body dispatches heavy work — a blocking compute.Pool dispatch (Claim,
 //     ParallelFor, ParallelRanges, RunPartitioned) or a call to another
 //     context-taking function — must observe the context at least once per
 //     iteration (ctx.Err(), ctx.Done(), or passing ctx to a callee). An ALS

@@ -20,9 +20,9 @@ import (
 //     sending to a full queue channel stalls every other Submit AND the
 //     worker that would drain it);
 //   - a select with no default clause (its chosen communication blocks);
-//   - a blocking compute.Pool dispatch (Do, ParallelFor, ParallelRanges,
-//     RunPartitioned) — these park until workers finish, and workers may need
-//     the same lock;
+//   - a blocking compute.Pool dispatch (Claim, ParallelFor, ParallelRanges,
+//     RunPartitioned) — these wait for the items other lanes claimed, and
+//     those lanes may need the same lock;
 //   - sync.WaitGroup.Wait;
 //   - sync.Cond.Wait on a condition variable that is not bound (via
 //     sync.NewCond) to one of the locks currently held: Wait atomically
@@ -318,10 +318,10 @@ func rangesOverChan(info *types.Info, r *ast.RangeStmt) bool {
 	return isChan
 }
 
-// isPoolDispatch reports a compute.Pool call that parks until its workers
-// finish.
+// isPoolDispatch reports a compute.Pool call that waits for the items other
+// lanes claimed.
 func isPoolDispatch(info *types.Info, call *ast.CallExpr) bool {
-	return isMethodOn(info, call, "compute", "Pool", "Do", "ParallelFor", "ParallelRanges", "RunPartitioned")
+	return isMethodOn(info, call, "compute", "Pool", "Claim", "ParallelFor", "ParallelRanges", "RunPartitioned")
 }
 
 // checkBlocking reports x, a node CFG node n evaluates, if it may block

@@ -21,7 +21,7 @@ func (a *Arena) Put(ms ...*Dense)          {}
 // Pool mirrors the real pool's blocking dispatch surface.
 type Pool struct{}
 
-func (p *Pool) Do(tasks ...func())                          {}
+func (p *Pool) Claim(n int, body func(lane, i int))         {}
 func (p *Pool) ParallelFor(n int, body func(i int))         {}
 func (p *Pool) ParallelRanges(n int, body func(lo, hi int)) {}
 func (p *Pool) RunPartitioned(parts int, body func(part int)) {

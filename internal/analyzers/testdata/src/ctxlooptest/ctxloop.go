@@ -65,7 +65,14 @@ func cheapLoopExempt(ctx context.Context, n int) int {
 // rangeSweep: range loops are held to the same rule.
 func rangeSweep(ctx context.Context, p *compute.Pool, batches [][]float64) {
 	for range batches { // want `never observes ctx`
-		p.Do(func() {})
+		p.RunPartitioned(len(batches), func(part int) {})
+	}
+}
+
+// claimSweep: a loop that claims work on the pool is heavy too.
+func claimSweep(ctx context.Context, p *compute.Pool, iters int) {
+	for it := 0; it < iters; it++ { // want `never observes ctx`
+		p.Claim(64, func(lane, i int) { cheapStep(i) })
 	}
 }
 

@@ -13,13 +13,13 @@ func stepObserving(ctx context.Context, p *compute.Pool) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	p.Do(func() {})
+	p.Claim(4, func(lane, i int) {})
 	return nil
 }
 
 // stepIgnoring takes a context and provably ignores it.
 func stepIgnoring(_ctx context.Context, p *compute.Pool) {
-	p.Do(func() {})
+	p.Claim(4, func(lane, i int) {})
 }
 
 // sweepDelegated: ctx observed one call deep — no finding.
@@ -49,7 +49,7 @@ func PumpCtx(ctx context.Context, p *compute.Pool) { // want `passes its context
 // blockingHelper may block via the pool dispatch; its summary makes loops
 // that call it heavy even though the loop body itself looks cheap.
 func blockingHelper(p *compute.Pool) {
-	p.Do(func() {})
+	p.Claim(4, func(lane, i int) {})
 }
 
 func sweepHeavyViaHelper(ctx context.Context, p *compute.Pool, iters int) {

@@ -80,6 +80,14 @@ func (e *engine) dispatchHoldingLock(p *compute.Pool) {
 	p.ParallelFor(e.n, func(i int) {}) // want `blocking compute\.Pool dispatch while holding e\.mu`
 }
 
+// claimHoldingLock: claiming work on the pool waits for the claimed items,
+// which other lanes may run under the same lock.
+func (e *engine) claimHoldingLock(p *compute.Pool) {
+	e.mu.Lock()
+	p.Claim(e.n, func(lane, i int) {}) // want `blocking compute\.Pool dispatch while holding e\.mu`
+	e.mu.Unlock()
+}
+
 // waitHoldingLock: WaitGroup.Wait under a lock pins it for the full drain.
 func (e *engine) waitHoldingLock(wg *sync.WaitGroup) {
 	e.mu.Lock()

@@ -1,27 +1,124 @@
 package compute
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mat"
 )
 
-func TestPoolDoRunsAllTasks(t *testing.T) {
-	for _, width := range []int{0, 1, 2, 4, 16} {
+// TestClaimRunsEveryIndexOnce: at every width from 1 to 8, Claim calls fn
+// exactly once per index, always with a lane in [0, Workers()).
+func TestClaimRunsEveryIndexOnce(t *testing.T) {
+	for width := 1; width <= 8; width++ {
 		p := NewPool(width)
-		var count int64
-		tasks := make([]func(), 37)
-		for i := range tasks {
-			tasks[i] = func() { atomic.AddInt64(&count, 1) }
-		}
-		p.Do(tasks...)
-		if count != 37 {
-			t.Fatalf("width=%d ran %d of 37 tasks", width, count)
+		for _, n := range []int{0, 1, 2, 37, 500} {
+			seen := make([]atomic.Int32, n)
+			var badLane atomic.Int32
+			badLane.Store(-1)
+			p.Claim(n, func(lane, i int) {
+				if lane < 0 || lane >= p.Workers() {
+					badLane.Store(int32(lane))
+				}
+				seen[i].Add(1)
+			})
+			if l := badLane.Load(); l != -1 {
+				t.Fatalf("width=%d n=%d: lane %d outside [0, %d)", width, n, l, p.Workers())
+			}
+			for i := range seen {
+				if c := seen[i].Load(); c != 1 {
+					t.Fatalf("width=%d n=%d: index %d ran %d times", width, n, i, c)
+				}
+			}
 		}
 		p.Close()
 	}
+}
+
+// TestClaimLanesNeverShared: no two calls of one region that run at the
+// same time hold the same lane, so per-lane scratch is never shared. Each
+// call marks its lane in use and fails if the mark was already set; several
+// submitters share the pool, each with its own marks.
+func TestClaimLanesNeverShared(t *testing.T) {
+	for _, width := range []int{2, 3, 4, 8} {
+		p := NewPool(width)
+		var wg sync.WaitGroup
+		var clashes atomic.Int64
+		for g := 0; g < 3; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for region := 0; region < 50; region++ {
+					inUse := make([]atomic.Bool, p.Workers())
+					p.Claim(64, func(lane, i int) {
+						if !inUse[lane].CompareAndSwap(false, true) {
+							clashes.Add(1)
+							return
+						}
+						for j := 0; j < 200; j++ {
+							if j%50 == 0 {
+								runtime.Gosched()
+							}
+						}
+						inUse[lane].Store(false)
+					})
+				}
+			}()
+		}
+		wg.Wait()
+		p.Close()
+		if c := clashes.Load(); c != 0 {
+			t.Fatalf("width=%d: %d calls ran on a lane already in use", width, c)
+		}
+	}
+}
+
+// TestClaimFinishesWhileHelperIsHeld: with the pool's only worker held in a
+// long item of another region, a new region runs entirely on its submitter
+// (lane 0) and returns without waiting for the worker.
+func TestClaimFinishesWhileHelperIsHeld(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	other := make(chan struct{})
+	go func() {
+		defer close(other)
+		// Lane 0 waits until the worker holds item 1, so the worker is the
+		// one held.
+		p.Claim(2, func(lane, i int) {
+			if lane == 0 {
+				<-held
+				return
+			}
+			close(held)
+			<-release
+		})
+	}()
+	<-held
+
+	finished := make(chan []int, 1)
+	go func() {
+		lanes := make([]int, 50)
+		p.Claim(len(lanes), func(lane, i int) { lanes[i] = lane })
+		finished <- lanes
+	}()
+	select {
+	case lanes := <-finished:
+		for i, l := range lanes {
+			if l != 0 {
+				t.Fatalf("item %d ran on lane %d while the only worker was held", i, l)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		close(release)
+		t.Fatal("a region waited for a worker that never joined it")
+	}
+	close(release)
+	<-other
 }
 
 func TestNilPoolIsSerial(t *testing.T) {
@@ -96,6 +193,8 @@ func TestNestedSubmissionDoesNotDeadlock(t *testing.T) {
 	}
 }
 
+// TestClosedPoolRunsInline: after Close every region, nested ones
+// included, runs on its submitter alone, in index order on lane 0.
 func TestClosedPoolRunsInline(t *testing.T) {
 	p := NewPool(4)
 	p.Close()
@@ -104,6 +203,46 @@ func TestClosedPoolRunsInline(t *testing.T) {
 	p.ParallelFor(10, func(i int) { atomic.AddInt64(&n, 1) })
 	if n != 10 {
 		t.Fatalf("closed pool ran %d of 10", n)
+	}
+	var order []int
+	p.Claim(4, func(lane, i int) {
+		if lane != 0 {
+			t.Fatalf("closed pool ran item %d on lane %d", i, lane)
+		}
+		p.Claim(3, func(lane, j int) {
+			if lane != 0 {
+				t.Fatalf("closed pool ran nested item %d on lane %d", j, lane)
+			}
+			order = append(order, 3*i+j)
+		})
+	})
+	for k, v := range order {
+		if v != k {
+			t.Fatalf("closed pool ran nested items in order %v", order)
+		}
+	}
+	if len(order) != 12 {
+		t.Fatalf("closed pool ran %d of 12 nested items", len(order))
+	}
+}
+
+// TestCloseEndsPollingWorkers: Close ends workers that are still polling
+// for a region (right after one finished) as well as parked ones, so the
+// goroutine count returns to what it was before NewPool.
+func TestCloseEndsPollingWorkers(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, wait := range []time.Duration{0, 10 * pollWindow} {
+		p := NewPool(4)
+		p.ParallelFor(100, func(int) {})
+		time.Sleep(wait) // 0: workers still poll; 10 windows: parked
+		p.Close()
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > base {
+			if time.Now().After(deadline) {
+				t.Fatalf("after Close (idle %v): %d goroutines, %d before NewPool", wait, runtime.NumGoroutine(), base)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 }
 
@@ -194,4 +333,35 @@ func TestNewPoolClampRule(t *testing.T) {
 		}
 		p.Close()
 	}
+}
+
+// BenchmarkRegionJoin opens short regions back to back on a 2-wide pool and
+// reports how long the second lane takes to join each one: from just before
+// Claim until the worker claims item 1, while lane 0 holds item 0 until then
+// (at most 1 ms, the figure recorded when the worker does not come).
+// join-p50-us is the median over b.N regions. A worker that parks between
+// regions joins only once it has been woken.
+func BenchmarkRegionJoin(b *testing.B) {
+	p := NewPool(2)
+	defer p.Close()
+	joins := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for r := range joins {
+		joins[r] = time.Millisecond
+		var joined atomic.Bool
+		start := time.Now()
+		p.Claim(2, func(lane, i int) {
+			switch {
+			case lane != 0:
+				joins[r] = time.Since(start)
+				joined.Store(true)
+			case i == 0:
+				for !joined.Load() && time.Since(start) < time.Millisecond {
+				}
+			}
+		})
+	}
+	b.StopTimer()
+	slices.Sort(joins)
+	b.ReportMetric(float64(joins[len(joins)/2])/float64(time.Microsecond), "join-p50-us")
 }

@@ -9,8 +9,11 @@ import "math"
 type Runner interface {
 	// Workers reports the maximum concurrency the runner provides.
 	Workers() int
-	// ParallelRanges splits [0, n) into at most Workers() contiguous
-	// chunks and runs fn on each, returning when all chunks are done.
+	// ParallelRanges cuts [0, n) into disjoint contiguous chunks that
+	// cover it, runs fn on each, at most Workers() at a time, and returns
+	// when all chunks are done. The number of chunks and where they are
+	// cut are the runner's choice (*compute.Pool cuts a few per lane), so
+	// a kernel's result must not depend on them.
 	ParallelRanges(n int, fn func(lo, hi int))
 }
 

@@ -57,6 +57,15 @@ func iterate(ctx context.Context, cfg Config, res *Result, step func(it int) (fl
 	return prev, nil
 }
 
+// claimBySize runs fn(lane, item) for every item across pool, claiming the
+// items largest first (scheduler.LPTOrder of sizes): a lane that frees up
+// takes the largest item left, which is Algorithm 4's greedy rule applied to
+// the run times as they happen.
+func claimBySize(pool *compute.Pool, sizes []int, fn func(lane, item int)) {
+	order := scheduler.LPTOrder(sizes)
+	pool.Claim(len(order), func(lane, i int) { fn(lane, order[i]) })
+}
+
 func relChange(prev, cur float64) float64 {
 	if prev == 0 {
 		if cur == 0 {
@@ -198,7 +207,7 @@ func rdReduce(ctx context.Context, t *tensor.Irregular, r int, pool *compute.Poo
 		return nil, nil, err
 	}
 	reduced := make([]*mat.Dense, t.K())
-	pool.RunPartitioned(scheduler.Partition(t.Rows(), pool.Workers()), func(kk int) {
+	claimBySize(pool, t.Rows(), func(_, kk int) {
 		reduced[kk] = t.Slices[kk].Mul(uc) // I_k × R
 	})
 	return tensor.MustIrregular(reduced), uc, nil
@@ -213,7 +222,7 @@ func updateQALS(ctx context.Context, t *tensor.Irregular, h, v *mat.Dense, s [][
 	r := h.Rows
 	arena := compute.Shared()
 	// VS_kHᵀ is J×R; precompute V once per k with the diagonal folded in.
-	pool.RunPartitioned(scheduler.Partition(t.Rows(), pool.Workers()), func(k int) {
+	claimBySize(pool, t.Rows(), func(_, k int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -231,11 +240,11 @@ func updateQALS(ctx context.Context, t *tensor.Irregular, h, v *mat.Dense, s [][
 
 // cpSweep runs the single CP-ALS iteration of lines 11-16, Algorithm 2 on
 // the projected tensor Y, whose slices Y_k = Q_kᵀ X_k (R × J) it builds in
-// parallel over slices. It returns the new H and V and writes the new S_k
-// diagonals in place. sliceMTTKRP selects SPARTan's mode-1 kernel: each
-// slice's R×R contribution W(k,:) ⊙ (Y_k V) is formed inside the projection
-// pass and the contributions are summed in slice order, so the result is
-// independent of the pool width.
+// parallel over slices, claimed largest first. It returns the new H and V
+// and writes the new S_k diagonals in place. sliceMTTKRP selects SPARTan's
+// mode-1 kernel: each slice's R×R contribution W(k,:) ⊙ (Y_k V) is formed
+// inside the projection pass and the contributions are summed in slice
+// order, so the result is independent of the pool width.
 func cpSweep(x *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64, cfg Config, sliceMTTKRP bool, pool *compute.Pool) (hOut, vOut *mat.Dense) {
 	k, r := x.K(), h.Cols
 	w := wMatrix(s)
@@ -244,7 +253,7 @@ func cpSweep(x *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64
 	if sliceMTTKRP {
 		contribs = make([]*mat.Dense, k)
 	}
-	pool.ParallelFor(k, func(kk int) {
+	claimBySize(pool, x.Rows(), func(_, kk int) {
 		ySlices[kk] = q[kk].TMul(x.Slices[kk])
 		if contribs == nil {
 			return
@@ -287,11 +296,12 @@ func cpSweep(x *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64
 }
 
 // reconstructionError2 computes Σ_k ‖X_k − Q_k H S_k Vᵀ‖_F², touching every
-// input element — parallel over slices, reduced in slice order.
+// input element — slices claimed across the pool largest first, reduced in
+// slice order.
 func reconstructionError2(t *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64, pool *compute.Pool) float64 {
 	arena := compute.Shared()
 	errs := make([]float64, t.K())
-	pool.ParallelFor(t.K(), func(kk int) {
+	claimBySize(pool, t.Rows(), func(_, kk int) {
 		xk := t.Slices[kk]
 		hs := arena.GetUninit(h.Rows, h.Cols)
 		h.ScaleColumnsInto(hs, s[kk])

@@ -9,7 +9,6 @@ import (
 	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/rsvd"
-	"repro/internal/scheduler"
 	"repro/internal/tensor"
 )
 
@@ -73,8 +72,9 @@ func (c *Compressed) SliceApprox(k int) *mat.Dense {
 }
 
 // CompressCtx runs the two-stage compression (lines 2-6 of Algorithm 3).
-// Stage 1 is parallelized with the greedy slice partition of Algorithm 4,
-// because the randomized-SVD cost of slice k is proportional to I_k.
+// Stage 1 is parallelized with the greedy rule of Algorithm 4, slices
+// claimed largest first, because the randomized-SVD cost of slice k is
+// proportional to I_k.
 //
 // The context is checked before each compression phase and between
 // per-slice sketches, and the unwrapped ctx.Err() is returned as soon as it
@@ -129,8 +129,8 @@ func compressWith(ctx context.Context, t *tensor.Irregular, cfg Config, pool *co
 // stage1Sketches runs the per-slice stage-1 randomized SVDs (A_k, C_k B_k)
 // for CompressCtx and AppendCtx. Slices taller than cfg.ShardRows are routed
 // through the row-sharded path: each shard is an independent work unit, so
-// scheduler.Partition balances over shards rather than whole slices — one
-// tall slice spreads across the whole pool instead of pinning a worker — and
+// the pool balances over shards rather than whole slices — one tall slice
+// spreads across the whole pool instead of pinning a worker — and
 // per-shard scratch stays O(ShardRows·(Rank+Oversample)), inside the arena's
 // recyclable bucket range. gens must hold one pre-split generator per slice;
 // sharded slices derive their per-shard and merge children from their slice
@@ -174,19 +174,13 @@ func stage1Sketches(ctx context.Context, slices []*mat.Dense, gens []*rng.RNG, c
 
 	a = make([]*mat.Dense, len(slices))
 	cb = make([]*mat.Dense, len(slices)) // C_k B_k, J × R
-	// One Jacobi workspace per partition bucket: buckets run on exactly one
-	// worker each, so the workspace is never shared concurrently and the
-	// small SVD inside every whole-slice Decompose draws nothing from the
-	// lapack pool.
-	part := scheduler.Partition(sizes, pool.Workers())
-	bucketOf := make([]int, len(units))
-	for bi, bucket := range part {
-		for _, u := range bucket {
-			bucketOf[u] = bi
-		}
-	}
-	wss := make([]lapack.Workspace, len(part))
-	pool.RunPartitioned(part, func(u int) {
+	// Units are claimed largest first, Algorithm 4's greedy rule applied to
+	// the run times as they happen. Each lane holds one Jacobi workspace: a
+	// lane runs one unit at a time, so its workspace is never shared
+	// concurrently and the small SVD inside every whole-slice Decompose
+	// draws nothing from the lapack pool.
+	wss := make([]lapack.Workspace, pool.Workers())
+	claimBySize(pool, sizes, func(lane, u int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -196,7 +190,7 @@ func stage1Sketches(ctx context.Context, slices []*mat.Dense, gens []*rng.RNG, c
 			// The slice is the unit of parallelism; kernels inside the
 			// decomposition run serially (opts.Runner is nil).
 			uopts := opts
-			uopts.Workspace = &wss[bucketOf[u]]
+			uopts.Workspace = &wss[lane]
 			d := rsvd.Decompose(gens[un.k], s, r, uopts)
 			a[un.k] = d.U
 			cb[un.k] = d.V.ScaleColumns(d.S)
@@ -439,7 +433,7 @@ func dpar2Iterate(ctx context.Context, comp *Compressed, cfg Config, warm *warmS
 		// --- Compressed convergence check (Section III-E) -------------
 		// e = Σ_k ‖P_k Z_kᵀ F⁽ᵏ⁾ E Dᵀ − H S_k Vᵀ‖_F², computed on R×R
 		// Gram matrices only.
-		return compressedError2(tf, comp.E, dtv, v, h, s, arena), nil
+		return compressedError2(tf, comp.E, dtv, v, h, s, pool, arena), nil
 	})
 	if err != nil {
 		return nil, err
@@ -572,32 +566,41 @@ func lemma3Into(out *mat.Dense, tf []*mat.Dense, e []float64, dtv, h *mat.Dense,
 //	‖B_k Vᵀ‖² = ⟨B_k (VᵀV), B_k⟩
 //	⟨G_k Dᵀ, B_k Vᵀ⟩ = ⟨G_k (DᵀV)ᵀ… = ⟨G_k, B_k (VᵀD)⟩
 //
-// which lowers the paper's O(JKR²) check to O(JR² + KR³).
-func compressedError2(tf []*mat.Dense, e []float64, dtv, v, h *mat.Dense, s [][]float64, arena *compute.Arena) float64 {
+// which lowers the paper's O(JKR²) check to O(JR² + KR³). The per-slice
+// terms are computed across pool and summed in slice order, so the value
+// does not depend on the pool width.
+func compressedError2(tf []*mat.Dense, e []float64, dtv, v, h *mat.Dense, s [][]float64, pool *compute.Pool, arena *compute.Arena) float64 {
 	r := v.Cols
 	vtv := arena.GetUninit(r, r)
 	v.GramInto(vtv) // VᵀV, R×R
 	vtd := arena.GetUninit(r, r)
 	dtv.TInto(vtd) // VᵀD, R×R
-	gk := arena.GetUninit(r, r)
-	bk := arena.GetUninit(r, r)
-	bv := arena.GetUninit(r, r)
-	bvd := arena.GetUninit(r, r)
-	var total float64
-	for k, t := range tf {
-		t.ScaleColumnsInto(gk, e)    // T_k E
-		h.ScaleColumnsInto(bk, s[k]) // H S_k
-		normG := gk.FrobNorm2()
-		bk.MulInto(bv, vtv, nil)
-		bk.MulInto(bvd, vtd, nil)
-		var normB, cross float64
-		for i := range gk.Data {
-			normB += bv.Data[i] * bk.Data[i]
-			cross += gk.Data[i] * bvd.Data[i]
+	terms := make([]float64, len(tf))
+	pool.ParallelRanges(len(tf), func(lo, hi int) {
+		gk := arena.GetUninit(r, r)
+		bk := arena.GetUninit(r, r)
+		bv := arena.GetUninit(r, r)
+		bvd := arena.GetUninit(r, r)
+		for k := lo; k < hi; k++ {
+			tf[k].ScaleColumnsInto(gk, e) // T_k E
+			h.ScaleColumnsInto(bk, s[k])  // H S_k
+			normG := gk.FrobNorm2()
+			bk.MulInto(bv, vtv, nil)
+			bk.MulInto(bvd, vtd, nil)
+			var normB, cross float64
+			for i := range gk.Data {
+				normB += bv.Data[i] * bk.Data[i]
+				cross += gk.Data[i] * bvd.Data[i]
+			}
+			terms[k] = normG + normB - 2*cross
 		}
-		total += normG + normB - 2*cross
+		arena.Put(gk, bk, bv, bvd)
+	})
+	arena.Put(vtv, vtd)
+	var total float64
+	for _, term := range terms {
+		total += term
 	}
-	arena.Put(vtv, vtd, gk, bk, bv, bvd)
 	if total < 0 {
 		total = 0 // guard tiny negative round-off
 	}

@@ -438,10 +438,11 @@ func (r *Result) ReconstructSlice(k int) *mat.Dense {
 // factorization against the tensor it was computed from, on pool (nil
 // evaluates serially). Fitness close to 1 means the model approximates the
 // data well (Section IV-A of the paper). Slice reconstructions run in
-// parallel in arena scratch (see reconstructionError2) and per-slice errors
-// are reduced in slice order, so the value is deterministic for any pool
-// width. Factored results reconstruct through the small factors
-// (factoredError2) without ever materializing a dense Q_k.
+// parallel in arena scratch, slices claimed largest first (see
+// reconstructionError2), and per-slice errors are reduced in slice order, so
+// the value is deterministic for any pool width. Factored results
+// reconstruct through the small factors (factoredError2) without ever
+// materializing a dense Q_k.
 func FitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
 	var errSum float64
 	if r.Factored() {
@@ -463,7 +464,7 @@ func FitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
 func factoredError2(t *tensor.Irregular, fq *factoredQ, h, v *mat.Dense, s [][]float64, pool *compute.Pool) float64 {
 	arena := compute.Shared()
 	errs := make([]float64, t.K())
-	pool.ParallelFor(t.K(), func(kk int) {
+	claimBySize(pool, t.Rows(), func(_, kk int) {
 		xk := t.Slices[kk]
 		hs := arena.GetUninit(h.Rows, h.Cols)
 		h.ScaleColumnsInto(hs, s[kk])

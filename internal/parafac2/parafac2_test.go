@@ -273,7 +273,7 @@ func TestCompressedErrorMatchesDirect(t *testing.T) {
 		}
 	}
 	comp := &Compressed{D: d, E: e, F: tf, J: j, Rank: r}
-	got := compressedError2(tf, e, d.TMul(v), v, h, s, compute.Shared())
+	got := compressedError2(tf, e, d.TMul(v), v, h, s, nil, compute.Shared())
 	want := CompressedErrorDirect2(comp, tf, v, h, s)
 	if math.Abs(got-want) > 1e-8*(1+want) {
 		t.Fatalf("compressed error %v != direct %v", got, want)
@@ -309,7 +309,7 @@ func TestConvergenceIdentityAgainstSliceApprox(t *testing.T) {
 		// instead use Q_k and A_k: T_k = (A_kᵀ Q_k)ᵀ F⁽ᵏ⁾ = Q_kᵀA_k F⁽ᵏ⁾.
 		tf[k] = res.Qk(k).TMul(comp.A[k]).Mul(comp.F[k])
 	}
-	got := compressedError2(tf, comp.E, comp.D.TMul(res.V), res.V, res.H, res.S, compute.Shared())
+	got := compressedError2(tf, comp.E, comp.D.TMul(res.V), res.V, res.H, res.S, nil, compute.Shared())
 	if math.Abs(got-direct) > 1e-6*(1+direct) {
 		t.Fatalf("compressed measure %v != direct slice measure %v", got, direct)
 	}
@@ -391,7 +391,7 @@ func BenchmarkAblationConvergence(b *testing.B) {
 	}
 	b.Run("gram-trick", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			compressedError2(tf, comp.E, comp.D.TMul(res.V), res.V, res.H, res.S, compute.Shared())
+			compressedError2(tf, comp.E, comp.D.TMul(res.V), res.V, res.H, res.S, nil, compute.Shared())
 		}
 	})
 	b.Run("direct-RxJ", func(b *testing.B) {

@@ -1,12 +1,16 @@
 // Package scheduler implements the work-distribution *policy* of Section
-// III-F / Algorithm 4 of the DPar2 paper: a greedy number-partitioning of
-// slices across threads so that the per-thread sums of row counts (which the
-// stage-1 randomized-SVD cost is proportional to) are balanced despite the
-// irregularity of the tensor.
+// III-F / Algorithm 4 of the DPar2 paper: slices are taken largest first so
+// that the per-thread sums of row counts (which the stage-1 randomized-SVD
+// cost is proportional to) come out balanced despite the irregularity of
+// the tensor.
 //
-// Execution lives elsewhere: hand the buckets produced here to
-// (*compute.Pool).RunPartitioned. The generic worker-pool mechanics that
-// used to live in this package moved to internal/compute.
+// The program applies that rule online: it claims slices across the pool in
+// LPTOrder ((*compute.Pool).Claim), so each free lane takes the largest
+// slice left and the balance follows the real run times. Partition is
+// Algorithm 4's static estimate of the same schedule, from row counts alone;
+// it is kept for the partitioning ablation (BenchmarkAblationPartition) and
+// for perfbench's stage-1 probe, which hand its buckets to
+// (*compute.Pool).RunPartitioned.
 package scheduler
 
 import "sort"
@@ -24,14 +28,7 @@ func Partition(sizes []int, t int) [][]int {
 	}
 	buckets := make([][]int, t)
 	sums := make([]int64, t)
-
-	idx := make([]int, len(sizes))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return sizes[idx[a]] > sizes[idx[b]] })
-
-	for _, item := range idx {
+	for _, item := range LPTOrder(sizes) {
 		tmin := 0
 		for i := 1; i < t; i++ {
 			if sums[i] < sums[tmin] {
@@ -42,6 +39,17 @@ func Partition(sizes []int, t int) [][]int {
 		sums[tmin] += int64(sizes[item])
 	}
 	return buckets
+}
+
+// LPTOrder returns the item indices sorted by size, largest first, with
+// ties kept in index order: the order in which Algorithm 4 places items.
+func LPTOrder(sizes []int) []int {
+	idx := make([]int, len(sizes))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return sizes[idx[a]] > sizes[idx[b]] })
+	return idx
 }
 
 // RoundRobin is the naive baseline allocation (item i → bucket i mod t),

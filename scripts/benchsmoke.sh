@@ -5,8 +5,9 @@
 # BenchmarkAbsorb for the streaming absorb path, BenchmarkFactorBatch for
 # the fused batched small-SVD sweep, BenchmarkEngineContendedQueue for
 # the admission scheduler, BenchmarkServiceDecomposeRoundTrip for the
-# HTTP front end's transport overhead, and BenchmarkServiceCacheHit for a
-# served cache hit at perfbench serve-mixed's size) and fails when
+# HTTP front end's transport overhead, BenchmarkServiceCacheHit for a
+# served cache hit at perfbench serve-mixed's size, and BenchmarkRegionJoin
+# for how fast the compute pool's second lane joins a region) and fails when
 #   - any expected benchmark is missing from the output or its metrics do
 #     not parse — a renamed benchmark or an empty result line is a hard
 #     failure, never a vacuous pass;
@@ -54,6 +55,13 @@
 #     DPF2 response, minus the in-process decomposition time) must stay
 #     under the service-overhead budget (~5ms measured when the service
 #     landed; the budget allows headroom to 250ms).
+#   - the second lane of a 2-wide compute pool takes longer than the join
+#     budget to join short regions opened back to back (BenchmarkRegionJoin,
+#     median over 2000 regions). An idle worker polls for a new region for
+#     a while before it parks: the median read 0.7-0.9 us on a 2-core host
+#     when polling landed, and 64-66 us while workers parked between
+#     regions, the wake-up a region of the ALS loop (50-130 us) cannot
+#     afford. The 25 us budget fails if workers go back to parking.
 #
 # Besides the human-readable log, every budget check emits one machine-
 # readable JSON line on stdout of the form
@@ -77,14 +85,16 @@ svc_budget=250      # HTTP service transport overhead, ms
 svchit_budget=40    # served cache hit at serve-mixed size, ms
 svchit_allocs=700   # served cache hit, allocs
 svchit_bytes=11000000 # served cache hit, bytes allocated
+join_budget=25      # second lane's median join latency, us
 # Largest allowed BenchmarkAbsorb K64 − K8 allocs/op gap. Both variants absorb
 # the same batch; the slack covers arena and sync.Pool jitter only.
 absorb_k_growth=32
 out="$(go test -run '^$' -bench '^(BenchmarkDPar2|BenchmarkDPar2IterationAllocs|BenchmarkDPar2TallSlice|BenchmarkAbsorb|BenchmarkFactorBatch|BenchmarkEngineContendedQueue|BenchmarkCacheHit)$' -benchtime 2x -benchmem .)
-$(go test -run '^$' -bench '^(BenchmarkServiceDecomposeRoundTrip|BenchmarkServiceCacheHit)$' -benchtime 10x -benchmem ./internal/service/)"
+$(go test -run '^$' -bench '^(BenchmarkServiceDecomposeRoundTrip|BenchmarkServiceCacheHit)$' -benchtime 10x -benchmem ./internal/service/)
+$(go test -run '^$' -bench '^BenchmarkRegionJoin$' -benchtime 2000x ./internal/compute/)"
 echo "$out"
 
-echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" -v svchit_budget="$svchit_budget" -v svchit_allocs="$svchit_allocs" -v svchit_bytes="$svchit_bytes" -v absorb_k_growth="$absorb_k_growth" '
+echo "$out" | awk -v budget="$budget" -v absorb_budget="$absorb_budget" -v qwait_budget="$qwait_budget" -v batch_budget="$batch_budget" -v cachehit_budget="$cachehit_budget" -v cachems_budget="$cachems_budget" -v svc_budget="$svc_budget" -v svchit_budget="$svchit_budget" -v svchit_allocs="$svchit_allocs" -v svchit_bytes="$svchit_bytes" -v join_budget="$join_budget" -v absorb_k_growth="$absorb_k_growth" '
 function metric(name,   i) {
     # value of a named benchmark metric on the current line, or "" if absent
     for (i = 2; i <= NF; i++) if ($i == name) return $(i - 1)
@@ -200,6 +210,16 @@ $1 ~ /^BenchmarkServiceCacheHit(-[0-9]+)?$/ {
         bad = 1
     }
 }
+$1 ~ /^BenchmarkRegionJoin(-[0-9]+)?$/ {
+    seen["BenchmarkRegionJoin"] = 1
+    joinus = require(metric("join-p50-us"), "join-p50-us")
+    printf "benchsmoke: %s second lane joins a region in %.2fus at the median (budget %dus)\n", $1, joinus, join_budget
+    gatejson("region-join-us", "BenchmarkRegionJoin", joinus, join_budget, joinus <= join_budget)
+    if (joinus > join_budget) {
+        printf "benchsmoke: FAIL — the second lane joins a region in %.2fus, above the %dus budget\n", joinus, join_budget > "/dev/stderr"
+        bad = 1
+    }
+}
 $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
     seen["BenchmarkEngineContendedQueue"] = 1
     hi = require(metric("hi-qwait-ms"), "hi-qwait-ms")
@@ -219,7 +239,7 @@ $1 ~ /^BenchmarkEngineContendedQueue(-[0-9]+)?$/ {
 END {
     # Every guarded benchmark must have produced a parseable result line:
     # a rename or an empty run is a hard failure, not a silent skip.
-    n = split("BenchmarkDPar2 BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkServiceDecomposeRoundTrip BenchmarkServiceCacheHit", want, " ")
+    n = split("BenchmarkDPar2 BenchmarkDPar2IterationAllocs BenchmarkDPar2TallSlice BenchmarkAbsorb/K8 BenchmarkAbsorb/K64 BenchmarkFactorBatch/K8 BenchmarkFactorBatch/K64 BenchmarkEngineContendedQueue BenchmarkCacheHit BenchmarkServiceDecomposeRoundTrip BenchmarkServiceCacheHit BenchmarkRegionJoin", want, " ")
     for (i = 1; i <= n; i++) {
         present = (want[i] in seen)
         gatejson("present", want[i], present ? 1 : 0, 1, present)

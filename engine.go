@@ -492,7 +492,10 @@ func (e *Engine) Compress(ctx context.Context, t *Irregular, opts ...Option) (*C
 
 // DecomposeCompressed runs DPar2's iteration phase on a previously
 // compressed tensor (only DPar2 iterates on the compressed form; any other
-// WithMethod is an error). Result.Fitness is the compressed-space estimate
+// WithMethod is an error). The resolved rank must match the rank c was
+// compressed at: pass the same WithRank given to Compress, since an
+// optionless call resolves to DefaultSpec's rank 10; a mismatch is an error
+// before any work. Result.Fitness is the compressed-space estimate
 // 1 − e/‖X̃‖² (Result.FitnessKind == FitnessCompressed): exact against the
 // compressed approximation X̃ the iteration sees, off from the fitness
 // against the original tensor only by the one-time compression error. Use
@@ -528,8 +531,9 @@ func (e *Engine) NewStream(ctx context.Context, initial *Irregular, opts ...Opti
 // Fitness evaluates a result against a tensor on the Engine's pool. The value
 // is always the FitnessTrue quantity — use it to tell the true fit from the
 // compressed-space estimate a streaming refresh or DecomposeCompressed left
-// in Result.Fitness (Result.FitnessKind distinguishes the two). Factored
-// results are evaluated without materializing any dense Q_k.
+// in Result.Fitness (Result.FitnessKind distinguishes the two). Dense and
+// factored results run the same per-slice error pass, and a factored result
+// is evaluated without materializing any dense Q_k.
 //
 // Fitness stays usable after Close: like stream absorbs on a closed engine,
 // post-Close evaluation runs serially, because a closed compute.Pool runs

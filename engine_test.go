@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,6 +362,31 @@ func TestEngineDPar2OnlyEndpoints(t *testing.T) {
 	}
 	if _, err := eng.Compress(ctx, ten, WithMethod(MethodRDALS)); err == nil {
 		t.Fatal("Compress must reject non-DPar2 methods")
+	}
+}
+
+// TestDecomposeCompressedRankMismatchIsError: a Compressed built at one rank
+// decomposed at another (DefaultSpec's rank, or an explicit WithRank) is an
+// error naming both ranks, not a panic inside the iteration.
+func TestDecomposeCompressedRankMismatchIsError(t *testing.T) {
+	eng := NewEngine(WithEngineThreads(1))
+	defer eng.Close()
+	ctx := context.Background()
+	comp, err := eng.Compress(ctx, engineTestTensor(14), WithRank(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opts []Option
+		rank int
+	}{{nil, DefaultSpec().Rank}, {[]Option{WithRank(2)}, 2}} {
+		res, err := eng.DecomposeCompressed(ctx, comp, c.opts...)
+		if err == nil || res != nil {
+			t.Fatalf("rank %d on a rank-4 Compressed: result %v, err %v", c.rank, res, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("rank %d ", c.rank)) || !strings.Contains(msg, "rank 4") {
+			t.Fatalf("rank %d on a rank-4 Compressed: error %q does not name both ranks", c.rank, msg)
+		}
 	}
 }
 

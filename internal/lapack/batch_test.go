@@ -179,27 +179,27 @@ func TestFactorBatchShapePanics(t *testing.T) {
 	_ = u
 }
 
-// TestFactorWSMatchesFactorWith: the workspace-threading variants are pure
+// TestFactorWSMatchesFactor: the workspace-threading variants are pure
 // plumbing — same bits as the pool-backed entry points.
-func TestFactorWSMatchesFactorWith(t *testing.T) {
+func TestFactorWSMatchesFactor(t *testing.T) {
 	g := rng.New(55)
 	for _, sh := range [][2]int{{6, 6}, {40, 6}, {6, 40}, {18, 10}} {
 		a := mat.Gaussian(g, sh[0], sh[1])
 		var ws Workspace
 		got := FactorWS(a, nil, &ws)
-		want := FactorWith(a, nil)
+		want := Factor(a)
 		for i, v := range want.S {
 			if got.S[i] != v {
-				t.Fatalf("%dx%d: FactorWS singular values differ from FactorWith", sh[0], sh[1])
+				t.Fatalf("%dx%d: FactorWS singular values differ from Factor", sh[0], sh[1])
 			}
 		}
 		if !got.U.EqualApprox(want.U, 0) || !got.V.EqualApprox(want.V, 0) {
-			t.Fatalf("%dx%d: FactorWS factors differ from FactorWith", sh[0], sh[1])
+			t.Fatalf("%dx%d: FactorWS factors differ from Factor", sh[0], sh[1])
 		}
 		gt := TruncatedWS(a, 4, nil, &ws)
-		wt := TruncatedWith(a, 4, nil)
+		wt := Truncated(a, 4)
 		if !gt.U.EqualApprox(wt.U, 0) || !gt.V.EqualApprox(wt.V, 0) {
-			t.Fatalf("%dx%d: TruncatedWS factors differ from TruncatedWith", sh[0], sh[1])
+			t.Fatalf("%dx%d: TruncatedWS factors differ from Truncated", sh[0], sh[1])
 		}
 	}
 }

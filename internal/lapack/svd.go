@@ -83,16 +83,14 @@ func (ws *Workspace) reserve(m, n int) {
 // the singular values and the normalized columns form U. For tall matrices
 // (m > n) a QR pre-reduction shrinks the Jacobi problem to n-by-n; for wide
 // matrices we factor the transpose and swap U and V.
-func Factor(a *mat.Dense) SVD { return FactorWith(a, nil) }
+func Factor(a *mat.Dense) SVD { return FactorWS(a, nil, nil) }
 
-// FactorWith is Factor with the large multiplies of the tall path run on rn
-// (nil means serial). The result is identical for any Runner width.
-func FactorWith(a *mat.Dense, rn mat.Runner) SVD { return FactorWS(a, rn, nil) }
-
-// FactorWS is FactorWith with an explicit Jacobi workspace. Callers that
-// factor repeatedly (the randomized-SVD sketch loops) hold one Workspace per
-// worker and avoid the package pool entirely; ws may be nil, in which case
-// the Jacobi stage draws from the pool (counted by PoolDraws).
+// FactorWS is Factor with the large multiplies of the tall path run on rn
+// (nil means serial; the result is identical for any Runner width) and an
+// explicit Jacobi workspace. Callers that factor repeatedly (the
+// randomized-SVD sketch loops) hold one Workspace per worker and avoid the
+// package pool entirely; ws may be nil, in which case the Jacobi stage draws
+// from the pool (counted by PoolDraws).
 func FactorWS(a *mat.Dense, rn mat.Runner, ws *Workspace) SVD {
 	m, n := a.Rows, a.Cols
 	if m < n {
@@ -378,16 +376,10 @@ func completeOrthonormal(u *mat.Dense, cols []int) {
 
 // Truncated computes the rank-r truncated SVD of a (keeps the r largest
 // singular triplets). If r >= min(m,n) it is the full thin SVD.
-func Truncated(a *mat.Dense, r int) SVD { return TruncatedWith(a, r, nil) }
+func Truncated(a *mat.Dense, r int) SVD { return TruncatedWS(a, r, nil, nil) }
 
-// TruncatedWith is Truncated with the heavy multiplies run on rn (nil means
-// serial).
-func TruncatedWith(a *mat.Dense, r int, rn mat.Runner) SVD {
-	return TruncatedWS(a, r, rn, nil)
-}
-
-// TruncatedWS is TruncatedWith with an explicit Jacobi workspace (see
-// FactorWS).
+// TruncatedWS is Truncated with the heavy multiplies run on rn and an
+// explicit Jacobi workspace (see FactorWS).
 func TruncatedWS(a *mat.Dense, r int, rn mat.Runner, ws *Workspace) SVD {
 	full := FactorWS(a, rn, ws)
 	k := len(full.S)

@@ -160,7 +160,8 @@ func alsRun(ctx context.Context, t *tensor.Irregular, cfg Config, m baseline) (*
 	h, v, s := initCommon(rng.New(cfg.Seed), x.J, x.K(), cfg.Rank)
 	res.S = s
 	q := make([]*mat.Dense, x.K())
-	vFull := v // V lifted back to J rows (RD-ALS), else V itself
+	res.SetQ(q) // updateQALS refreshes q's slices in place
+	vFull := v  // V lifted back to J rows (RD-ALS), else V itself
 	_, err := iterate(ctx, cfg, res, func(int) (float64, error) {
 		updateQALS(ctx, x, h, v, s, q, pool)
 		if err := ctx.Err(); err != nil {
@@ -177,14 +178,13 @@ func alsRun(ctx context.Context, t *tensor.Irregular, cfg Config, m baseline) (*
 		// Convergence: full reconstruction error against the input (this
 		// is what makes the baselines' per-iteration cost high —
 		// Section IV-B).
-		return reconstructionError2(t, q, h, vFull, s, pool), nil
+		return sumSquares(sliceDists(t, res.fq, h, vFull, s, pool)), nil
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	res.H, res.V = h, vFull
-	res.SetQ(q)
 	res.TotalTime = time.Since(start)
 	res.Fitness = FitnessWith(t, res, pool)
 	res.FitnessKind = FitnessTrue
@@ -202,7 +202,7 @@ func rdReduce(ctx context.Context, t *tensor.Irregular, r int, pool *compute.Poo
 	for kk, s := range t.Slices {
 		concat[kk] = s.T()
 	}
-	uc := lapack.TruncatedWith(mat.HConcat(concat...), r, pool).U
+	uc := lapack.TruncatedWS(mat.HConcat(concat...), r, pool, nil).U
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
 	}
@@ -293,29 +293,4 @@ func cpSweep(x *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64
 	unpackW(w, s)
 
 	return h, v
-}
-
-// reconstructionError2 computes Σ_k ‖X_k − Q_k H S_k Vᵀ‖_F², touching every
-// input element — slices claimed across the pool largest first, reduced in
-// slice order.
-func reconstructionError2(t *tensor.Irregular, q []*mat.Dense, h, v *mat.Dense, s [][]float64, pool *compute.Pool) float64 {
-	arena := compute.Shared()
-	errs := make([]float64, t.K())
-	claimBySize(pool, t.Rows(), func(_, kk int) {
-		xk := t.Slices[kk]
-		hs := arena.GetUninit(h.Rows, h.Cols)
-		h.ScaleColumnsInto(hs, s[kk])
-		qh := arena.GetUninit(q[kk].Rows, hs.Cols)
-		q[kk].MulInto(qh, hs, nil)
-		rec := arena.GetUninit(xk.Rows, xk.Cols)
-		qh.MulTInto(rec, v, nil)
-		d := xk.FrobDist(rec)
-		errs[kk] = d * d
-		arena.Put(hs, qh, rec)
-	})
-	var sum float64
-	for _, e := range errs {
-		sum += e
-	}
-	return sum
 }

@@ -115,7 +115,7 @@ func (s *StreamingDPar2) Checkpoint(w io.Writer) error {
 	s.cfg.EncodeKnobs(enc)
 
 	// Stream position and RNG.
-	enc.U64(uint64(s.absorbed))
+	enc.U64(uint64(s.K()))
 	enc.I64(int64(s.RefreshIters))
 	st := s.g.State()
 	for _, word := range st.S {
@@ -277,7 +277,6 @@ func RestoreStream(r io.Reader, cfg Config) (*StreamingDPar2, error) {
 		g:            g,
 		comp:         comp,
 		result:       res,
-		absorbed:     absorbed,
 		RefreshIters: refreshIters,
 	}, nil
 }

@@ -2,6 +2,7 @@ package parafac2
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"repro/internal/compute"
@@ -268,11 +269,15 @@ func DPar2Ctx(ctx context.Context, t *tensor.Irregular, cfg Config) (*Result, er
 // (one-time) compression error. Use Fitness for the latter when the tensor
 // is at hand.
 //
-// All per-slice working state is allocated once up front and every kernel in
-// the loop writes into preallocated or arena scratch, so the steady-state
-// iteration performs (nearly) zero heap allocations. The context is checked
-// at the same points as in DPar2Ctx's iteration phase.
+// cfg.Rank must equal comp.Rank; a different rank is an error before any
+// work. All per-slice working state is allocated once up front and every
+// kernel in the loop writes into preallocated or arena scratch, so the
+// steady-state iteration performs (nearly) zero heap allocations. The
+// context is checked at the same points as in DPar2Ctx's iteration phase.
 func DPar2FromCompressedCtx(ctx context.Context, comp *Compressed, cfg Config) (*Result, error) {
+	if cfg.Rank != comp.Rank {
+		return nil, fmt.Errorf("parafac2: rank %d does not match the compressed tensor's rank %d", cfg.Rank, comp.Rank)
+	}
 	return dpar2Iterate(ctx, comp, cfg, nil)
 }
 

@@ -40,8 +40,10 @@
 // Absorb touch only the new slices — no O(Σ_k I_k·R) pass over the history —
 // and is what keeps absorb latency independent of the slices already seen.
 // Each accessor call recomputes its slice (cheap relative to any use of the
-// I_k×R output). Accessors are safe for concurrent use on an
-// otherwise-unmodified Result.
+// I_k×R output). The baselines' dense Q is the same type without the small
+// factors (Q_k = A_k), so every accessor, fitness and the residuals run one
+// code path for both forms; Factored tells them apart. Accessors are safe
+// for concurrent use on an otherwise-unmodified Result.
 //
 // # Fitness kinds
 //
@@ -262,18 +264,17 @@ func (k FitnessKind) String() string {
 	return "unset"
 }
 
-// Result is the output of a PARAFAC2 decomposition.
+// Result is the output of a PARAFAC2 decomposition. Every method's Q is held
+// in one form, a dense Q being a factored one without Z_k and P_k (see "Lazy
+// factored Q" in the package doc).
 type Result struct {
 	// H is the R×R common matrix; V is the J×R factor shared by all slices.
 	H, V *mat.Dense
 	// S holds the diagonal of each S_k (row k of W in the paper).
 	S [][]float64
 
-	// q holds the baselines' dense column-orthonormal Q_k (I_k × R). For
-	// DPar2 it is nil: Q lives in factored form in fq and the accessors
-	// materialize slices on demand.
-	q []*mat.Dense
-	// fq is the factored form Q_k = A_k Z_k P_kᵀ (DPar2 results only).
+	// fq holds every Q_k: DPar2's factored A_k Z_k P_kᵀ, or a baseline's
+	// dense column-orthonormal Q_k as A_k alone.
 	fq *factoredQ
 
 	// Iters is the number of ALS iterations executed.
@@ -296,6 +297,7 @@ type Result struct {
 // factoredQ holds Q in the factored form DPar2 produces: per-slice references
 // to the compressed basis A_k (I_k×R, shared with the Compressed — immutable
 // once built) plus the small R×R Z_k and P_k from the final Q-update SVDs.
+// A dense Q (the baselines') has z and p nil, and Q_k = A_k.
 type factoredQ struct {
 	a, z, p []*mat.Dense
 }
@@ -314,8 +316,12 @@ func observeMaterialize(k, rows int) {
 
 // qk materializes Q_k = (A_k Z_k) P_kᵀ — the same operation order (and arena
 // scratch for the A_k Z_k intermediate) the eager loop used, so materialized
-// slices are bit-identical to the old behavior.
+// slices are bit-identical to the old behavior. A dense Q_k is returned as
+// stored.
 func (f *factoredQ) qk(k int) *mat.Dense {
+	if f.z == nil {
+		return f.a[k]
+	}
 	observeMaterialize(k, f.a[k].Rows)
 	arena := compute.Shared()
 	az := arena.GetUninit(f.a[k].Rows, f.z[k].Cols)
@@ -326,58 +332,50 @@ func (f *factoredQ) qk(k int) *mat.Dense {
 }
 
 // mulInto writes rows [lo, hi) of Q_k·B into out ∈ R^{(hi−lo)×cols} by
-// folding B through the small factors first: A_k[lo:hi] · (Z_k (P_kᵀ B)).
-// Cost O((hi−lo)·R·cols + R²·cols) — the cheap path for fitness and
-// row-window accessors.
+// folding B through the small factors first: A_k[lo:hi] · (Z_k (P_kᵀ B)), or
+// A_k[lo:hi] · B for a dense Q_k. Cost O((hi−lo)·R·cols + R²·cols) — the
+// cheap path for fitness, residuals and row-window accessors.
 func (f *factoredQ) mulInto(out *mat.Dense, k, lo, hi int, b *mat.Dense, arena *compute.Arena) {
+	rows := f.a[k].RowView(lo, hi)
+	if f.z == nil {
+		rows.MulInto(out, b, nil)
+		return
+	}
 	observeMaterialize(k, hi-lo)
 	r := f.z[k].Rows
 	t1 := arena.GetUninit(r, b.Cols)
 	f.p[k].TMulInto(t1, b, nil)
 	t2 := arena.GetUninit(r, b.Cols)
 	f.z[k].MulInto(t2, t1, nil)
-	f.a[k].RowView(lo, hi).MulInto(out, t2, nil)
+	rows.MulInto(out, t2, nil)
 	arena.Put(t1, t2)
 }
 
 // K returns the number of slices the result covers.
 func (r *Result) K() int {
-	if r.q != nil {
-		return len(r.q)
+	if r.fq == nil {
+		return 0
 	}
-	if r.fq != nil {
-		return len(r.fq.a)
-	}
-	return 0
+	return len(r.fq.a)
 }
 
 // SliceRows returns I_k, the row count of slice k.
-func (r *Result) SliceRows(k int) int {
-	if r.q != nil {
-		return r.q[k].Rows
-	}
-	return r.fq.a[k].Rows
-}
+func (r *Result) SliceRows(k int) int { return r.fq.a[k].Rows }
 
 // Qk returns the column-orthonormal Q_k (I_k × R). Dense results (the
 // baselines) return the stored matrix, which the caller must not modify;
 // factored results materialize a fresh matrix per call.
-func (r *Result) Qk(k int) *mat.Dense {
-	if r.q != nil {
-		return r.q[k]
-	}
-	return r.fq.qk(k)
-}
+func (r *Result) Qk(k int) *mat.Dense { return r.fq.qk(k) }
 
 // Factored reports whether Q is held in factored form (DPar2 results).
-func (r *Result) Factored() bool { return r.fq != nil }
+func (r *Result) Factored() bool { return r.fq != nil && r.fq.z != nil }
 
 // FactoredQ exposes the factored form (A_k, Z_k, P_k with Q_k = A_k Z_k P_kᵀ)
 // when the result holds one — serialization uses it to persist the compact
 // representation. The returned slices are the result's own state: callers
 // must not modify them.
 func (r *Result) FactoredQ() (a, z, p []*mat.Dense, ok bool) {
-	if r.fq == nil {
+	if !r.Factored() {
 		return nil, nil, nil, false
 	}
 	return r.fq.a, r.fq.z, r.fq.p, true
@@ -391,15 +389,11 @@ func (r *Result) SetFactoredQ(a, z, p []*mat.Dense) {
 		panic("parafac2: SetFactoredQ with mismatched slice counts")
 	}
 	r.fq = &factoredQ{a: a, z: z, p: p}
-	r.q = nil
 }
 
 // SetQ installs dense Q_k slices (the eager methods and deserialization use
 // it); the Result takes ownership.
-func (r *Result) SetQ(q []*mat.Dense) {
-	r.q = q
-	r.fq = nil
-}
+func (r *Result) SetQ(q []*mat.Dense) { r.fq = &factoredQ{a: q} }
 
 // Uk materializes U_k = Q_k H for slice k.
 func (r *Result) Uk(k int) *mat.Dense { return r.Qk(k).Mul(r.H) }
@@ -408,13 +402,9 @@ func (r *Result) Uk(k int) *mat.Dense { return r.Qk(k).Mul(r.H) }
 // result this costs O((hi−lo)·R² + R³) instead of the O(I_k·R²) of a full Uk
 // — the path for window queries (e.g. aligning stocks on a trailing window).
 func (r *Result) UkRows(k, lo, hi int) *mat.Dense {
-	if r.Factored() {
-		arena := compute.Shared()
-		out := mat.New(hi-lo, r.H.Cols)
-		r.fq.mulInto(out, k, lo, hi, r.H, arena)
-		return out
-	}
-	return r.q[k].RowView(lo, hi).Mul(r.H)
+	out := mat.New(hi-lo, r.H.Cols)
+	r.fq.mulInto(out, k, lo, hi, r.H, compute.Shared())
+	return out
 }
 
 // ReconstructSlice returns X̂_k = Q_k H S_k Vᵀ. Factored results fold H S_k
@@ -422,48 +412,37 @@ func (r *Result) UkRows(k, lo, hi int) *mat.Dense {
 // the eager reconstruction to round-off rather than bitwise.
 func (r *Result) ReconstructSlice(k int) *mat.Dense {
 	hs := r.H.ScaleColumns(r.S[k])
-	if r.Factored() {
-		arena := compute.Shared()
-		rows := r.SliceRows(k)
-		qh := arena.GetUninit(rows, hs.Cols)
-		r.fq.mulInto(qh, k, 0, rows, hs, arena)
-		out := qh.MulT(r.V)
-		arena.Put(qh)
-		return out
-	}
-	return r.q[k].Mul(hs).MulT(r.V)
+	arena := compute.Shared()
+	rows := r.SliceRows(k)
+	qh := arena.GetUninit(rows, hs.Cols)
+	r.fq.mulInto(qh, k, 0, rows, hs, arena)
+	out := qh.MulT(r.V)
+	arena.Put(qh)
+	return out
 }
 
 // FitnessWith computes 1 − Σ_k‖X_k − X̂_k‖_F² / Σ_k‖X_k‖_F² of a
 // factorization against the tensor it was computed from, on pool (nil
 // evaluates serially). Fitness close to 1 means the model approximates the
-// data well (Section IV-A of the paper). Slice reconstructions run in
-// parallel in arena scratch, slices claimed largest first (see
-// reconstructionError2), and per-slice errors are reduced in slice order, so
-// the value is deterministic for any pool width. Factored results
-// reconstruct through the small factors (factoredError2) without ever
-// materializing a dense Q_k.
+// data well (Section IV-A of the paper). The per-slice errors come from
+// sliceDists (slices claimed largest first, factored results reconstructed
+// without ever materializing a dense Q_k) and are summed in slice order, so
+// the value is deterministic for any pool width.
 func FitnessWith(t *tensor.Irregular, r *Result, pool *compute.Pool) float64 {
-	var errSum float64
-	if r.Factored() {
-		errSum = factoredError2(t, r.fq, r.H, r.V, r.S, pool)
-	} else {
-		errSum = reconstructionError2(t, r.q, r.H, r.V, r.S, pool)
-	}
 	n := t.Norm2()
 	if n == 0 {
 		return 1
 	}
-	return 1 - errSum/n
+	return 1 - sumSquares(sliceDists(t, r.fq, r.H, r.V, r.S, pool))/n
 }
 
-// factoredError2 is reconstructionError2 for factored results: per slice,
-// Q_k (H S_k) is folded right-to-left (A_k · (Z_k (P_kᵀ (H S_k)))), so the
-// only I_k-sized intermediates are the Q_k H S_k product and the
-// reconstruction itself — both arena scratch. Reduced in slice order.
-func factoredError2(t *tensor.Irregular, fq *factoredQ, h, v *mat.Dense, s [][]float64, pool *compute.Pool) float64 {
+// sliceDists returns ‖X_k − Q_k H S_k Vᵀ‖_F for every slice, touching every
+// input element, slices claimed across the pool largest first. Q_k (H S_k)
+// goes through fq.mulInto, so the only I_k-sized intermediates are that
+// product and the reconstruction itself — both arena scratch.
+func sliceDists(t *tensor.Irregular, fq *factoredQ, h, v *mat.Dense, s [][]float64, pool *compute.Pool) []float64 {
 	arena := compute.Shared()
-	errs := make([]float64, t.K())
+	dists := make([]float64, t.K())
 	claimBySize(pool, t.Rows(), func(_, kk int) {
 		xk := t.Slices[kk]
 		hs := arena.GetUninit(h.Rows, h.Cols)
@@ -472,13 +451,19 @@ func factoredError2(t *tensor.Irregular, fq *factoredQ, h, v *mat.Dense, s [][]f
 		fq.mulInto(qh, kk, 0, xk.Rows, hs, arena)
 		rec := arena.GetUninit(xk.Rows, xk.Cols)
 		qh.MulTInto(rec, v, nil)
-		d := xk.FrobDist(rec)
-		errs[kk] = d * d
+		dists[kk] = xk.FrobDist(rec)
 		arena.Put(hs, qh, rec)
 	})
+	return dists
+}
+
+// sumSquares returns Σ_k d_k², summed in slice order. The conversion rounds
+// each square before it is added, so architectures that fuse a multiply-add
+// (arm64) sum the same bits as amd64.
+func sumSquares(dists []float64) float64 {
 	var sum float64
-	for _, e := range errs {
-		sum += e
+	for _, d := range dists {
+		sum += float64(d * d)
 	}
 	return sum
 }

@@ -13,17 +13,17 @@ import (
 // that do not follow the shared structure.
 
 // SliceResiduals returns the relative reconstruction error of every slice:
-// ‖X_k − X̂_k‖_F / ‖X_k‖_F. Slices that the shared factors cannot explain
+// ‖X_k − X̂_k‖_F / ‖X_k‖_F (0 for an all-zero slice), from the per-slice
+// distances FitnessWith sums. Slices that the shared factors cannot explain
 // (faults, outliers, regime changes) show elevated residuals.
 func SliceResiduals(t *tensor.Irregular, r *Result) []float64 {
-	out := make([]float64, t.K())
+	out := sliceDists(t, r.fq, r.H, r.V, r.S, nil)
 	for k, xk := range t.Slices {
-		n := xk.FrobNorm()
-		if n == 0 {
+		if n := xk.FrobNorm(); n != 0 {
+			out[k] /= n
+		} else {
 			out[k] = 0
-			continue
 		}
-		out[k] = xk.FrobDist(r.ReconstructSlice(k)) / n
 	}
 	return out
 }

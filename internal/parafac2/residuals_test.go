@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/compute"
 	"repro/internal/mat"
 	"repro/internal/rng"
 	"repro/internal/tensor"
@@ -92,5 +93,65 @@ func TestSliceResidualsZeroSlice(t *testing.T) {
 	rs := SliceResiduals(mixed, res)
 	if rs[2] != 0 {
 		t.Fatalf("zero slice residual should be defined as 0, got %v", rs[2])
+	}
+}
+
+// TestQFormsAccessorsResidualsAndFitness pins, bit for bit, what the
+// accessors, SliceResiduals and FitnessWith compute for both Q forms on one
+// fixed tensor. A dense (baseline) result serves its stored Q_k and the plain
+// dense products; for both forms each residual is the distance to
+// ReconstructSlice over ‖X_k‖, and the fitness is 1 − Σ_k of those distances
+// squared (summed in slice order) over ‖X‖², at any pool width.
+func TestQFormsAccessorsResidualsAndFitness(t *testing.T) {
+	g := rng.New(53)
+	ten := synthPARAFAC2(g, []int{40, 55, 30, 62}, 14, 3, 0.05)
+	cfg := smallConfig(3)
+	cfg.MaxIters = 12
+	ctx := context.Background()
+	dense, err := ALSCtx(ctx, ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	factored, err := DPar2Ctx(ctx, ten, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense.Factored() || !factored.Factored() {
+		t.Fatalf("Factored: ALS %v, DPar2 %v", dense.Factored(), factored.Factored())
+	}
+
+	for k := 0; k < dense.K(); k++ {
+		q := dense.Qk(k)
+		if dense.Qk(k) != q {
+			t.Fatalf("dense Qk(%d) is not the stored matrix", k)
+		}
+		lo, hi := q.Rows/4, q.Rows-3
+		if !dense.UkRows(k, lo, hi).EqualApprox(q.RowView(lo, hi).Mul(dense.H), 0) {
+			t.Fatalf("dense UkRows(%d) differs from Q_k[lo:hi]·H", k)
+		}
+		want := q.Mul(dense.H.ScaleColumns(dense.S[k])).MulT(dense.V)
+		if !dense.ReconstructSlice(k).EqualApprox(want, 0) {
+			t.Fatalf("dense ReconstructSlice(%d) differs from Q_k·H S_k·Vᵀ", k)
+		}
+	}
+
+	pool := compute.NewPool(2)
+	defer pool.Close()
+	for _, res := range []*Result{dense, factored} {
+		var errSum float64
+		residuals := SliceResiduals(ten, res)
+		for k, xk := range ten.Slices {
+			d := xk.FrobDist(res.ReconstructSlice(k))
+			if want := d / xk.FrobNorm(); residuals[k] != want {
+				t.Fatalf("factored=%v: SliceResiduals[%d] = %v, want %v", res.Factored(), k, residuals[k], want)
+			}
+			errSum += float64(d * d)
+		}
+		want := 1 - errSum/ten.Norm2()
+		for _, p := range []*compute.Pool{nil, pool} {
+			if got := FitnessWith(ten, res, p); got != want {
+				t.Fatalf("factored=%v: FitnessWith = %v, want %v", res.Factored(), got, want)
+			}
+		}
 	}
 }

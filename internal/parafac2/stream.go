@@ -154,8 +154,6 @@ type StreamingDPar2 struct {
 	g      *rng.RNG
 	comp   *Compressed
 	result *Result
-	// absorbed counts the slices seen so far.
-	absorbed int
 
 	// RefreshIters bounds the ALS iterations of each warm-started absorb
 	// refresh (the bootstrap always runs the full cfg.MaxIters). It
@@ -179,7 +177,6 @@ func NewStreamingDPar2Ctx(ctx context.Context, initial *tensor.Irregular, cfg Co
 		cfg:          cfg,
 		g:            rng.New(cfg.Seed + 0x5eed),
 		comp:         comp,
-		absorbed:     initial.K(),
 		RefreshIters: DefaultRefreshIters,
 	}
 	res, err := dpar2Iterate(ctx, s.comp, cfg, nil)
@@ -222,7 +219,6 @@ func (s *StreamingDPar2) AbsorbCtx(ctx context.Context, newSlices []*mat.Dense) 
 	if err := s.comp.AppendCtx(ctx, s.g, newSlices, s.cfg); err != nil {
 		return err
 	}
-	s.absorbed += len(newSlices)
 	if err := s.Refresh(ctx); err != nil {
 		return fmt.Errorf("parafac2: batch absorbed but factor refresh incomplete (Result is stale; call Refresh, do not re-absorb): %w", err)
 	}
@@ -277,7 +273,6 @@ func (s *StreamingDPar2) Clone() *StreamingDPar2 {
 		g:            s.g.Clone(),
 		comp:         s.comp.Clone(),
 		result:       res,
-		absorbed:     s.absorbed,
 		RefreshIters: s.RefreshIters,
 	}
 }
@@ -294,8 +289,9 @@ func (s *StreamingDPar2) Config() Config {
 // Result returns the current factorization (covering every absorbed slice).
 func (s *StreamingDPar2) Result() *Result { return s.result }
 
-// K returns the number of slices absorbed so far.
-func (s *StreamingDPar2) K() int { return s.absorbed }
+// K returns the number of slices absorbed so far: AppendCtx adds one basis
+// A_k per slice, and only when it succeeds.
+func (s *StreamingDPar2) K() int { return len(s.comp.A) }
 
 // Compressed exposes the maintained compressed representation.
 func (s *StreamingDPar2) Compressed() *Compressed { return s.comp }

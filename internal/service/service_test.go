@@ -141,6 +141,34 @@ func TestDecomposeBitIdenticalOverHTTP(t *testing.T) {
 	}
 }
 
+// TestGranularFieldOverridesFull: a granular field present beside full wins
+// over full's value in both directions, an explicit "nonneg_s": false
+// included, and the echoed Spec says so.
+func TestGranularFieldOverridesFull(t *testing.T) {
+	ts := newTestServer(t, Config{}, repro.WithEngineThreads(2))
+	ctx := context.Background()
+	info, err := ts.client.UploadTensor(ctx, testTensor(12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, nonneg := range []bool{false, true} {
+		full := repro.DefaultSpec()
+		full.Rank, full.MaxIters, full.NonnegativeS = 3, 2, !nonneg
+		_, resp, err := ts.client.Decompose(ctx, DecomposeRequest{
+			TensorID: info.TensorID,
+			Spec:     SpecRequest{Full: &full, NonnegativeS: &nonneg},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := full
+		want.NonnegativeS = nonneg
+		if resp.Spec != want {
+			t.Fatalf("full nonneg_s %v with nonneg_s %v: echoed spec %+v, want %+v", !nonneg, nonneg, resp.Spec, want)
+		}
+	}
+}
+
 // TestAsyncJobRoundTrip: submit, poll to completion, fetch the result, and
 // check it matches the synchronous bits; DELETE then forgets the record.
 func TestAsyncJobRoundTrip(t *testing.T) {

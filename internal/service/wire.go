@@ -20,15 +20,14 @@ import (
 
 // SpecRequest is the wire form of a request's decomposition parameters:
 // every field optional, absent fields falling back to repro.DefaultSpec,
-// as an in-process call without that option does. Present fields compile
-// to the corresponding repro functional option (and so validate exactly
-// like an in-process call); the server echoes the fully resolved canonical
-// repro.Spec back in responses, which a client may replay verbatim via
-// Full for bit-identical reruns.
+// as an in-process call without that option does. Present fields are
+// assigned over that Spec (and so validate exactly like an in-process
+// call); the server echoes the fully resolved canonical repro.Spec back in
+// responses, which a client may replay verbatim via Full for bit-identical
+// reruns.
 type SpecRequest struct {
 	// Full, when non-nil, replaces DefaultSpec entirely with a complete
-	// canonical Spec (repro.WithSpec); the granular fields below then
-	// apply on top of it.
+	// canonical Spec; the granular fields below then apply on top of it.
 	Full *repro.Spec `json:"full,omitempty"`
 
 	Method       *string  `json:"method,omitempty"`
@@ -43,45 +42,47 @@ type SpecRequest struct {
 	NonnegativeS *bool    `json:"nonneg_s,omitempty"`
 }
 
-// Options compiles the present fields into per-call options, in a fixed
-// order (Full first, then the granular fields). Validation is deferred to
-// the call the options are passed to, matching in-process behavior.
+// Options builds the request's Spec once — Full, or DefaultSpec when it is
+// absent, with every present field assigned over it, so an explicit false
+// or zero overrides Full too — and returns it as the single repro.WithSpec
+// option. Validation and method canonicalization are deferred to the call
+// the option is passed to, matching in-process behavior.
 func (p SpecRequest) Options() []repro.Option {
-	var opts []repro.Option
+	s := repro.DefaultSpec()
 	if p.Full != nil {
-		opts = append(opts, repro.WithSpec(*p.Full))
+		s = *p.Full
 	}
 	if p.Method != nil {
-		opts = append(opts, repro.WithMethod(repro.MethodID(*p.Method)))
+		s.Method = repro.MethodID(*p.Method)
 	}
 	if p.Rank != nil {
-		opts = append(opts, repro.WithRank(*p.Rank))
+		s.Rank = *p.Rank
 	}
 	if p.MaxIters != nil {
-		opts = append(opts, repro.WithMaxIters(*p.MaxIters))
+		s.MaxIters = *p.MaxIters
 	}
 	if p.Tol != nil {
-		opts = append(opts, repro.WithTolerance(*p.Tol))
+		s.Tol = *p.Tol
 	}
 	if p.Seed != nil {
-		opts = append(opts, repro.WithSeed(*p.Seed))
+		s.Seed = *p.Seed
 	}
 	if p.Oversample != nil {
-		opts = append(opts, repro.WithOversample(*p.Oversample))
+		s.Oversample = *p.Oversample
 	}
 	if p.PowerIters != nil {
-		opts = append(opts, repro.WithPowerIters(*p.PowerIters))
+		s.PowerIters = *p.PowerIters
 	}
 	if p.ShardRows != nil {
-		opts = append(opts, repro.WithShardRows(*p.ShardRows))
+		s.ShardRows = *p.ShardRows
 	}
 	if p.Ridge != nil {
-		opts = append(opts, repro.WithRidge(*p.Ridge))
+		s.Ridge = *p.Ridge
 	}
-	if p.NonnegativeS != nil && *p.NonnegativeS {
-		opts = append(opts, repro.WithNonnegativeS())
+	if p.NonnegativeS != nil {
+		s.NonnegativeS = *p.NonnegativeS
 	}
-	return opts
+	return []repro.Option{repro.WithSpec(s)}
 }
 
 // TensorInfo describes one uploaded tensor. The ID is content-addressed

@@ -143,7 +143,10 @@
 // compressed basis and Z_k, P_k tiny R×R matrices): the dense I_k×R slices
 // are materialized lazily by Result.Qk, Uk, UkRows, and ReconstructSlice, and
 // never by the solver itself; serialization (internal/dataio) round-trips
-// the factored form without materializing.
+// the factored form without materializing. A baseline's dense Q_k is the
+// same form without Z_k and P_k, so the accessors, Engine.Fitness and
+// SliceResiduals run one per-slice pass for every method; Result.Factored
+// tells the forms apart, and a baseline result is serialized dense.
 //
 // Result.FitnessKind says what Result.Fitness was measured against:
 // FitnessTrue is the fitness against the input tensor (Engine.Decompose and

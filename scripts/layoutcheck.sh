@@ -15,7 +15,8 @@
 #
 # Prints one line per binary: the symbol count on each side and either
 # "identical" or the first differing line of each side, then the burst
-# kernel's address in both perfbench builds. Exits 1 when perfbench's table
+# kernel's address and its class (address mod 0x40) in both perfbench builds,
+# and whether the class changed. Exits 1 when perfbench's table
 # differs (dpar2d's may differ: a change to the serving layer is expected to
 # move it), 2 on a usage or build error.
 set -euo pipefail
@@ -66,9 +67,20 @@ for b in perfbench dpar2d; do
 	echo "  $rev: $(sed -n "${line}p" "$old")"
 	echo "  tree: $(sed -n "${line}p" "$new")"
 done
+# The burst's speed depends on its entry address mod 64 (its class), so each
+# side's class is printed beside the address, then whether the two differ.
+declare -A class
 for side in base tree; do
 	label="$rev"
 	[[ $side == tree ]] && label=tree
-	echo "burst.func1 ($label): $(awk '$4 ~ /burst\.func1$/ {print $1, $2}' "$work/bin/$side/perfbench.text")"
+	sym="$(awk '$4 ~ /burst\.func1$/ {print $1, $2}' "$work/bin/$side/perfbench.text")"
+	class[$side]=missing
+	[[ -n $sym ]] && class[$side]="$(printf '0x%02x' $((16#${sym%% *} % 64)))"
+	echo "burst.func1 ($label): $sym, mod 0x40 = ${class[$side]}"
 done
+if [[ ${class[base]} == "${class[tree]}" ]]; then
+	echo "burst.func1 class: unchanged (${class[tree]})"
+else
+	echo "burst.func1 class: changed (${class[base]} -> ${class[tree]})"
+fi
 exit "$status"
